@@ -25,8 +25,8 @@ from .corpus import Category, CorpusManifest
 from .cparse import INT, parse_program, Program, UnsupportedConstruct
 from .evalcore import (
     ConfusionCounts, EvalConfig, EvalReport, ModelReport, PoolEntry,
-    WitnessStatus, bootstrap_eval, classify_sample, score_by_length_bin,
-    unknown_rates, witness_metrics,
+    WitnessStatus, bootstrap_eval, classify_sample, pass_at_k,
+    score_by_length_bin, unknown_rates, witness_metrics,
 )
 from .lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, ProvenInfinite,
@@ -495,8 +495,6 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
     manifest = _load_manifest_for(config)
     if not manifest.tasks:
         _fail("manifest has no tasks", 1)
-    out_dir = out if out is not None else run_dir / "report"
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     expected = {t.task_id: (Verdict.T if t.expected_verdict == "T" else Verdict.NT)
                 for t in manifest.tasks}
@@ -504,9 +502,13 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
     binning = (corpus_mod.assign_length_bins(manifest)
                if len(manifest.tasks) >= 3 else None)
 
-    model_names = oracle.list_models(run_dir)
+    out_dir = out if out is not None else run_dir / "report"
+    # the default report directory lies inside the run: it is not a model
+    model_names = [m for m in oracle.list_models(run_dir)
+                   if (run_dir / m).resolve() != out_dir.resolve()]
     if not model_names:
         _fail(f"no model directories under {run_dir}", 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
     for model_name in model_names:
@@ -519,7 +521,7 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
                   f"{incomplete[:5]}{'...' if len(incomplete) > 5 else ''}", 1)
         single = bootstrap_eval(pools, expected, categories, config.eval, "single")
         tts = bootstrap_eval(pools, expected, categories, config.eval, "tts")
-        rates = unknown_rates(pools, config.eval)
+        rates = unknown_rates(pools, config.eval, tts)
         bin_means = (score_by_length_bin(generation_outcomes, binning)
                      if binning is not None else {})
         reports.append(ModelReport(
@@ -614,11 +616,11 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
                 _fail(f"model {model_name}: no generations for {task_id}", 1)
             generations = [extract_precondition_answer(r.raw_text)
                            for r in records]
-            p1 = precond.precondition_pass_at_k(generations, truth, variables,
-                                                k=1, mode=mode)
-            p3 = precond.precondition_pass_at_k(generations, truth, variables,
-                                                k=min(3, len(generations)),
-                                                mode=mode)
+            n = len(generations)
+            correct = precond.count_equivalent(generations, truth, variables,
+                                               mode=mode)
+            p1 = pass_at_k(n, correct, 1)
+            p3 = pass_at_k(n, correct, min(3, n))
             per_task[task_id] = {"pass@1": p1, "pass@3": p3}
             pass1.append(p1)
             pass3.append(p3)

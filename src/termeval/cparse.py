@@ -401,6 +401,13 @@ _BINARY_PRECEDENCE = [
     ["*", "/", "%"],
 ]
 
+# Parentheses and prefix operators recurse through every precedence level,
+# so the parser stops at this nesting, well inside Python's recursion limit.
+MAX_EXPR_NESTING = 32
+# Left-associative chains parse in a loop but evaluate recursively, one frame
+# per tree level; standalone expressions deeper than this are rejected.
+MAX_EXPR_DEPTH = 256
+
 _COMPOUND_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
                  "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>"}
 
@@ -412,6 +419,7 @@ class _Parser:
         self.bool_typedef = False
         self.nondet_sites: list[NondetSite] = []
         self.extern_fns: set[str] = set()
+        self.nesting = 0
 
     # -- token helpers
 
@@ -478,6 +486,12 @@ class _Parser:
 
     # -- expressions
 
+    def _nest(self, tok: Token) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_NESTING:
+            raise CParseError(f"expression nested deeper than "
+                              f"{MAX_EXPR_NESTING} levels", tok.line)
+
     def parse_expression(self) -> Expr:
         return self._parse_binary(0)
 
@@ -494,12 +508,12 @@ class _Parser:
 
     def _parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "punct" and tok.text in ("-", "~", "!"):
+        if tok.kind == "punct" and tok.text in ("-", "~", "!", "+"):
             self.next()
-            return Unary(tok.text, self._parse_unary())
-        if tok.kind == "punct" and tok.text == "+":
-            self.next()
-            return self._parse_unary()
+            self._nest(tok)
+            operand = self._parse_unary()
+            self.nesting -= 1
+            return operand if tok.text == "+" else Unary(tok.text, operand)
         if tok.kind == "punct" and tok.text in ("++", "--", "*", "&"):
             raise _Unsupported(tok.line, f"unary {tok.text} in expression")
         return self._parse_postfix()
@@ -524,7 +538,9 @@ class _Parser:
         if tok.text == "(":
             if self._at_type():
                 raise _Unsupported(tok.line, "cast expression")
+            self._nest(tok)
             expr = self.parse_expression()
+            self.nesting -= 1
             self.expect(")")
             if self.peek().text == "?":
                 raise _Unsupported(tok.line, "conditional operator")
@@ -833,7 +849,22 @@ def parse_expression(text: str) -> Expr:
     if parser.peek().kind != "eof":
         raise CParseError(f"trailing input {parser.peek().text!r}",
                           parser.peek().line)
+    if _depth(expr) > MAX_EXPR_DEPTH:
+        raise CParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels", 1)
     return expr
+
+
+def _depth(expr: Expr) -> int:
+    """Height of an expression tree, counted without recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Unary):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Binary):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
 
 
 # ---------------------------------------------------------------------------

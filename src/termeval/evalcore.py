@@ -195,6 +195,33 @@ class BootstrapResult:
     unk_fraction: float  # fraction of (run, task) final answers that were UNK
 
 
+# Draw codes: a drawn set of generations is summed up by OR-ing their codes.
+# The low two bits are the decided verdicts (T, NT), so ``mask & 3`` is 1 or 2
+# exactly when the non-unknown votes are unanimous; bit 2 marks an NT vote
+# with a valid witness.  A single draw is the one-element case.
+_CODE_T, _CODE_NT, _CODE_VALID = 1, 2, 4
+_VERDICT_CODE = {Verdict.T: _CODE_T, Verdict.NT: _CODE_NT}
+_MASK_VERDICT = {code: verdict for verdict, code in _VERDICT_CODE.items()}
+
+
+def _draw_code(entry: PoolEntry) -> int:
+    code = _VERDICT_CODE.get(entry.verdict, 0)
+    if code == _CODE_NT and entry.witness_status is WitnessStatus.VALID:
+        code |= _CODE_VALID
+    return code
+
+
+def _points_by_mask(expected: Verdict) -> list[int]:
+    """Points of the final answer for every OR-ed draw mask."""
+    points = []
+    for mask in range(8):
+        verdict = _MASK_VERDICT.get(mask & 3, Verdict.UNK)
+        status = (WitnessStatus.VALID if mask & _CODE_VALID
+                  else WitnessStatus.INVALID)
+        points.append(score_sample(classify_sample(expected, verdict, status)))
+    return points
+
+
 def bootstrap_eval(pools: dict[str, list[PoolEntry]],
                    expected: dict[str, Verdict],
                    categories: dict[str, str],
@@ -204,6 +231,7 @@ def bootstrap_eval(pools: dict[str, list[PoolEntry]],
     ``mode`` is ``"single"`` (one generation per task per run) or ``"tts"``
     (consensus over ``cfg.tts_n`` drawn generations; an NT consensus counts
     as validly witnessed when any drawn NT vote carried a valid witness).
+    Each (run, task) pair draws from its own :func:`task_rng` substream.
     """
     if mode not in ("single", "tts"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -217,35 +245,49 @@ def bootstrap_eval(pools: dict[str, list[PoolEntry]],
                 f"{cfg.pool_size}")
 
     task_ids = sorted(expected)
+    cats = sorted({categories[t] for t in task_ids})
+    cat_index = {cat: i for i, cat in enumerate(cats)}
+    cat_sizes = [0] * len(cats)
+    points_tables = {v: _points_by_mask(v) for v in _VERDICT_CODE}
+    # per task: (task id, draw codes, points by mask, category, expected code)
+    tasks = []
+    for task_id in task_ids:
+        want = expected[task_id]
+        if want not in _VERDICT_CODE:
+            raise ValueError(f"expected verdict must be T or NT, got {want}")
+        cat = cat_index[categories[task_id]]
+        cat_sizes[cat] += 1
+        tasks.append((task_id, [_draw_code(e) for e in pools[task_id]],
+                      points_tables[want], cat, _VERDICT_CODE[want]))
+
+    single = mode == "single"
+    n, k = cfg.pool_size, cfg.tts_n
     per_run_scores: list[float] = []
     per_run_f1: list[tuple[float, float]] = []
     unk_answers = 0
     for run in range(cfg.n_bootstrap):
-        outcomes: dict[str, SampleOutcome] = {}
-        verdict_pairs: list[tuple[Verdict, Verdict]] = []
-        for task_id in task_ids:
-            pool = pools[task_id]
+        sums = [0] * len(cats)
+        # tally[expected code][mask & 3]: answers by expected and final verdict
+        tally = [[0] * 4 for _ in range(3)]
+        for task_id, codes, points, cat, want in tasks:
             rng = task_rng(cfg.rng_seed, run, task_id)
-            if mode == "single":
-                entry = pool[rng.randrange(len(pool))]
-                verdict, status = entry.verdict, entry.witness_status
+            if single:
+                mask = codes[rng.randrange(n)]
             else:
-                drawn = [pool[i] for i in
-                         sorted(rng.sample(range(len(pool)), cfg.tts_n))]
-                verdict = consensus_of([e.verdict for e in drawn])
-                status = WitnessStatus.ABSENT
-                if verdict is Verdict.NT:
-                    status = (WitnessStatus.VALID if any(
-                        e.verdict is Verdict.NT and
-                        e.witness_status is WitnessStatus.VALID
-                        for e in drawn) else WitnessStatus.INVALID)
-            if verdict is Verdict.UNK:
-                unk_answers += 1
-            outcomes[task_id] = classify_sample(expected[task_id], verdict, status)
-            verdict_pairs.append((expected[task_id], verdict))
-        per_run_scores.append(svcomp_score(aggregate_outcomes(outcomes, categories)))
-        f1 = f1_per_class(verdict_pairs)
-        per_run_f1.append((f1["F1_T"], f1["F1_NT"]))
+                # the draws depend only on the population's length, so
+                # sampling the codes picks what sampling range(n) would
+                mask = 0
+                for code in rng.sample(codes, k):
+                    mask |= code
+            sums[cat] += points[mask]
+            tally[want][mask & 3] += 1
+        per_run_scores.append(svcomp_score([
+            CategoryAggregate(cat, sums[i], cat_sizes[i])
+            for i, cat in enumerate(cats)]))
+        per_run_f1.append(tuple(
+            _f1(tally[c][c], tally[_CODE_T][c] + tally[_CODE_NT][c],
+                sum(tally[c])) for c in (_CODE_T, _CODE_NT)))
+        unk_answers += sum(row[0] + row[3] for row in tally)
 
     return BootstrapResult(
         mode=mode,
@@ -262,6 +304,14 @@ def bootstrap_eval(pools: dict[str, list[PoolEntry]],
 # F1
 
 
+def _f1(correct: int, predicted: int, expected: int) -> float:
+    precision = correct / predicted if predicted else 0.0
+    recall = correct / expected if expected else 0.0
+    if precision + recall == 0:
+        return 0.0
+    return 2 * precision * recall / (precision + recall)
+
+
 def f1_per_class(outcomes: list[tuple[Verdict, Verdict]]) -> dict[str, float]:
     """Per-class F1 where an unknown counts as no prediction: it joins no
     predicted-class tally but its sample still weighs down recall."""
@@ -270,12 +320,7 @@ def f1_per_class(outcomes: list[tuple[Verdict, Verdict]]) -> dict[str, float]:
         predicted = sum(1 for _, p in outcomes if p is cls)
         expected = sum(1 for e, _ in outcomes if e is cls)
         correct = sum(1 for e, p in outcomes if e is cls and p is cls)
-        precision = correct / predicted if predicted else 0.0
-        recall = correct / expected if expected else 0.0
-        if precision + recall == 0:
-            result[key] = 0.0
-        else:
-            result[key] = 2 * precision * recall / (precision + recall)
+        result[key] = _f1(correct, predicted, expected)
     return result
 
 
@@ -335,28 +380,22 @@ class UnknownRates:
     tts_unk_rate: float
 
 
-def unknown_rates(pools: dict[str, list[PoolEntry]],
-                  cfg: EvalConfig) -> UnknownRates:
+def unknown_rates(pools: dict[str, list[PoolEntry]], cfg: EvalConfig,
+                  tts: BootstrapResult) -> UnknownRates:
     """Raw unknown share over all generations, plus the share of
     (task, bootstrap draw) pairs that resolve to unknown under consensus.
 
-    Draws use the same hash-derived substreams as :func:`bootstrap_eval`,
-    so both views describe the same resampling.
+    The consensus share is ``tts.unk_fraction``: ``tts`` must be the
+    ``"tts"`` bootstrap of these pools under ``cfg``, which already counted
+    the unknown answers of every drawn substream.
     """
+    if tts.mode != "tts" or len(tts.per_run_scores) != cfg.n_bootstrap:
+        raise ValueError("tts_unk_rate needs the tts bootstrap run under cfg")
     total = sum(len(p) for p in pools.values())
     unk = sum(1 for p in pools.values() for e in p if e.verdict is Verdict.UNK)
-    tts_unk = 0
-    pairs = 0
-    for task_id in sorted(pools):
-        votes = [e.verdict for e in pools[task_id]]
-        for run in range(cfg.n_bootstrap):
-            rng = task_rng(cfg.rng_seed, run, task_id)
-            if tts_consensus(votes, cfg.tts_n, rng) is Verdict.UNK:
-                tts_unk += 1
-            pairs += 1
     return UnknownRates(
         unk_rate=unk / total if total else 0.0,
-        tts_unk_rate=tts_unk / pairs if pairs else 0.0,
+        tts_unk_rate=tts.unk_fraction,
     )
 
 

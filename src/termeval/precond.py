@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cparse import CType, INT, LONG, UINT, ULONG
-from .evalcore import pass_at_k
 
 # ---------------------------------------------------------------------------
 # Expression tree
@@ -656,14 +655,13 @@ def judge_generation(text: str, ground_truth: PrecondExpr,
     return GenerationJudgment.UNDECIDED
 
 
-def precondition_pass_at_k(generations: list[str], ground_truth: PrecondExpr,
-                           variables: dict[str, CType], k: int,
-                           mode: str = "brute") -> float:
-    """Pass@k over a task's precondition generations.
+def count_equivalent(generations: list[str], ground_truth: PrecondExpr,
+                     variables: dict[str, CType], mode: str = "brute") -> int:
+    """How many of a task's precondition generations are equivalent to the
+    ground truth, each judged once; the ``c`` of :func:`pass_at_k`.
 
     Unparseable or undecided generations count as incorrect.
     """
-    judgments = [judge_generation(g, ground_truth, variables, mode)
-                 for g in generations]
-    c = sum(1 for j in judgments if j is GenerationJudgment.EQUIVALENT)
-    return pass_at_k(len(generations), c, k)
+    return sum(1 for g in generations
+               if judge_generation(g, ground_truth, variables, mode)
+               is GenerationJudgment.EQUIVALENT)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
@@ -85,28 +86,32 @@ class FormatError:
 # JSON extraction and parsing
 
 
+# a JSON object opens with "{", optional JSON whitespace, then a key or "}";
+# the decoder rejects every other "{", so only these are worth decoding
+_OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
+
+
 def _iter_json_objects(text: str):
     """Yield (start, obj) for each maximal well-formed JSON object in text.
 
     Objects nested inside an already-matched object are skipped, so prose
-    followed by a final answer object yields the answer last.
+    followed by a final answer object yields the answer last.  A candidate
+    nested deeper than the decoder's recursion limit counts as malformed.
     """
     decoder = json.JSONDecoder()
     i = 0
     while True:
-        i = text.find("{", i)
-        if i < 0:
+        match = _OBJECT_START.search(text, i)
+        if match is None:
             return
+        i = match.start()
         try:
             obj, end = decoder.raw_decode(text, i)
-        except ValueError:
+        except (ValueError, RecursionError):
             i += 1
             continue
-        if isinstance(obj, dict):
-            yield i, obj
-            i += max(end - i, 1)
-        else:
-            i += 1
+        yield i, obj
+        i = end
 
 
 def _as_flag(value) -> bool:

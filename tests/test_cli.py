@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,6 +232,33 @@ class TestScoreCommand:
             })
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_reports_match_golden_files(self, runner, tmp_path):
+        # produced before the bootstrap was made table-driven; a change in
+        # how the substreams are drawn or summed shows up here
+        workspace = copy_fixture_workspace(tmp_path)
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        for name in ("report.json", "report.txt", "per_run_scores.csv"):
+            assert (workspace / "report" / name).read_bytes() == \
+                (FIXTURES / "golden" / "score" / name).read_bytes(), name
+
+    def test_default_report_dir_is_not_a_model(self, runner, tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        for _ in range(2):
+            result = runner.invoke(main, [
+                "score", str(run_dir),
+                "-c", str(workspace / "score_config.toml"),
+            ])
+            assert result.exit_code == 0, result.output
+            report = json.loads((run_dir / "report" / "report.json").read_text())
+            assert [m["model"] for m in report["models"]] == \
+                ["oracle-a", "oracle-b"]
+
     def test_incomplete_pool_exit_1(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
         victim = (workspace / "runs" / "demo" / "oracle-a" /
@@ -328,6 +358,34 @@ class TestScoreCommand:
         assert by_model["oracle-a"]["witness"]["validity"] > 0
 
 
+class TestBenchmarkHooks:
+    def test_score_runs_under_the_span_tracer(self, tmp_path):
+        # the benchmark wraps cli and evalcore functions by name and reads
+        # their arguments; this fails when one of them is renamed or moved
+        workspace = copy_fixture_workspace(tmp_path)
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import json, sys\n"
+            "import spans\n"
+            "from termeval import cli\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "cli.main(sys.argv[1:], standalone_mode=False)\n"
+            "print(json.dumps(spans.layer_metrics(tracer)))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root / "bench")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "score",
+             str(workspace / "runs" / "demo"),
+             "-c", str(workspace / "score_config.toml"),
+             "-o", str(workspace / "report")],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        metrics = json.loads(proc.stdout.splitlines()[-1])
+        assert metrics["evalcore.bootstrap_single_s"] > 0
+        assert metrics["evalcore.task_draws"] > 0
+
+
 class TestRunCommand:
     def test_replay_run_touches_no_network(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
@@ -415,7 +473,16 @@ class TestPrecondCommand:
         assert result.exit_code == 0, result.output
         assert "Pass@1 1.000" in result.output
 
-    def test_half_correct_pass3(self, runner, tmp_path):
+    def test_half_correct_pass3(self, runner, tmp_path, monkeypatch):
+        from termeval import precond
+        judged = []
+        judge = precond.judge_generation
+
+        def counting_judge(text, *args, **kwargs):
+            judged.append(text)
+            return judge(text, *args, **kwargs)
+
+        monkeypatch.setattr(precond, "judge_generation", counting_judge)
         answers = ["x % 2 == 0"] * 5 + ["x > 0"] * 5
         workspace, run_dir = self.make_precond_run(tmp_path, {
             "bitvector-spin/even_spin": answers,
@@ -433,6 +500,8 @@ class TestPrecondCommand:
         task = payload["oracle-a"]["per_task"]["bitvector-spin/even_spin"]
         assert task["pass@1"] == pytest.approx(0.5)
         assert task["pass@3"] == pytest.approx(11 / 12)
+        # Pass@1 and Pass@3 come from one judgment per generation
+        assert sorted(judged) == sorted(answers)
 
     def test_equivalent_rewriting_accepted(self, runner, tmp_path):
         # syntactically different but equivalent formulations must count

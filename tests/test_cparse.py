@@ -258,6 +258,20 @@ class TestExpressionParsing:
     def test_parentheses(self):
         assert eval_value(parse_expression("(1 + 2) * 3"), {}) == 9
 
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "x" + ")" * 3000,
+        "!" * 3000 + "x",
+        " + ".join(["x"] * 3000),
+    ])
+    def test_deep_nesting_is_parse_error(self, text):
+        with pytest.raises(CParseError, match="deeper than"):
+            parse_expression(text)
+
+    def test_nesting_at_the_limit_parses(self):
+        depth = cparse.MAX_EXPR_NESTING
+        expr = parse_expression("(" * depth + "x + 1" + ")" * depth)
+        assert eval_value(expr, {"x": 1}) == 2
+
     def test_paper_style_guard(self):
         expr = parse_expression("i >= -5 && i <= 5")
         assert eval_value(expr, {"i": 0}, {"i": INT}) == 1

@@ -267,6 +267,66 @@ class TestBootstrap:
         assert result.unk_fraction == 1.0
 
 
+def reference_bootstrap(pools, expected, categories, cfg, mode):
+    """Plain per-draw loop over outcomes: (per-run scores, per-run F1,
+    unknown share)."""
+    scores, f1s, unknown = [], [], 0
+    for run in range(cfg.n_bootstrap):
+        outcomes, pairs = {}, []
+        for task_id in sorted(expected):
+            pool = pools[task_id]
+            rng = task_rng(cfg.rng_seed, run, task_id)
+            if mode == "single":
+                drawn = pool[rng.randrange(len(pool))]
+                verdict, status = drawn.verdict, drawn.witness_status
+            else:
+                drawn = [pool[i]
+                         for i in rng.sample(range(len(pool)), cfg.tts_n)]
+                verdict = consensus_of([e.verdict for e in drawn])
+                status = VALID if any(
+                    e.verdict is NT and e.witness_status is VALID
+                    for e in drawn) else INVALID
+            unknown += verdict is UNK
+            outcomes[task_id] = classify_sample(expected[task_id], verdict,
+                                                status)
+            pairs.append((expected[task_id], verdict))
+        scores.append(svcomp_score(aggregate_outcomes(outcomes, categories)))
+        f1 = f1_per_class(pairs)
+        f1s.append((f1["F1_T"], f1["F1_NT"]))
+    return scores, f1s, unknown / (cfg.n_bootstrap * len(expected))
+
+
+@st.composite
+def bootstrap_inputs(draw):
+    pool_size = draw(st.integers(1, 6))
+    cfg = EvalConfig(pool_size=pool_size,
+                     n_bootstrap=draw(st.integers(1, 6)),
+                     tts_n=draw(st.integers(1, pool_size)),
+                     rng_seed=draw(st.integers(0, 2 ** 32)))
+    entries = st.builds(PoolEntry, st.sampled_from([T, NT, UNK]),
+                        st.sampled_from([VALID, INVALID, ABSENT]))
+    task_ids = draw(st.lists(st.text("abc", min_size=1, max_size=3),
+                             min_size=1, max_size=6, unique=True))
+    pools = {t: draw(st.lists(entries, min_size=pool_size,
+                              max_size=pool_size)) for t in task_ids}
+    expected = {t: draw(st.sampled_from([T, NT])) for t in task_ids}
+    categories = {t: draw(st.sampled_from("XYZ")) for t in task_ids}
+    return pools, expected, categories, cfg
+
+
+class TestBootstrapReference:
+    @pytest.mark.parametrize("mode", ["single", "tts"])
+    @given(inputs=bootstrap_inputs())
+    def test_matches_plain_loop(self, mode, inputs):
+        pools, expected, categories, cfg = inputs
+        result = bootstrap_eval(pools, expected, categories, cfg, mode)
+        scores, f1s, unknown = reference_bootstrap(pools, expected,
+                                                   categories, cfg, mode)
+        assert result.per_run_scores == scores
+        assert result.per_run_f1 == f1s
+        assert result.unk_fraction == unknown
+
+
 class TestF1:
     def test_all_correct(self):
         outcomes = [(T, T)] * 5 + [(NT, NT)] * 5
@@ -355,34 +415,49 @@ def exact_tts_unknown_probability(n_t: int, n_nt: int, n_unk: int,
     return p_unk
 
 
+def tts_of(pools, cfg):
+    """The consensus bootstrap; its unknown share ignores the labels."""
+    return bootstrap_eval(pools, {t: T for t in pools}, {t: "X" for t in pools},
+                          cfg, "tts")
+
+
 class TestUnknownRates:
     def test_all_decided_pool(self):
         pools = {"a": [entry(T)] * 20}
         cfg = EvalConfig(pool_size=20, n_bootstrap=50, tts_n=10, rng_seed=4)
-        rates = unknown_rates(pools, cfg)
+        rates = unknown_rates(pools, cfg, tts_of(pools, cfg))
         assert rates.unk_rate == 0.0
         assert rates.tts_unk_rate == 0.0
 
     def test_two_unknowns_of_twenty(self):
         pools = {"a": [entry(UNK)] * 2 + [entry(T)] * 18}
         cfg = EvalConfig(pool_size=20, n_bootstrap=10, tts_n=10, rng_seed=4)
-        rates = unknown_rates(pools, cfg)
+        tts = tts_of(pools, cfg)
+        rates = unknown_rates(pools, cfg, tts)
         assert rates.unk_rate == pytest.approx(0.10)
+        assert rates.tts_unk_rate == tts.unk_fraction
+
+    def test_needs_the_tts_bootstrap(self):
+        pools = {"a": [entry(T)] * 4}
+        cfg = EvalConfig(pool_size=4, n_bootstrap=5, tts_n=2, rng_seed=4)
+        single = bootstrap_eval(pools, {"a": T}, {"a": "X"}, cfg, "single")
+        with pytest.raises(ValueError):
+            unknown_rates(pools, cfg, single)
 
     def test_mixed_pool_matches_hypergeometric(self):
         pools = {"a": [entry(T)] * 10 + [entry(NT)] * 10}
         cfg = EvalConfig(pool_size=20, n_bootstrap=4000, tts_n=10, rng_seed=21)
-        rates = unknown_rates(pools, cfg)
+        unk_fraction = tts_of(pools, cfg).unk_fraction
         exact = float(exact_tts_unknown_probability(10, 10, 0, 10))
-        assert abs(rates.tts_unk_rate - exact) < 0.02
+        assert abs(unk_fraction - exact) < 0.02
         assert exact > 0.99
 
     def test_skewed_pool_matches_hypergeometric(self):
         pools = {"a": [entry(T)] * 17 + [entry(NT)] * 1 + [entry(UNK)] * 2}
         cfg = EvalConfig(pool_size=20, n_bootstrap=6000, tts_n=10, rng_seed=8)
-        rates = unknown_rates(pools, cfg)
+        unk_fraction = tts_of(pools, cfg).unk_fraction
         exact = float(exact_tts_unknown_probability(17, 1, 2, 10))
-        assert abs(rates.tts_unk_rate - exact) < 0.02
+        assert abs(unk_fraction - exact) < 0.02
 
 
 class TestLengthBinScores:

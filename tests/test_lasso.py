@@ -137,6 +137,14 @@ class TestCheckFeasibility:
         result = check_feasibility(program("absorb_to_zero.c"), lasso, FAST_CFG)
         assert result == Infeasible("E2")
 
+    def test_too_deep_assumption_never_holds(self):
+        data = load_witness_json("even_spin.json")["witness"]
+        data["edges"][2]["assumption"] = ("(" * 3000 + "x % 2 == 0"
+                                          + ")" * 3000)
+        lasso = extract_lasso(witness_from_json(data))
+        result = check_feasibility(program("even_spin.c"), lasso, FAST_CFG)
+        assert result == Infeasible("E2")
+
     def test_unsupported_program_unknown(self):
         result = check_feasibility(
             parse_program(load_program("heap_user.c")),

@@ -4,12 +4,13 @@ import pytest
 
 from termeval import cparse
 from termeval.cparse import INT
+from termeval.evalcore import pass_at_k
 from termeval.precond import (
     BoolBinary, Compare, Equivalent, EquivUnknown, GenerationJudgment,
     Inequivalent, IntLit, Neg, Not, PrecondParseError, Var, brute_equivalence,
-    check_equivalence, emit_smtlib, eval_arith, eval_precondition, find_solver,
+    check_equivalence, count_equivalent, emit_smtlib, eval_arith, eval_precondition, find_solver,
     format_precondition, judge_generation, parse_precondition,
-    precondition_pass_at_k, smt_equivalence, variables_of,
+    smt_equivalence, variables_of,
 )
 
 IVAR = {"i": INT}
@@ -347,24 +348,27 @@ class TestBothMode:
 class TestPassAtK:
     TRUTH = parse_precondition("i % 2 != 0")
 
+    def pass_at(self, generations, k):
+        return pass_at_k(len(generations),
+                         count_equivalent(generations, self.TRUTH, IVAR), k)
+
     def test_all_equivalent(self):
         generations = ["i % 2 != 0"] * 10
-        assert precondition_pass_at_k(generations, self.TRUTH, IVAR, 1) == 1.0
-        assert precondition_pass_at_k(generations, self.TRUTH, IVAR, 3) == 1.0
+        assert self.pass_at(generations, 1) == 1.0
+        assert self.pass_at(generations, 3) == 1.0
 
     def test_half_correct_matches_estimator(self):
         generations = ["i % 2 != 0"] * 5 + ["i > 0"] * 5
-        assert precondition_pass_at_k(generations, self.TRUTH, IVAR, 3) == \
-            pytest.approx(11 / 12)
+        assert self.pass_at(generations, 3) == pytest.approx(11 / 12)
 
     def test_none_correct(self):
         generations = ["i > 0"] * 10
-        assert precondition_pass_at_k(generations, self.TRUTH, IVAR, 1) == 0.0
+        assert self.pass_at(generations, 1) == 0.0
 
     def test_unparseable_counts_as_wrong(self):
         generations = ["%%%garbage%%%"] * 5 + ["i % 2 != 0"] * 5
-        assert precondition_pass_at_k(generations, self.TRUTH, IVAR, 1) == \
-            pytest.approx(0.5)
+        assert count_equivalent(generations, self.TRUTH, IVAR) == 5
+        assert self.pass_at(generations, 1) == pytest.approx(0.5)
 
     def test_judgments(self):
         assert judge_generation("(i % 2 != 0) and (i >= -2147483649)",

@@ -1,13 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from termeval.corpus import Architecture, Category, TaskSpec, number_lines
 from termeval.witness import (
     FormatError, Prediction, ProducerMeta, Verdict, WitnessAutomaton,
     WitnessEdge, WitnessNode, emit_graphml, parse_graphml, parse_prediction,
-    program_hash, validate_schema, witness_from_json,
+    _iter_json_objects, program_hash, validate_schema, witness_from_json,
 )
 
 from conftest import FIXTURES, load_witness_json, load_witness_text
@@ -94,6 +94,52 @@ class TestParsePrediction:
     def test_total_over_arbitrary_text(self, text):
         result = parse_prediction(text)
         assert isinstance(result, (Prediction, FormatError))
+
+    def test_nesting_past_recursion_limit_is_format_error(self):
+        result = parse_prediction('{"a":[' * 3000)
+        assert isinstance(result, FormatError)
+
+    def test_answer_after_too_deep_object(self):
+        text = '{"a":[' * 3000 + '\n{"verdict": true}'
+        result = parse_prediction(text)
+        assert isinstance(result, Prediction)
+        assert result.verdict is Verdict.T
+
+
+def every_brace_objects(text: str):
+    """Reference extraction: try to decode at every "{"."""
+    decoder = json.JSONDecoder()
+    found, i = [], 0
+    while True:
+        i = text.find("{", i)
+        if i < 0:
+            return found
+        try:
+            obj, end = decoder.raw_decode(text, i)
+        except (ValueError, RecursionError):
+            i += 1
+            continue
+        found.append((i, obj))
+        i = end
+
+
+JSON_SPACE = st.text(" \t\n\r\f", max_size=3)
+# "{", some whitespace, then what may or may not continue an object
+BRACE_OPENINGS = st.builds(
+    lambda space, rest: "{" + space + rest, JSON_SPACE,
+    st.sampled_from(["}", '"k": 1}', '"k"', "x}", "1}", "[]}", "{}}"]))
+JSON_TEXT = st.lists(st.one_of(
+    st.sampled_from("{}[]:,"), JSON_SPACE, BRACE_OPENINGS,
+    st.sampled_from(['"k"', "1", "null", "x", '{"verdict": false}',
+                     "int main() { while (x) { x--; } }"]),
+), max_size=40).map("".join)
+
+
+class TestJsonObjectScan:
+    @settings(max_examples=500)
+    @given(JSON_TEXT)
+    def test_matches_decoding_at_every_brace(self, text):
+        assert list(_iter_json_objects(text)) == every_brace_objects(text)
 
 
 class TestValidateSchema:
