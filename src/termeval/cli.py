@@ -8,6 +8,7 @@ usage or configuration error.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import sys
@@ -422,9 +423,24 @@ def witness_status_for(prediction: Prediction | FormatError,
     return WitnessStatus.INVALID
 
 
-def _task_pool(task, run_dir: Path, model_name: str,
-               config: RunConfig) -> list[PoolEntry]:
-    """Score-ready entries for one task's cached generations."""
+def _parse_task_program(task) -> Program | UnsupportedConstruct:
+    """The task's program; one that does not parse counts as unsupported."""
+    try:
+        return parse_program(task.numbered_source)
+    except Exception:
+        return UnsupportedConstruct(1, "parse error")
+
+
+def _task_pool(task, run_dir: Path, model_name: str, config: RunConfig,
+               statuses: dict[tuple[str, str], WitnessStatus],
+               ) -> list[PoolEntry]:
+    """Score-ready entries for one task's cached generations.
+
+    A witness's status depends only on the task and the witness, so it is
+    looked up in this pool first, then in ``statuses``, which is shared
+    across models and keyed by task id and a digest of the witness.  Under
+    ``--jobs`` one thread pools each task, so no two threads share a key.
+    """
     records = oracle.replay_records(run_dir, model_name, task.task_id)
     program: Program | UnsupportedConstruct | None = None
     status_cache: dict[object, WitnessStatus] = {}
@@ -434,37 +450,43 @@ def _task_pool(task, run_dir: Path, model_name: str,
         verdict = Verdict.UNK if isinstance(parsed, FormatError) else parsed.verdict
         status = WitnessStatus.ABSENT
         if verdict is Verdict.NT:
-            if program is None:
-                try:
-                    program = parse_program(task.numbered_source)
-                except Exception:
-                    program = UnsupportedConstruct(1, "parse error")
             # identical witnesses across samples check identically
-            key = parsed.witness
-            if key not in status_cache:
-                status_cache[key] = witness_status_for(
-                    parsed, program, task, config.checker, config.validator)
-            status = status_cache[key]
+            witness = parsed.witness
+            if witness not in status_cache:
+                key = (task.task_id,
+                       hashlib.sha256(repr(witness).encode()).hexdigest())
+                if key not in statuses:
+                    if program is None:
+                        program = _parse_task_program(task)
+                    statuses[key] = witness_status_for(
+                        parsed, program, task, config.checker, config.validator)
+                status_cache[witness] = statuses[key]
+            status = status_cache[witness]
         entries.append(PoolEntry(verdict, status))
     return entries
 
 
 def build_pools(manifest: CorpusManifest, run_dir: Path, model_name: str,
                 config: RunConfig, jobs: int = 1,
+                statuses: dict[tuple[str, str], WitnessStatus] | None = None,
                 ) -> tuple[dict[str, list[PoolEntry]], ConfusionCounts,
                            list[tuple[str, evalcore.SampleOutcome]]]:
     """Per-task pools plus per-generation confusion counts and outcomes.
 
     Tasks are independent, so witness checking parallelizes; results are
     folded in manifest order to keep every downstream number deterministic.
+    Pass the same ``statuses`` dict for every model of a run to check each
+    (task, witness) pair once.
     """
+    statuses = {} if statuses is None else statuses
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             entry_lists = list(pool.map(
-                lambda task: _task_pool(task, run_dir, model_name, config),
+                lambda task: _task_pool(task, run_dir, model_name, config,
+                                        statuses),
                 manifest.tasks))
     else:
-        entry_lists = [_task_pool(task, run_dir, model_name, config)
+        entry_lists = [_task_pool(task, run_dir, model_name, config, statuses)
                        for task in manifest.tasks]
 
     pools: dict[str, list[PoolEntry]] = {}
@@ -511,9 +533,11 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
+    statuses: dict[tuple[str, str], WitnessStatus] = {}
     for model_name in model_names:
         pools, confusion, generation_outcomes = build_pools(
-            manifest, run_dir, model_name, config, jobs=max(jobs, 1))
+            manifest, run_dir, model_name, config, jobs=max(jobs, 1),
+            statuses=statuses)
         incomplete = [t for t, pool in sorted(pools.items())
                       if len(pool) != config.eval.pool_size]
         if incomplete:
@@ -598,7 +622,9 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
         pass1, pass3 = [], []
         for task_id, truth_text in sorted(truth_raw.items()):
             task = manifest.task(task_id)
-            program = parse_program(task.numbered_source)
+            # a program that does not parse leaves the annotation to name
+            # the variables
+            program = _parse_task_program(task)
             if isinstance(program, Program):
                 variables = {site.name: site.ctype
                              for site in program.nondet_vars}

@@ -13,8 +13,11 @@ All arithmetic is two's-complement at the declared width with wraparound;
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
 # Types and values
@@ -86,19 +89,6 @@ def usual_arithmetic_type(a: CType, b: CType) -> CType:
         # long (64) can represent every unsigned int (32) value
         return wide
     return wide
-
-
-def c_div(a: int, b: int) -> int:
-    """C truncated division (rounds toward zero)."""
-    if b == 0:
-        raise EvalUndefined("division by zero")
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
-
-
-def c_rem(a: int, b: int) -> int:
-    """C remainder: sign follows the dividend."""
-    return a - c_div(a, b) * b
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +206,8 @@ class Program:
     nondet_vars: list[NondetSite]
     globals: list[Decl] = field(default_factory=list)
     line_count: int = 0
+    # declared type of every variable of main and of the globals
+    types: dict[str, CType] = field(default_factory=dict)
 
     @property
     def main(self) -> FunctionDef:
@@ -404,8 +396,8 @@ _BINARY_PRECEDENCE = [
 # Parentheses and prefix operators recurse through every precedence level,
 # so the parser stops at this nesting, well inside Python's recursion limit.
 MAX_EXPR_NESTING = 32
-# Left-associative chains parse in a loop but evaluate recursively, one frame
-# per tree level; standalone expressions deeper than this are rejected.
+# Left-associative chains parse in a loop but compile recursively, one frame
+# per tree level; expressions deeper than this are rejected.
 MAX_EXPR_DEPTH = 256
 
 _COMPOUND_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
@@ -493,7 +485,12 @@ class _Parser:
                               f"{MAX_EXPR_NESTING} levels", tok.line)
 
     def parse_expression(self) -> Expr:
-        return self._parse_binary(0)
+        line = self.peek().line
+        expr = self._parse_binary(0)
+        if _depth(expr) > MAX_EXPR_DEPTH:
+            raise CParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels",
+                              line)
+        return expr
 
     def _parse_binary(self, level: int) -> Expr:
         if level >= len(_BINARY_PRECEDENCE):
@@ -737,7 +734,10 @@ class _Parser:
             raise _Unsupported(tok.line, f"top-level {tok.text!r}")
         if "main" not in functions:
             raise CParseError("no main function", self.peek().line)
-        return Program(functions, "main", self.nondet_sites, globals_, line_count)
+        types = {name: _scoped_types(globals_, fn)
+                 for name, fn in functions.items()}
+        return Program(functions, "main", self.nondet_sites, globals_,
+                       line_count, types["main"])
 
     def _parse_typedef(self) -> None:
         line = self.expect("typedef").line
@@ -822,6 +822,91 @@ class _Parser:
                 raise _Unsupported(d.line, "nondet initializer at file scope")
 
 
+def _scoped_types(globals_: list[Decl], fn: FunctionDef) -> dict[str, CType]:
+    """Declared type of every variable that ``fn`` and the globals declare.
+
+    Execution keeps one value and one type per name, which is C's meaning
+    only when each name has a single declaration in scope wherever it is
+    used.  A declaration that shadows a visible one, two declarations of one
+    name with different types, and a use outside every declaration's scope
+    are therefore unsupported.  A name that is never declared stays an
+    ``int`` (or, assigned from a nondet call, takes the call's type).
+    """
+    types: dict[str, CType] = {}
+    for d in [*globals_, *(s for s in _walk(fn.body) if isinstance(s, Decl))]:
+        if types.setdefault(d.name, d.ctype) != d.ctype:
+            raise _Unsupported(d.line, f"conflicting declarations of {d.name}")
+    for name, ctype in fn.params:
+        if types.setdefault(name, ctype) != ctype:
+            raise _Unsupported(fn.line, f"conflicting declarations of {name}")
+    scopes: list[set[str]] = [set()]
+
+    def declare(name: str, line: int) -> None:
+        if any(name in scope for scope in scopes):
+            raise _Unsupported(line, f"shadowed declaration of {name}")
+        scopes[-1].add(name)
+
+    def use(name: str, line: int) -> None:
+        if name in types and not any(name in scope for scope in scopes):
+            raise _Unsupported(line, f"use of {name} outside its scope")
+
+    def read(expr: Expr | None, line: int) -> None:
+        stack = [expr] if expr is not None else []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Var):
+                use(node.name, line)
+            elif isinstance(node, Unary):
+                stack.append(node.operand)
+            elif isinstance(node, Binary):
+                stack += [node.right, node.left]
+
+    def block(stmts: list[Stmt]) -> None:
+        scopes.append(set())
+        for s in stmts:
+            stmt(s)
+        scopes.pop()
+
+    def stmt(s: Stmt) -> None:
+        if isinstance(s, Decl):
+            read(s.init, s.line)
+            declare(s.name, s.line)
+        elif isinstance(s, Assign):
+            use(s.name, s.line)
+            read(s.expr, s.line)
+        elif isinstance(s, NondetAssign):
+            use(s.name, s.line)
+        elif isinstance(s, If):
+            read(s.cond, s.line)
+            block(s.then_body)
+            block(s.else_body)
+        elif isinstance(s, While):
+            read(s.cond, s.line)
+            block(s.body)
+        elif isinstance(s, For):
+            scopes.append(set())
+            if s.init is not None:
+                stmt(s.init)
+            read(s.cond, s.line)
+            if s.step is not None:
+                stmt(s.step)
+            block(s.body)
+            scopes.pop()
+        elif isinstance(s, Return):
+            read(s.expr, s.line)
+        elif isinstance(s, Block):
+            block(s.stmts)
+
+    for d in globals_:
+        stmt(d)
+    scopes.append(set())  # parameters share the body's outermost scope
+    for name, _ in fn.params:
+        declare(name, fn.line)
+    for s in fn.body:
+        stmt(s)
+    return types
+
+
 def parse_program(numbered_source: str) -> Program | UnsupportedConstruct:
     """Parse (possibly line-numbered) C source into a :class:`Program`.
 
@@ -849,8 +934,6 @@ def parse_expression(text: str) -> Expr:
     if parser.peek().kind != "eof":
         raise CParseError(f"trailing input {parser.peek().text!r}",
                           parser.peek().line)
-    if _depth(expr) > MAX_EXPR_DEPTH:
-        raise CParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels", 1)
     return expr
 
 
@@ -868,86 +951,203 @@ def _depth(expr: Expr) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: each expression compiles once into closures over an environment
+
+
+class _Code(NamedTuple):
+    fn: Callable[[dict[str, int]], int]
+    ctype: CType
+    exact: bool  # every value of fn lies in ctype's range
+    const: int | None  # the value, when it does not depend on the environment
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "&": operator.and_, "|": operator.or_, "^": operator.xor}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def _masks(t: CType) -> tuple[int, int]:
+    return 1 << (t.width - 1), (1 << t.width) - 1
+
+
+def _coerce(code: _Code, t: CType) -> Callable[[dict[str, int]], int]:
+    """A function giving ``code``'s value converted to ``t``."""
+    if code.const is not None:
+        value = wrap(code.const, t)
+        return lambda env: value
+    fn = code.fn
+    if code.exact and t.min <= code.ctype.min and code.ctype.max <= t.max:
+        return fn
+    half, mask = _masks(t)
+    if t.signed:
+        return lambda env: ((fn(env) + half) & mask) - half
+    return lambda env: fn(env) & mask
+
+
+def _wrapping(op, lf, rf, t: CType) -> Callable[[dict[str, int]], int]:
+    """``wrap(op(lf(env), rf(env)), t)``: the operands need no conversion
+    first, because + - * & | ^ commute with reduction modulo 2**width."""
+    half, mask = _masks(t)
+    if t.signed:
+        if op is operator.add:
+            return lambda env: ((lf(env) + rf(env) + half) & mask) - half
+        if op is operator.sub:
+            return lambda env: ((lf(env) - rf(env) + half) & mask) - half
+        return lambda env: ((op(lf(env), rf(env)) + half) & mask) - half
+    return lambda env: op(lf(env), rf(env)) & mask
+
+
+def _unary(op: str, operand: _Code) -> _Code:
+    t = promote(operand.ctype)
+    half, mask = _masks(t)
+    f = operand.fn
+    if op == "!":
+        if operand.exact:  # promotion only widens, so the value needs no wrap
+            return _Code(lambda env: 0 if f(env) else 1, INT, True, None)
+        return _Code(lambda env: 0 if f(env) & mask else 1, INT, True, None)
+    if op == "-":
+        fn = ((lambda env: ((half - f(env)) & mask) - half) if t.signed
+              else (lambda env: -f(env) & mask))
+    elif op == "~":
+        fn = ((lambda env: ((~f(env) + half) & mask) - half) if t.signed
+              else (lambda env: ~f(env) & mask))
+    else:
+        raise ValueError(f"bad unary op {op}")
+    return _Code(fn, t, True, None)
+
+
+def _binary(op: str, left: _Code, right: _Code) -> _Code:
+    lf, rf = left.fn, right.fn
+    if op == "&&":
+        return _Code(lambda env: 1 if lf(env) and rf(env) else 0, INT, True, None)
+    if op == "||":
+        return _Code(lambda env: 1 if lf(env) or rf(env) else 0, INT, True, None)
+    if op in ("<<", ">>"):
+        t = promote(left.ctype)
+        half, mask = _masks(t)
+        width, a, b = t.width, _coerce(left, t), _coerce(right, promote(right.ctype))
+
+        def shift(env: dict[str, int]) -> int:
+            x, y = a(env), b(env)
+            if y < 0 or y >= width:
+                raise EvalUndefined(f"shift by {y} on {width}-bit value")
+            if op == ">>":
+                return x >> y
+            return (((x << y) + half) & mask) - half if t.signed else (x << y) & mask
+        return _Code(shift, t, True, None)
+    t = usual_arithmetic_type(left.ctype, right.ctype)
+    if op in _ARITH:
+        return _Code(_wrapping(_ARITH[op], lf, rf, t), t, True, None)
+    a, b = _coerce(left, t), _coerce(right, t)
+    c = None if right.const is None else b({})
+    if op in _COMPARE:
+        if c is not None:
+            return _Code(_compare_with(op, a, c), INT, True, None)
+        cmp = _COMPARE[op]
+        return _Code(lambda env: 1 if cmp(a(env), b(env)) else 0, INT, True, None)
+    if op in ("/", "%"):
+        return _Code(_divide(op, a, b, c, t), t, True, None)
+    raise ValueError(f"bad binary op {op}")
+
+
+def _compare_with(op: str, a, c: int) -> Callable[[dict[str, int]], int]:
+    """``a(env) op c`` as 1 or 0, for a constant right operand."""
+    if op == "<":
+        return lambda env: 1 if a(env) < c else 0
+    if op == "<=":
+        return lambda env: 1 if a(env) <= c else 0
+    if op == ">":
+        return lambda env: 1 if a(env) > c else 0
+    if op == ">=":
+        return lambda env: 1 if a(env) >= c else 0
+    if op == "==":
+        return lambda env: 1 if a(env) == c else 0
+    return lambda env: 1 if a(env) != c else 0
+
+
+def _divide(op: str, a, b, c: int | None,
+            t: CType) -> Callable[[dict[str, int]], int]:
+    """C's truncated ``/`` or ``%`` of operands already converted to ``t``;
+    ``c`` is the divisor when it is a constant."""
+    if c is not None and c > 0:
+        # the common case: no zero check, and a quotient that cannot overflow
+        if not t.signed:
+            return ((lambda env: a(env) // c) if op == "/"
+                    else (lambda env: a(env) % c))
+        if op == "/":
+            return lambda env: x // c if (x := a(env)) >= 0 else -(-x // c)
+        return lambda env: x % c if (x := a(env)) >= 0 else -(-x % c)
+    half, mask = _masks(t)
+    signed = t.signed
+
+    def divide(env: dict[str, int]) -> int:
+        x, y = a(env), b(env)
+        if y == 0:
+            raise EvalUndefined("division by zero")
+        if op == "%":
+            r = abs(x) % abs(y)  # the sign follows the dividend
+            return -r if x < 0 else r
+        q = abs(x) // abs(y)
+        if not signed:
+            return q
+        # a signed quotient overflows at MIN / -1
+        return (((q if (x < 0) == (y < 0) else -q) + half) & mask) - half
+    return divide
+
+
+def _compile(expr: Expr, types: dict[str, CType]) -> _Code:
+    if isinstance(expr, IntLit):
+        value, t = expr.value, expr.ctype
+        return _Code(lambda env: value, t, t.min <= value <= t.max, value)
+    if isinstance(expr, Var):
+        return _Code(operator.itemgetter(expr.name), types.get(expr.name, INT),
+                     False, None)
+    if isinstance(expr, Unary):
+        operand = _compile(expr.operand, types)
+        code = _unary(expr.op, operand)
+        consts = operand.const is not None
+    elif isinstance(expr, Binary):
+        left, right = _compile(expr.left, types), _compile(expr.right, types)
+        code = _binary(expr.op, left, right)
+        consts = left.const is not None and right.const is not None
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
+    if consts:
+        try:
+            value = code.fn({})
+        except EvalUndefined:
+            return code  # undefined each time it is evaluated
+        return _Code(lambda env: value, code.ctype, True, value)
+    return code
+
+
+def compile_expr(expr: Expr, types: dict[str, CType],
+                 into: CType | None = None,
+                 ) -> tuple[Callable[[dict[str, int]], int], CType]:
+    """Compile ``expr`` once into ``(fn, ctype)``: ``fn(env)`` evaluates it
+    under C semantics, and ``ctype`` is its type.
+
+    Variables take their type from ``types`` (``int`` when missing), and
+    every conversion and wrap is worked out here, not at each call.  With
+    ``into`` the value is converted to that type, as an assignment does.
+    ``fn`` raises :class:`EvalUndefined` on division by zero or an invalid
+    shift and ``KeyError`` on an unbound variable.
+    """
+    code = _compile(expr, types)
+    if into is None:
+        return code.fn, code.ctype
+    return _coerce(code, into), into
 
 
 def eval_expr(expr: Expr, env: dict[str, int],
               types: dict[str, CType]) -> tuple[int, CType]:
     """Evaluate ``expr`` under C semantics; returns (value, type).
 
-    Variables take their declared type; missing declarations default to int.
-    Raises :class:`EvalUndefined` on division by zero or invalid shifts and
-    ``KeyError`` on unbound variables.
+    See :func:`compile_expr`, which this compiles ``expr`` with.
     """
-    if isinstance(expr, IntLit):
-        return expr.value, expr.ctype
-    if isinstance(expr, Var):
-        return env[expr.name], types.get(expr.name, INT)
-    if isinstance(expr, Unary):
-        v, t = eval_expr(expr.operand, env, types)
-        t = promote(t)
-        v = wrap(v, t)
-        if expr.op == "-":
-            return wrap(-v, t), t
-        if expr.op == "~":
-            return wrap(~v, t), t
-        if expr.op == "!":
-            return (0 if v else 1), INT
-        raise ValueError(f"bad unary op {expr.op}")
-    if isinstance(expr, Binary):
-        op = expr.op
-        if op == "&&":
-            lv, _ = eval_expr(expr.left, env, types)
-            if lv == 0:
-                return 0, INT
-            rv, _ = eval_expr(expr.right, env, types)
-            return (1 if rv else 0), INT
-        if op == "||":
-            lv, _ = eval_expr(expr.left, env, types)
-            if lv != 0:
-                return 1, INT
-            rv, _ = eval_expr(expr.right, env, types)
-            return (1 if rv else 0), INT
-        lv, lt = eval_expr(expr.left, env, types)
-        rv, rt = eval_expr(expr.right, env, types)
-        if op in ("<<", ">>"):
-            t = promote(lt)
-            a = wrap(lv, t)
-            b = wrap(rv, promote(rt))
-            if b < 0 or b >= t.width:
-                raise EvalUndefined(f"shift by {b} on {t.width}-bit value")
-            if op == "<<":
-                return wrap(a << b, t), t
-            if not t.signed:
-                a &= (1 << t.width) - 1
-            return wrap(a >> b, t), t
-        t = usual_arithmetic_type(lt, rt)
-        a, b = wrap(lv, t), wrap(rv, t)
-        if not t.signed:
-            a &= (1 << t.width) - 1
-            b &= (1 << t.width) - 1
-        if op in ("<", "<=", ">", ">=", "==", "!="):
-            cmp = {"<": a < b, "<=": a <= b, ">": a > b,
-                   ">=": a >= b, "==": a == b, "!=": a != b}[op]
-            return (1 if cmp else 0), INT
-        if op == "+":
-            return wrap(a + b, t), t
-        if op == "-":
-            return wrap(a - b, t), t
-        if op == "*":
-            return wrap(a * b, t), t
-        if op == "/":
-            return wrap(c_div(a, b), t), t
-        if op == "%":
-            return wrap(c_rem(a, b), t), t
-        if op == "&":
-            return wrap(a & b, t), t
-        if op == "|":
-            return wrap(a | b, t), t
-        if op == "^":
-            return wrap(a ^ b, t), t
-        raise ValueError(f"bad binary op {op}")
-    raise TypeError(f"not an expression: {expr!r}")
+    fn, ctype = compile_expr(expr, types)
+    return fn(env), ctype
 
 
 def eval_value(expr: Expr, env: dict[str, int],
@@ -1038,25 +1238,27 @@ def pretty_print(program: Program) -> str:
     return "\n".join(out) + "\n"
 
 
+def _walk(stmts: list[Stmt]):
+    for s in stmts:
+        yield s
+        if isinstance(s, If):
+            yield from _walk(s.then_body)
+            yield from _walk(s.else_body)
+        elif isinstance(s, (While, Block)):
+            yield from _walk(s.body if isinstance(s, While) else s.stmts)
+        elif isinstance(s, For):
+            if s.init is not None:
+                yield from _walk([s.init])
+            if s.step is not None:
+                yield from _walk([s.step])
+            yield from _walk(s.body)
+
+
 def iter_statements(program: Program):
     """Yield every statement in the program, depth first."""
-    def walk(stmts):
-        for s in stmts:
-            yield s
-            if isinstance(s, If):
-                yield from walk(s.then_body)
-                yield from walk(s.else_body)
-            elif isinstance(s, (While, Block)):
-                yield from walk(s.body if isinstance(s, While) else s.stmts)
-            elif isinstance(s, For):
-                if s.init is not None:
-                    yield from walk([s.init])
-                if s.step is not None:
-                    yield from walk([s.step])
-                yield from walk(s.body)
-    yield from walk(program.globals)
+    yield from _walk(program.globals)
     for fn in program.functions.values():
-        yield from walk(fn.body)
+        yield from _walk(fn.body)
 
 
 def resolve_line(program: Program, line: int) -> list[Stmt]:

@@ -9,6 +9,11 @@ assumption holds afterward) and advances it, or the automaton stutters.
 Edges whose line holds no executable statement (declarations, braces, blank
 lines) are skipped during matching.
 
+Each check compiles once: ``main`` is lowered to a flat instruction list
+whose expressions, and the witness's assumptions, are closures from
+:func:`cparse.compile_expr` with every conversion and wrap resolved; every
+enumerated assignment then runs that list in one loop.
+
 Verdicts come in two honesty tiers: ``ProvenInfinite`` requires a repeated
 machine state at the cyclehead with no nondeterministic call inside the
 repeating segment; ``BoundedEvidence`` reports a configured number of
@@ -30,7 +35,7 @@ from pathlib import Path
 from . import cparse
 from .cparse import (
     Assign, Block, CType, Decl, EvalUndefined, For, If, NondetAssign, Program,
-    Return, UnsupportedConstruct, While, eval_expr, wrap,
+    Return, UnsupportedConstruct, While, wrap,
 )
 from .witness import WitnessAutomaton, WitnessEdge
 
@@ -163,105 +168,103 @@ FeasibilityResult = ProvenInfinite | BoundedEvidence | Infeasible | Unknown
 
 
 # ---------------------------------------------------------------------------
-# Interpreter: generator of observable step events
+# Compiled program: main lowered once into a flat instruction list
 
 
-class _ProgramExit(Exception):
-    pass
-
-
-@dataclass
-class _Event:
-    kind: str  # 'cond' | 'assign' | 'nondet' | 'return'
-    line: int
-    branch: bool | None = None
-    stmt_uid: int = 0  # identity of the executing statement, for state keys
-
-
-class _Simulator:
-    """Executes main() with fixed values for each nondet call site."""
-
-    def __init__(self, program: Program, assignment: dict[str, int]):
-        self.program = program
-        self.assignment = assignment
-        self.env: dict[str, int] = {}
-        self.types: dict[str, CType] = {}
-        for decl in program.globals:
-            self.types[decl.name] = decl.ctype
-            value = 0
-            if decl.init is not None:
-                value, _ = eval_expr(decl.init, self.env, self.types)
-            self.env[decl.name] = wrap(value, decl.ctype)
-
-    def run(self):
-        try:
-            yield from self._exec_block(self.program.main.body)
-        except _ProgramExit:
-            return
-
-    def _truth(self, expr) -> bool:
-        value, _ = eval_expr(expr, self.env, self.types)
-        return value != 0
-
-    def _exec_block(self, stmts):
-        for stmt in stmts:
-            yield from self._exec_stmt(stmt)
-
-    def _exec_stmt(self, stmt):
-        if isinstance(stmt, Decl):
-            self.types[stmt.name] = stmt.ctype
-            if stmt.init is not None:
-                value, _ = eval_expr(stmt.init, self.env, self.types)
-                self.env[stmt.name] = wrap(value, stmt.ctype)
-                yield _Event("assign", stmt.line, stmt_uid=id(stmt))
-            else:
-                self.env.setdefault(stmt.name, 0)
-        elif isinstance(stmt, Assign):
-            value, _ = eval_expr(stmt.expr, self.env, self.types)
-            ctype = self.types.get(stmt.name, cparse.INT)
-            self.env[stmt.name] = wrap(value, ctype)
-            yield _Event("assign", stmt.line, stmt_uid=id(stmt))
-        elif isinstance(stmt, NondetAssign):
-            key = _site_key(stmt.name, stmt.line)
-            value = self.assignment.get(key, 0)
-            ctype = self.types.get(stmt.name, stmt.ctype)
-            self.env[stmt.name] = wrap(value, ctype)
-            yield _Event("nondet", stmt.line, stmt_uid=id(stmt))
-        elif isinstance(stmt, If):
-            branch = self._truth(stmt.cond)
-            yield _Event("cond", stmt.line, branch, stmt_uid=id(stmt))
-            yield from self._exec_block(stmt.then_body if branch else stmt.else_body)
-        elif isinstance(stmt, While):
-            while True:
-                branch = self._truth(stmt.cond)
-                yield _Event("cond", stmt.line, branch, stmt_uid=id(stmt))
-                if not branch:
-                    break
-                yield from self._exec_block(stmt.body)
-        elif isinstance(stmt, For):
-            if stmt.init is not None:
-                yield from self._exec_stmt(stmt.init)
-            while True:
-                branch = self._truth(stmt.cond) if stmt.cond is not None else True
-                yield _Event("cond", stmt.line, branch, stmt_uid=id(stmt))
-                if not branch:
-                    break
-                yield from self._exec_block(stmt.body)
-                if stmt.step is not None:
-                    yield from self._exec_stmt(stmt.step)
-        elif isinstance(stmt, Return):
-            if stmt.expr is not None:
-                eval_expr(stmt.expr, self.env, self.types)
-            yield _Event("return", stmt.line, stmt_uid=id(stmt))
-            raise _ProgramExit
-        elif isinstance(stmt, Block):
-            yield from self._exec_block(stmt.stmts)
-        else:
-            raise TypeError(f"cannot execute {stmt!r}")
+# Opcodes.  COND, ASSIGN, NONDET and RETURN are steps, which witness edges
+# match; the others run silently between steps.
+COND, ASSIGN, JUMP, NONDET, RETURN, SET, DECL, END = range(8)
 
 
 def _site_key(name: str, line: int) -> str:
     return f"{name}@{line}"
+
+
+def _true(env: dict[str, int]) -> int:
+    return 1
+
+
+def _false(env: dict[str, int]) -> int:
+    return 0
+
+
+def _lower(program: Program) -> list[tuple]:
+    """Lower the globals' initialisation and ``main`` into instructions
+    ``(opcode, line, a, b)``, each expression compiled with its wrap:
+
+    * ``(COND, line, test, target)``: a step; go to ``target`` when false;
+    * ``(ASSIGN, line, name, value)``: a step, ``env[name] = value(env)``;
+    * ``(NONDET, line, name, value)``: a step, ``env[name] = value(assignment)``;
+    * ``(RETURN, line, value, None)``: a step that ends the program;
+    * ``(SET, line, name, value)``: a global's initialisation;
+    * ``(DECL, line, name, None)``: a declaration without an initialiser;
+    * ``(JUMP, 0, target, None)``, and ``END`` after the last statement.
+
+    A step's statement is identified by the index of its instruction.
+    """
+    types = program.types
+    code: list[tuple] = []
+
+    def compiled(expr, into=None):
+        return cparse.compile_expr(expr, types, into)[0]
+
+    def emit_block(stmts):
+        for stmt in stmts:
+            emit(stmt)
+
+    def emit(stmt):
+        if isinstance(stmt, Decl):
+            if stmt.init is None:
+                code.append((DECL, stmt.line, stmt.name, None))
+            else:
+                code.append((ASSIGN, stmt.line, stmt.name,
+                             compiled(stmt.init, stmt.ctype)))
+        elif isinstance(stmt, Assign):
+            into = types.get(stmt.name, cparse.INT)
+            code.append((ASSIGN, stmt.line, stmt.name, compiled(stmt.expr, into)))
+        elif isinstance(stmt, NondetAssign):
+            key = _site_key(stmt.name, stmt.line)
+            into = types.get(stmt.name, stmt.ctype)
+            code.append((NONDET, stmt.line, stmt.name,
+                         lambda assignment: wrap(assignment.get(key, 0), into)))
+        elif isinstance(stmt, If):
+            branch = len(code)
+            code.append(None)
+            emit_block(stmt.then_body)
+            if stmt.else_body:
+                skip = len(code)
+                code.append(None)
+                code[branch] = (COND, stmt.line, compiled(stmt.cond), len(code))
+                emit_block(stmt.else_body)
+                code[skip] = (JUMP, 0, len(code), None)
+            else:
+                code[branch] = (COND, stmt.line, compiled(stmt.cond), len(code))
+        elif isinstance(stmt, (While, For)):
+            is_for = isinstance(stmt, For)
+            if is_for and stmt.init is not None:
+                emit(stmt.init)
+            head = len(code)
+            code.append(None)
+            emit_block(stmt.body)
+            if is_for and stmt.step is not None:
+                emit(stmt.step)
+            code.append((JUMP, 0, head, None))
+            test = _true if stmt.cond is None else compiled(stmt.cond)
+            code[head] = (COND, stmt.line, test, len(code))
+        elif isinstance(stmt, Return):
+            value = None if stmt.expr is None else compiled(stmt.expr)
+            code.append((RETURN, stmt.line, value, None))
+        elif isinstance(stmt, Block):
+            emit_block(stmt.stmts)
+        else:
+            raise TypeError(f"cannot execute {stmt!r}")
+
+    for decl in program.globals:
+        value = _false if decl.init is None else compiled(decl.init, decl.ctype)
+        code.append((SET, decl.line, decl.name, value))
+    emit_block(program.main.body)
+    code.append((END, 0, None, None))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -284,37 +287,22 @@ def _edge_matchable(edge: WitnessEdge, executable_lines: set) -> bool:
     return edge.line is not None and edge.line in executable_lines
 
 
-def _offer(event: _Event, edge: WitnessEdge) -> bool:
-    if event.line != edge.line:
-        return False
-    if edge.control is None:
-        return True
-    if event.kind != "cond":
-        return False
-    return event.branch is (edge.control == "condition-true")
+def _compile_assumption(text: str | None, types: dict[str, CType]):
+    """An edge's assumption as a test of the state after a step: None when
+    the edge has none, and a test that never holds when it does not parse."""
+    if not text:
+        return None
+    try:
+        return cparse.compile_expr(cparse.parse_expression(text), types)[0]
+    except cparse.CParseError:
+        return _false
 
 
-class _AssumptionCache:
-    def __init__(self):
-        self._cache: dict[str, object] = {}
-
-    def holds(self, edge: WitnessEdge, sim: _Simulator) -> bool:
-        if not edge.assumption:
-            return True
-        expr = self._cache.get(edge.assumption)
-        if expr is None:
-            try:
-                expr = cparse.parse_expression(edge.assumption)
-            except cparse.CParseError:
-                expr = False  # unparseable assumption can never hold
-            self._cache[edge.assumption] = expr
-        if expr is False:
-            return False
-        try:
-            value, _ = eval_expr(expr, sim.env, sim.types)
-        except (EvalUndefined, KeyError):
-            return False
-        return value != 0
+def _expectations(edges, types: dict[str, CType]) -> list[tuple]:
+    """Per edge: its line, its control, the branch that control wants, and
+    its compiled assumption."""
+    return [(e.line, e.control, e.control == "condition-true",
+             _compile_assumption(e.assumption, types)) for e in edges]
 
 
 # per-assignment outcomes
@@ -322,6 +310,7 @@ _PROVEN = "proven"
 _BOUNDED = "bounded"
 _EDGE_FAIL = "edge_fail"     # ended or stalled while an edge was being refused
 _BUDGET = "budget"           # stalled or ran out of steps without a refusal
+_UNDEFINED = "undefined"     # evaluation hit undefined behaviour
 _NO_PROGRESS = "no_progress"
 
 
@@ -331,6 +320,7 @@ class _RunOutcome:
     edge_id: str | None = None
     cycles: int = 0
     state: MachineState | None = None
+    steps: int = 0
 
 
 class _Periodic(Exception):
@@ -350,11 +340,13 @@ class _PendingTracker:
     """Walks stem + cycle, auto-skipping edges whose line holds nothing
     executable and accounting for completed cycles."""
 
-    def __init__(self, lasso: LassoPath, cfg: CheckerConfig, executable_lines: set):
+    def __init__(self, lasso: LassoPath, cfg: CheckerConfig,
+                 matchable: list[bool], expected: list[tuple]):
         self.sequence = list(lasso.stem) + list(lasso.cycle)
         self.stem_len = len(lasso.stem)
         self.cfg = cfg
-        self.executable_lines = executable_lines
+        self.matchable = matchable  # per edge of the sequence
+        self.expected = expected  # per edge, from _expectations
         self.pos = 0
         self.cycles = 0
         self.accepted_in_cycle = 0
@@ -370,12 +362,12 @@ class _PendingTracker:
     def nondet_seen(self):
         self.seen_states.clear()  # repetition evidence no longer deterministic
 
-    def accept(self, event: _Event, env: dict[str, int]):
-        """Pending edge matched the event; advance past it and any skippable
+    def accept(self, line: int, uid: int, env: dict[str, int]):
+        """Pending edge matched the step; advance past it and any skippable
         successors.  Raises on a proof, target reached, or degenerate cycle."""
         self.accepted_in_cycle += 1
-        self.last_accept_line = event.line
-        self.last_accept_uid = event.stmt_uid
+        self.last_accept_line = line
+        self.last_accept_uid = uid
         self._step(env)
         self._settle(env)
 
@@ -402,68 +394,109 @@ class _PendingTracker:
 
     def _settle(self, env):
         guard = 0
-        while not _edge_matchable(self.pending, self.executable_lines):
+        while not self.matchable[self.pos]:
             self._step(env if env is not None else {})
             guard += 1
             if guard > len(self.sequence) + 1:
                 raise _DegenerateCycle
 
 
-def _simulate_assignment(program: Program, lasso: LassoPath,
-                         assignment: dict[str, int], cfg: CheckerConfig,
-                         executable_lines: set,
-                         assumptions: _AssumptionCache) -> _RunOutcome:
-    sim = _Simulator(program, assignment)
+def _execute(code: list[tuple], assignment: dict[str, int],
+             tracker: _PendingTracker | None, max_steps: int,
+             stall_steps: int) -> _RunOutcome:
+    """Run the program from its start and offer each step to ``tracker``.
+
+    A step matches the pending edge when its line agrees, its branch agrees
+    with the edge's control, and the edge's assumption holds after it.
+    Without a tracker no step matches, and the run ends after ``max_steps``.
+    """
+    env: dict[str, int] = {}
+    steps = since_advance = refusals = 0
+    line_wanted, control, want, assumption = (
+        tracker.expected[tracker.pos] if tracker is not None else (None,) * 4)
+
+    def ended(kind: str) -> _RunOutcome:
+        if tracker is None:
+            return _RunOutcome(kind, steps=steps)
+        return _RunOutcome(kind, tracker.pending.id, tracker.cycles, steps=steps)
+
+    pc = 0
     try:
-        tracker = _PendingTracker(lasso, cfg, executable_lines)
+        while True:
+            here = pc
+            op, line, a, b = code[here]
+            pc = here + 1
+            if op == COND:
+                branch = a(env) != 0
+                if not branch:
+                    pc = b
+            elif op == ASSIGN:
+                env[a] = b(env)
+            elif op == JUMP:
+                pc = a
+                continue
+            elif op == NONDET:
+                env[a] = b(assignment)
+                if tracker is not None:
+                    tracker.nondet_seen()
+            elif op == RETURN:
+                if a is not None:
+                    a(env)
+            elif op == SET:
+                env[a] = b(env)
+                continue
+            elif op == DECL:
+                env.setdefault(a, 0)
+                continue
+            else:
+                # the program ended while the automaton still expected edges
+                return ended(_EDGE_FAIL)
+            steps += 1
+            since_advance += 1
+
+            if line == line_wanted and (
+                    control is None or (op == COND and branch is want)):
+                try:
+                    holds = assumption is None or assumption(env) != 0
+                except (EvalUndefined, KeyError):
+                    holds = False
+                if holds:
+                    try:
+                        tracker.accept(line, here, env)
+                    except _Periodic as proof:
+                        return _RunOutcome(_PROVEN, None, tracker.cycles,
+                                           proof.state, steps)
+                    except _CycleTarget:
+                        return _RunOutcome(_BOUNDED, None, tracker.cycles,
+                                           steps=steps)
+                    except _DegenerateCycle:
+                        return _RunOutcome(_NO_PROGRESS, None, tracker.cycles,
+                                           steps=steps)
+                    line_wanted, control, want, assumption = (
+                        tracker.expected[tracker.pos])
+                    since_advance = refusals = 0
+                else:
+                    refusals += 1
+
+            if op == RETURN:
+                return ended(_EDGE_FAIL)
+            if since_advance > stall_steps or steps >= max_steps:
+                return ended(_EDGE_FAIL if refusals else _BUDGET)
+    except (EvalUndefined, KeyError):
+        return ended(_UNDEFINED)
+
+
+def _simulate_assignment(code: list[tuple], lasso: LassoPath,
+                         assignment: dict[str, int], cfg: CheckerConfig,
+                         matchable: list[bool],
+                         expected: list[tuple]) -> _RunOutcome:
+    try:
+        tracker = _PendingTracker(lasso, cfg, matchable, expected)
     except _DegenerateCycle:
         return _RunOutcome(_NO_PROGRESS)
     except (_Periodic, _CycleTarget):
         return _RunOutcome(_NO_PROGRESS)  # cycle closed before any execution
-
-    steps = 0
-    steps_since_advance = 0
-    refusals_since_advance = 0
-    events = sim.run()
-
-    while True:
-        if steps >= cfg.max_steps:
-            kind = _EDGE_FAIL if refusals_since_advance else _BUDGET
-            return _RunOutcome(kind, tracker.pending.id, tracker.cycles)
-        try:
-            event = next(events)
-        except StopIteration:
-            # program terminated while the automaton still expected edges
-            return _RunOutcome(_EDGE_FAIL, tracker.pending.id, tracker.cycles)
-        except (EvalUndefined, KeyError):
-            return _RunOutcome(_BUDGET, tracker.pending.id, tracker.cycles)
-        steps += 1
-        steps_since_advance += 1
-
-        if event.kind == "nondet":
-            tracker.nondet_seen()
-
-        edge = tracker.pending
-        if _offer(event, edge):
-            if assumptions.holds(edge, sim):
-                try:
-                    tracker.accept(event, sim.env)
-                except _Periodic as proof:
-                    return _RunOutcome(_PROVEN, None, tracker.cycles, proof.state)
-                except _CycleTarget:
-                    return _RunOutcome(_BOUNDED, None, tracker.cycles)
-                except _DegenerateCycle:
-                    return _RunOutcome(_NO_PROGRESS, None, tracker.cycles)
-                steps_since_advance = 0
-                refusals_since_advance = 0
-            else:
-                refusals_since_advance += 1
-
-        if event.kind == "return":
-            return _RunOutcome(_EDGE_FAIL, tracker.pending.id, tracker.cycles)
-        if steps_since_advance > cfg.stall_steps:
-            kind = _EDGE_FAIL if refusals_since_advance else _BUDGET
-            return _RunOutcome(kind, tracker.pending.id, tracker.cycles)
+    return _execute(code, assignment, tracker, cfg.max_steps, cfg.stall_steps)
 
 
 def _clamp_domain(ctype: CType, domain: tuple[int, int]) -> range:
@@ -494,7 +527,10 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
 
     sites = p.nondet_vars
     executable_lines = _executable_lines(p)
-    assumptions = _AssumptionCache()
+    edges = (*lasso.stem, *lasso.cycle)
+    matchable = [_edge_matchable(e, executable_lines) for e in edges]
+    expected = _expectations(edges, p.types)
+    code = _lower(p)
 
     domains = [_clamp_domain(site.ctype, cfg.nondet_domain) for site in sites]
     total = 1
@@ -530,8 +566,8 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     first_failed_edge: str | None = None
     saw_budget = False
     for assignment in assignments():
-        outcome = _simulate_assignment(p, lasso, assignment, cfg,
-                                       executable_lines, assumptions)
+        outcome = _simulate_assignment(code, lasso, assignment, cfg,
+                                       matchable, expected)
         if outcome.kind == _PROVEN:
             return ProvenInfinite(outcome.state, dict(assignment))
         if outcome.kind == _BOUNDED and best_bounded is None:
@@ -539,7 +575,7 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
         elif outcome.kind == _EDGE_FAIL:
             if first_failed_edge is None:
                 first_failed_edge = outcome.edge_id
-        elif outcome.kind in (_BUDGET, _NO_PROGRESS):
+        elif outcome.kind in (_BUDGET, _UNDEFINED, _NO_PROGRESS):
             saw_budget = True
 
     if best_bounded is not None:
@@ -559,16 +595,14 @@ def run_program(program: Program, assignment: dict[str, int],
     "running" means the step budget elapsed first.  ``assignment`` maps
     ``name@line`` nondet sites to fixed values.
     """
-    sim = _Simulator(program, assignment)
-    steps = 0
-    try:
-        for _ in sim.run():
-            steps += 1
-            if steps >= max_steps:
-                return "running", steps
-    except (EvalUndefined, KeyError):
-        return "undefined", steps
-    return "terminated", steps
+    # at least one step is taken before the budget is looked at
+    max_steps = max(max_steps, 1)
+    outcome = _execute(_lower(program), assignment, None, max_steps, max_steps)
+    if outcome.kind == _UNDEFINED:
+        return "undefined", outcome.steps
+    if outcome.steps >= max_steps:
+        return "running", outcome.steps
+    return "terminated", outcome.steps
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,97 @@ def test_expression_evaluator_matches_gcc(compiled_evaluator):
     assert not mismatches, mismatches[:3]
 
 
+TYPED_VARS = {"x": "INT", "u": "UINT", "c": "CHAR", "uc": "UCHAR",
+              "s": "SHORT", "us": "USHORT", "l": "LONG", "ul": "ULONG"}
+TYPED_LITERALS = ["0", "1", "7", "-3", "255", "65535", "2147483647",
+                  "4294967295u", "1l", "3000000000", "0x80000000", "100u"]
+TYPED_OPS = ["+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
+             "&", "|", "^", "&&", "||"]
+
+
+def random_typed_expression(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return rng.choice(sorted(TYPED_VARS))
+        return rng.choice(TYPED_LITERALS)
+    text = (f"({random_typed_expression(rng, depth - 1)} {rng.choice(TYPED_OPS)} "
+            f"{random_typed_expression(rng, depth - 1)})")
+    if rng.random() < 0.2:
+        text = f"{rng.choice(['-', '~', '!'])}{text}"
+    return text
+
+
+def test_typed_expression_evaluator_matches_gcc(tmp_path):
+    """Conversions between char, short, unsigned and long operands, and the
+    unsigned division and comparison they lead to, against gcc."""
+    from termeval import cparse
+    from termeval.cparse import Binary, Unary, wrap
+    types = {name: getattr(cparse, t) for name, t in TYPED_VARS.items()}
+
+    def undefined_division(node, env) -> bool:
+        # C leaves x / 0 and MIN / -1 undefined even under -fwrapv
+        if isinstance(node, Unary):
+            return undefined_division(node.operand, env)
+        if not isinstance(node, Binary):
+            return False
+        if node.op in ("/", "%"):
+            left, left_type = eval_expr(node.left, env, types)
+            right, right_type = eval_expr(node.right, env, types)
+            t = cparse.usual_arithmetic_type(left_type, right_type)
+            dividend, divisor = wrap(left, t), wrap(right, t)
+            if divisor == 0 or (t.signed and dividend == t.min
+                                and divisor == -1):
+                return True
+        return (undefined_division(node.left, env)
+                or undefined_division(node.right, env))
+
+    def literal(value: int) -> str:
+        if value == cparse.LONG.min:
+            return f"({value + 1}L - 1)"
+        return f"{value}UL" if value > cparse.LONG.max else f"{value}L"
+
+    rng = random.Random(0x7E5)
+    # every operator on every pair of types, once with the largest dividend
+    # over 1 and once at random, then random nestings
+    largest = {name: t.max for name, t in types.items()}
+    queue = [(f"({a} {op} {b})", env) for a in TYPED_VARS for b in TYPED_VARS
+             for op in ("/", "%", "<", "-", "*")
+             for env in ({**largest, b: 1}, None)]
+    cases = []
+    while len(cases) < 1200:
+        text, env = (queue.pop() if queue
+                     else (random_typed_expression(rng, 3), None))
+        env = env or {name: rng.choice([rng.randint(t.min, t.max), t.min,
+                                        t.max, 0, 1, 2, max(t.min, -2)])
+                      for name, t in types.items()}
+        expr = parse_expression(text)
+        try:
+            if undefined_division(expr, env):
+                continue
+            value, _ = eval_expr(expr, env, types)
+        except EvalUndefined:
+            continue
+        cases.append((text, env, wrap(value, cparse.LONG)))
+
+    lines = ["#include <stdio.h>", "int main(void) {"]
+    for text, env, _ in cases:
+        decls = " ".join(f"{types[n].name} {n} = {literal(v)};"
+                         for n, v in env.items())
+        lines.append(f"  {{ {decls} printf(\"%lld\\n\", (long long)({text})); }}")
+    lines += ["  return 0;", "}"]
+    source = tmp_path / "typed.c"
+    source.write_text("\n".join(lines) + "\n")
+    binary = tmp_path / "typed"
+    subprocess.run(["gcc", "-fwrapv", "-O0", "-o", str(binary), str(source)],
+                   check=True, capture_output=True)
+    out = subprocess.run([str(binary)], check=True, capture_output=True,
+                         text=True)
+    got = [int(v) for v in out.stdout.split()]
+    mismatches = [(text, env, want, have)
+                  for (text, env, want), have in zip(cases, got) if want != have]
+    assert len(got) == len(cases) and not mismatches, mismatches[:3]
+
+
 NONDET_HARNESS = """\
 #include <sys/time.h>
 #include <stdlib.h>
@@ -200,3 +291,70 @@ def test_precondition_arith_matches_gcc(compiled_evaluator):
         expected.append(wrap(value, INT))
     got = compiled_evaluator(expressions, envs)
     assert expected == got
+
+
+NARROW_HARNESS = """\
+#include <sys/time.h>
+#include <stdlib.h>
+static int VALUE;
+int __VERIFIER_nondet_int(void) { return VALUE; }
+__attribute__((constructor)) static void arm(void) {
+  struct itimerval t = {{0, 0}, {0, 150000}};  /* 150 ms then SIGALRM */
+  VALUE = atoi(getenv("NONDET"));
+  setitimer(ITIMER_REAL, &t, 0);
+}
+"""
+
+# Loop guards that depend on wraparound at the declared width.  Every loop
+# either ends within a few thousand steps or provably never ends, so the
+# step budget and the timer agree with the true answer.
+NARROW_LOOPS = {
+    "unsigned char": "unsigned char c = n;\n  while (c != 0) {{ c = c + {k}; }}",
+    "char": "char c = n;\n  while (c != 0) {{ c = c + {k}; }}",
+    "char declaration": "char c = n;\n  while (c != n) {{ c = c + 0; }}",
+    "signed char": "signed char c = n;\n  while (c > 0) {{ c = c + {k}; }}",
+    "short": "short s = n;\n  while (s > 0) {{ s = s + {k}00; }}",
+    "unsigned short":
+        "unsigned short u = n;\n  while (u > 1000) {{ u = u + {k}00; }}",
+    "unsigned int":
+        "unsigned int u = n;\n  while (u > 2147483647u) {{ u = u + {k}; }}",
+    "unsigned int shift": "unsigned int u = n;\n  while (u >= 3) {{ u = u << {k}; }}",
+    "long": "long l = n;\n  int i = n;\n"
+            "  while (l == i) {{ l = l + 2147483647; i = i + 2147483647; }}",
+}
+
+
+def test_narrow_and_unsigned_wraparound_matches_gcc(tmp_path):
+    """Termination of loops on char, short, unsigned and long variables
+    must agree with gcc -fwrapv: the wraps on declaration and assignment
+    decide when each guard fails."""
+    from termeval.cparse import parse_program
+    from termeval.lasso import run_program
+
+    rng = random.Random(0x3A77)
+    outcomes = {}
+    for kind, loop in sorted(NARROW_LOOPS.items()):
+        for k in (1, 2, 3):
+            source = ("extern int __VERIFIER_nondet_int(void);\n"
+                      "int main() {\n  int n = __VERIFIER_nondet_int();\n  "
+                      + loop.format(k=k) + "\n  return 0;\n}\n")
+            program = parse_program(source)
+            binary = tmp_path / f"narrow{len(outcomes)}"
+            c_file = binary.with_suffix(".c")
+            c_file.write_text(NARROW_HARNESS + source.split("\n", 1)[1])
+            subprocess.run(["gcc", "-fwrapv", "-O0", "-o", str(binary),
+                            str(c_file)], check=True, capture_output=True)
+            for n in [rng.randint(-300, 300) for _ in range(4)] + [-1, 255]:
+                if kind == "unsigned int" and not -3000 <= n < 0:
+                    n = -rng.randint(1, 3000)  # ends where u wraps to 0
+                state, _ = run_program(program, {"n@3": n}, max_steps=100_000)
+                proc = subprocess.run([str(binary)], timeout=10,
+                                      capture_output=True,
+                                      env={"NONDET": str(n)})
+                gcc_terminated = proc.returncode == 0  # SIGALRM otherwise
+                assert state != "undefined", (source, n)
+                assert (state == "terminated") == gcc_terminated, (source, n)
+                outcomes.setdefault(kind, set()).add(state)
+    assert outcomes.keys() == NARROW_LOOPS.keys()
+    # both answers occur, so the wraps decide something
+    assert set.union(*outcomes.values()) == {"terminated", "running"}

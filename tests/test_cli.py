@@ -246,6 +246,28 @@ class TestScoreCommand:
             assert (workspace / "report" / name).read_bytes() == \
                 (FIXTURES / "golden" / "score" / name).read_bytes(), name
 
+    def test_each_task_witness_pair_checked_once(self, runner, tmp_path,
+                                                 monkeypatch):
+        # the two fixture models share two of their twelve distinct
+        # (task, witness) pairs; each pair is checked for one model only
+        from termeval import cli
+        checked = []
+        status_for = cli.witness_status_for
+
+        def counting(prediction, program, task, *args):
+            checked.append((task.task_id, repr(prediction.witness)))
+            return status_for(prediction, program, task, *args)
+
+        monkeypatch.setattr(cli, "witness_status_for", counting)
+        workspace = copy_fixture_workspace(tmp_path)
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(checked) == len(set(checked)) == 12
+
     def test_default_report_dir_is_not_a_model(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
         run_dir = workspace / "runs" / "demo"
@@ -517,6 +539,24 @@ class TestPrecondCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "Pass@1 1.000" in result.output
+
+    def test_program_that_does_not_lex_is_unsupported(self, runner, tmp_path):
+        # as in score, the program is unsupported and the annotation names
+        # the variables; the run goes on
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": ["x % 2 == 0"] * 3 + ["x > 0"],
+        })
+        source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
+        source.write_text(source.read_text() + "/* unterminated\n")
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "Pass@1 0.750" in result.output
 
     def test_unparseable_annotation_fatal(self, runner, tmp_path):
         workspace, run_dir = self.make_precond_run(tmp_path, {

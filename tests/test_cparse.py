@@ -169,6 +169,89 @@ class TestRoundTrip:
         assert kinds == rekinds
 
 
+SHADOWING = ("int main() { int x = 3; if (x > 0) { int x = 100; } "
+             "while (x > 50) { x = x + 0; } return 0; }")
+
+
+class TestScopes:
+    """Execution keeps one value per name, so the subset has one visible
+    declaration per name."""
+
+    def test_shadowing_declaration_unsupported(self):
+        result = parse_program(SHADOWING)
+        assert isinstance(result, UnsupportedConstruct)
+        assert result.construct == "shadowed declaration of x"
+
+    @pytest.mark.parametrize("source", [
+        "int x; int main() { int x = 1; return x; }",
+        "int main() { int i = 0; for (int i = 0; i < 2; i++) { } return 0; }",
+        "int main() { for (int i = 0; i < 2; i++) { int i = 5; } return 0; }",
+        "int main() { int x = 1; int x = 2; return x; }",
+        "int main(int n) { int n = 1; return n; }",
+    ])
+    def test_every_shadowing_form_unsupported(self, source):
+        result = parse_program(source)
+        assert isinstance(result, UnsupportedConstruct)
+        assert result.construct.startswith(("shadowed declaration of",
+                                            "conflicting declarations of"))
+
+    def test_conflicting_types_unsupported(self):
+        result = parse_program(
+            "int main() { if (1) { char c = 1; } else { int c = 2; } return 0; }")
+        assert result.construct == "conflicting declarations of c"
+
+    def test_use_outside_scope_unsupported(self):
+        result = parse_program(
+            "int main() { if (1) { int t = 1; } t = 2; return 0; }")
+        assert result.construct == "use of t outside its scope"
+        result = parse_program("int main() { int x = x + 1; return x; }")
+        assert result.construct == "use of x outside its scope"
+
+    def test_sibling_declarations_of_one_type_parse(self):
+        program = parse_program(
+            "int g = 2;\n"
+            "int main() {\n"
+            "  for (int i = 0; i < 2; i++) { int t = i; }\n"
+            "  for (int i = 0; i < 3; i++) { int t = g; }\n"
+            "  undeclared = 1;\n"
+            "  return 0;\n"
+            "}\n")
+        assert isinstance(program, Program)
+        assert program.types == {"g": INT, "i": INT, "t": INT}
+
+
+class TestCompiledExpressions:
+    def test_compiled_once_evaluated_many_times(self):
+        fn, ctype = cparse.compile_expr(parse_expression("c * 2 + 1"),
+                                        {"c": cparse.CHAR})
+        assert ctype == INT
+        assert [fn({"c": c}) for c in (-128, 0, 127)] == [-255, 1, 255]
+
+    def test_into_wraps_like_an_assignment(self):
+        fn, ctype = cparse.compile_expr(parse_expression("c + 1"),
+                                        {"c": cparse.CHAR}, into=cparse.CHAR)
+        assert ctype == cparse.CHAR
+        assert fn({"c": 127}) == -128
+        fn, _ = cparse.compile_expr(parse_expression("u - 1"),
+                                    {"u": cparse.UCHAR}, into=cparse.UCHAR)
+        assert fn({"u": 0}) == 255
+
+    def test_errors_raise_when_evaluated(self):
+        fn, _ = cparse.compile_expr(parse_expression("x / (y - y)"), {})
+        with pytest.raises(EvalUndefined):
+            fn({"x": 1, "y": 2})
+        with pytest.raises(KeyError):
+            fn({"y": 2})
+        shift, _ = cparse.compile_expr(parse_expression("1 << 40"), {})
+        with pytest.raises(EvalUndefined, match="shift by 40 on 32-bit"):
+            shift({})
+
+    def test_deep_chain_in_program_is_parse_error(self):
+        chain = " + ".join(["x"] * 300)
+        with pytest.raises(CParseError, match="deeper than"):
+            parse_program(f"int main() {{ int x = 1; x = {chain}; return 0; }}")
+
+
 class TestSemantics:
     def test_truncated_division(self):
         assert eval_value(parse_expression("-7 / 2"), {}) == -3

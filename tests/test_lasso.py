@@ -1,16 +1,18 @@
+import dataclasses
+import json
 import stat
 
 from termeval.cparse import parse_program
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, NoLasso,
     ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig,
-    check_feasibility, extract_lasso, run_external_validator,
+    check_feasibility, extract_lasso, run_external_validator, run_program,
 )
 from termeval.witness import (
     WitnessAutomaton, WitnessEdge, WitnessNode, witness_from_json,
 )
 
-from conftest import load_program, load_witness_json
+from conftest import FIXTURES, load_program, load_witness_json
 
 FAST_CFG = CheckerConfig(nondet_domain=(-16, 16), bounded_cycle_target=200,
                          stall_steps=500, max_steps=50_000)
@@ -145,6 +147,52 @@ class TestCheckFeasibility:
         result = check_feasibility(program("even_spin.c"), lasso, FAST_CFG)
         assert result == Infeasible("E2")
 
+    def test_shadowing_program_is_not_proven(self):
+        # the inner x once overwrote the outer one, and the loop on the
+        # outer x (3, so the program ends) was "proven" to diverge
+        source = ("int main() {\n"
+                  "  int x = 3;\n"
+                  "  if (x > 0) { int x = 100; }\n"
+                  "  while (x > 50) { x = x + 0; }\n"
+                  "  return 0;\n"
+                  "}\n")
+        w = WitnessAutomaton(
+            nodes=(WitnessNode("N1", entry=True),
+                   WitnessNode("N0", cyclehead=True)),
+            edges=(
+                WitnessEdge("E0", "N1", "N0", 3, "if (x > 0)"),
+                WitnessEdge("E1", "N0", "N0", 4, "while (x > 50)",
+                            control="condition-true"),
+            ),
+        )
+        result = check_feasibility(parse_program(source), extract_lasso(w),
+                                    FAST_CFG)
+        assert result == Unknown("unsupported: unsupported construct at "
+                                 "line 3: shadowed declaration of x")
+
+    def test_undefined_global_initialiser_ends_the_run(self):
+        # a global's initialiser runs before main; its undefined behaviour
+        # ends each run like any other, instead of escaping the checker
+        source = ("int g = 1 / 0;\n"
+                  "int main() {\n"
+                  "  int x = 1;\n"
+                  "  while (x > 0) { x = x + 0; }\n"
+                  "  return 0;\n"
+                  "}\n")
+        prog = parse_program(source)
+        assert run_program(prog, {}) == ("undefined", 0)
+        w = WitnessAutomaton(
+            nodes=(WitnessNode("N1", entry=True),
+                   WitnessNode("N0", cyclehead=True)),
+            edges=(
+                WitnessEdge("E0", "N1", "N0", 3, "int x = 1"),
+                WitnessEdge("E1", "N0", "N0", 4, "while (x > 0)",
+                            control="condition-true"),
+            ),
+        )
+        result = check_feasibility(prog, extract_lasso(w), FAST_CFG)
+        assert result == Unknown("budget exhausted before a conclusive answer")
+
     def test_unsupported_program_unknown(self):
         result = check_feasibility(
             parse_program(load_program("heap_user.c")),
@@ -225,6 +273,34 @@ int main() {
         first = check_feasibility(prog, lasso, FAST_CFG)
         second = check_feasibility(prog, lasso, FAST_CFG)
         assert first == second
+
+
+def feasibility_table() -> dict[str, dict]:
+    """``check_feasibility`` under ``FAST_CFG`` for every fixture program and
+    witness, as JSON-ready dicts keyed ``program x witness``."""
+    table = {}
+    for program_path in sorted((FIXTURES / "programs").glob("*.c")):
+        prog = parse_program(program_path.read_text(encoding="utf-8"))
+        for witness_path in sorted((FIXTURES / "witnesses").glob("*.json")):
+            lasso = extract_lasso(automaton(witness_path.name))
+            result = check_feasibility(prog, lasso, FAST_CFG)
+            entry = {"type": type(result).__name__, **dataclasses.asdict(result)}
+            key = f"{program_path.name} x {witness_path.name}"
+            table[key] = json.loads(json.dumps(entry))
+    return table
+
+
+class TestPinnedResults:
+    def test_results_match_golden_file(self):
+        # recorded with the tree-walking interpreter that the compiled
+        # checker replaced: type, assignment, cycles and machine state of
+        # every result must stay exactly as they were
+        golden = json.loads((FIXTURES / "golden" / "feasibility.json")
+                            .read_text(encoding="utf-8"))
+        table = feasibility_table()
+        assert table.keys() == golden.keys()
+        for key in golden:
+            assert table[key] == golden[key], key
 
 
 class TestExternalValidator:
