@@ -23,7 +23,7 @@ from . import corpus as corpus_mod
 from . import evalcore, lasso, oracle, precond
 from ._toml import load_toml_text
 from .corpus import Category, CorpusManifest
-from .cparse import INT, parse_program, Program, UnsupportedConstruct
+from .cparse import INT, CParseError, parse_program, Program, UnsupportedConstruct
 from .evalcore import (
     ConfusionCounts, EvalConfig, EvalReport, ModelReport, PoolEntry,
     WitnessStatus, bootstrap_eval, classify_sample, pass_at_k,
@@ -325,7 +325,11 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
     click.echo("schema: ok")
 
     source = program_path.read_text(encoding="utf-8")
-    program = parse_program(source)
+    try:
+        program = parse_program(source)
+    except CParseError as exc:
+        click.echo(f"program does not parse: {exc}")
+        sys.exit(1)
     checker_cfg = CheckerConfig()
     if config_path is not None:
         checker_cfg = load_config(config_path).checker
@@ -616,27 +620,30 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
     if not model_names:
         _fail(f"no model directories under {run_dir}", 1)
 
+    # each task's program and annotation are parsed once, for every model
+    truths = []
+    for task_id, truth_text in sorted(truth_raw.items()):
+        # a program that does not parse leaves the annotation to name the
+        # variables
+        program = _parse_task_program(manifest.task(task_id))
+        if isinstance(program, Program):
+            variables = {site.name: site.ctype for site in program.nondet_vars}
+        else:
+            variables = {}
+        try:
+            truth = precond.parse_precondition(
+                truth_text, set(variables) if variables else None)
+        except precond.PrecondParseError as exc:
+            _fail(f"annotation for {task_id} does not parse: {exc}", 2)
+        if not variables:
+            variables = {name: INT for name in precond.variables_of(truth)}
+        truths.append((task_id, truth, variables))
+
     results = {}
     for model_name in model_names:
         per_task = {}
         pass1, pass3 = [], []
-        for task_id, truth_text in sorted(truth_raw.items()):
-            task = manifest.task(task_id)
-            # a program that does not parse leaves the annotation to name
-            # the variables
-            program = _parse_task_program(task)
-            if isinstance(program, Program):
-                variables = {site.name: site.ctype
-                             for site in program.nondet_vars}
-            else:
-                variables = {}
-            try:
-                truth = precond.parse_precondition(
-                    truth_text, set(variables) if variables else None)
-            except precond.PrecondParseError as exc:
-                _fail(f"annotation for {task_id} does not parse: {exc}", 2)
-            if not variables:
-                variables = {name: INT for name in precond.variables_of(truth)}
+        for task_id, truth, variables in truths:
             records = oracle.replay_records(run_dir, model_name, task_id)
             if not records:
                 _fail(f"model {model_name}: no generations for {task_id}", 1)

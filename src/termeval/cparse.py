@@ -352,7 +352,11 @@ def tokenize(source: str) -> list[Token]:
                 j += 1
             is_decimal = not text.lower().startswith("0x") and not (
                 len(text) > 1 and text.startswith("0"))
-            value = int(text, 0)
+            try:
+                value = int(text, 0)
+            except ValueError:  # octal, or past Python's limit on digits
+                raise CParseError(f"unsupported integer literal {text[:24]!r}",
+                                  line)
             tokens.append(Token("num", text + suffix, line, value=value,
                                 ctype=_literal_type(value, is_decimal, suffix)))
             i = j
@@ -487,7 +491,7 @@ class _Parser:
     def parse_expression(self) -> Expr:
         line = self.peek().line
         expr = self._parse_binary(0)
-        if _depth(expr) > MAX_EXPR_DEPTH:
+        if expr_depth(expr) > MAX_EXPR_DEPTH:
             raise CParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels",
                               line)
         return expr
@@ -937,7 +941,7 @@ def parse_expression(text: str) -> Expr:
     return expr
 
 
-def _depth(expr: Expr) -> int:
+def expr_depth(expr: Expr) -> int:
     """Height of an expression tree, counted without recursion."""
     deepest, stack = 0, [(expr, 1)]
     while stack:

@@ -1,77 +1,37 @@
-"""Divergence-precondition expressions and equivalence checking.
+"""Divergence-precondition formulas and equivalence checking.
 
 Preconditions are boolean formulas over a task's nondeterministic variables,
 written with keyword operators (``and``/``or``/``not``) or C operators
 (``&&``/``||``/``!``); ``=`` is accepted as equality because annotated
-answers often write ``i = 0``.
+answers often write ``i = 0``.  The parser here is a front end only: it
+builds :mod:`cparse` expression trees, and cparse gives them C's meaning.
 
 Equivalence is decided under machine-integer semantics: variables range over
-their declared width, operations wrap, ``/`` and ``%`` truncate toward zero,
-and literals too wide for int take a 64-bit type (so ``i >= -2147483649``
-compares in 64 bits, exactly as C would).  Two backends are provided: a
-brute-force evaluator over a boxed domain plus width sentinels, and an
-SMT-LIB bit-vector encoding run through any external solver.
+their declared width, operands take C's integer promotions and usual
+arithmetic conversions, operations wrap, ``/`` and ``%`` truncate toward
+zero, and literals too wide for int take a 64-bit type (so
+``i >= -2147483649`` compares in 64 bits, exactly as C would).  Two backends
+are provided: a brute-force check that compiles each formula once with
+:func:`cparse.compile_expr` and runs it over a boxed domain plus width
+sentinels, within an assignment budget; and an SMT-LIB bit-vector encoding
+of the same tree, run through any external solver.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import shutil
 import subprocess
 from dataclasses import dataclass
 from enum import Enum
 
-from .cparse import CType, INT, LONG, UINT, ULONG
-
-# ---------------------------------------------------------------------------
-# Expression tree
-
-
-@dataclass(frozen=True)
-class BoolBinary:
-    op: str  # 'and' | 'or'
-    left: "BoolExpr"
-    right: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class Not:
-    operand: "BoolExpr"
-
-
-@dataclass(frozen=True)
-class Compare:
-    op: str  # < <= > >= == !=
-    left: "ArithExpr"
-    right: "ArithExpr"
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "ArithExpr"
-
-
-@dataclass(frozen=True)
-class ArithBinary:
-    op: str  # + - * / %
-    left: "ArithExpr"
-    right: "ArithExpr"
-
-
-ArithExpr = IntLit | Var | Neg | ArithBinary
-BoolExpr = BoolBinary | Not | Compare
-PrecondExpr = BoolExpr
+from .cparse import (
+    INT, LONG, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, Binary, CType, EvalUndefined,
+    Expr, IntLit, Unary, Var, compile_expr, eval_expr, expr_depth, promote,
+    usual_arithmetic_type,
+)
 
 
 class PrecondParseError(Exception):
@@ -120,11 +80,18 @@ def _lex(text: str) -> list[_Tok]:
 
 
 class _PrecondParser:
-    """Recursive descent: or < and < not < comparison < additive < term."""
+    """Recursive descent: or < and < not < comparison < additive < term.
+
+    Parentheses and prefix operators count toward cparse's
+    ``MAX_EXPR_NESTING``, and the finished tree may be no deeper than
+    ``MAX_EXPR_DEPTH``, so a hostile formula is a parse error, not a
+    ``RecursionError``.
+    """
 
     def __init__(self, tokens: list[_Tok], known_vars: set[str] | None):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
         self.known_vars = known_vars
 
     def peek(self) -> _Tok:
@@ -136,41 +103,53 @@ class _PrecondParser:
             self.pos += 1
         return tok
 
-    def parse(self) -> BoolExpr:
+    def nest(self, tok: _Tok) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_NESTING:
+            raise PrecondParseError(
+                f"formula nested deeper than {MAX_EXPR_NESTING} levels", tok.pos)
+
+    def parse(self) -> Expr:
         expr = self.parse_or()
         tok = self.peek()
         if tok.kind != "end":
             raise PrecondParseError(f"trailing input {tok.text!r}", tok.pos)
+        if expr_depth(expr) > MAX_EXPR_DEPTH:
+            raise PrecondParseError(
+                f"formula deeper than {MAX_EXPR_DEPTH} levels", 0)
         return expr
 
-    def parse_or(self) -> BoolExpr:
+    def parse_or(self) -> Expr:
         expr = self.parse_and()
         while self.peek().text in ("or", "||"):
             self.next()
-            expr = BoolBinary("or", expr, self.parse_and())
+            expr = Binary("||", expr, self.parse_and())
         return expr
 
-    def parse_and(self) -> BoolExpr:
+    def parse_and(self) -> Expr:
         expr = self.parse_not()
         while self.peek().text in ("and", "&&"):
             self.next()
-            expr = BoolBinary("and", expr, self.parse_not())
+            expr = Binary("&&", expr, self.parse_not())
         return expr
 
-    def parse_not(self) -> BoolExpr:
+    def parse_not(self) -> Expr:
         tok = self.peek()
         if tok.text in ("not", "!"):
             self.next()
-            return Not(self.parse_not())
+            self.nest(tok)
+            operand = self.parse_not()
+            self.nesting -= 1
+            return Unary("!", operand)
         return self.parse_comparison()
 
-    def parse_comparison(self) -> BoolExpr:
+    def parse_comparison(self) -> Expr:
         if self.peek().text == "(":
             # parenthesized boolean vs. parenthesized arithmetic: try the
             # boolean reading, fall back on the arithmetic one
-            saved = self.pos
-            self.next()
+            saved = self.pos, self.nesting
             try:
+                self.nest(self.next())
                 inner = self.parse_or()
                 close = self.next()
                 if close.text != ")":
@@ -178,9 +157,10 @@ class _PrecondParser:
                                             close.pos)
                 if self.peek().text in _CMP_OPS or self.peek().text in ("=",):
                     raise PrecondParseError("comparison of boolean", close.pos)
+                self.nesting -= 1
                 return inner
             except PrecondParseError:
-                self.pos = saved
+                self.pos, self.nesting = saved
         left = self.parse_additive()
         tok = self.peek()
         op = tok.text
@@ -191,42 +171,49 @@ class _PrecondParser:
                 f"expected comparison operator, found {tok.text!r}", tok.pos)
         self.next()
         right = self.parse_additive()
-        return Compare(op, left, right)
+        return Binary(op, left, right)
 
-    def parse_additive(self) -> ArithExpr:
+    def parse_additive(self) -> Expr:
         expr = self.parse_term()
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            expr = ArithBinary(op, expr, self.parse_term())
+            expr = Binary(op, expr, self.parse_term())
         return expr
 
-    def parse_term(self) -> ArithExpr:
+    def parse_term(self) -> Expr:
         expr = self.parse_unary()
         while self.peek().text in ("*", "/", "%"):
             op = self.next().text
-            expr = ArithBinary(op, expr, self.parse_unary())
+            expr = Binary(op, expr, self.parse_unary())
         return expr
 
-    def parse_unary(self) -> ArithExpr:
+    def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.text == "-":
+        if tok.text in ("-", "+"):
             self.next()
-            return Neg(self.parse_unary())
-        if tok.text == "+":
-            self.next()
-            return self.parse_unary()
+            self.nest(tok)
+            operand = self.parse_unary()
+            self.nesting -= 1
+            return Unary("-", operand) if tok.text == "-" else operand
         return self.parse_atom()
 
-    def parse_atom(self) -> ArithExpr:
+    def parse_atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return IntLit(int(tok.text))
+            try:
+                value = int(tok.text)
+            except ValueError:  # past Python's limit on digits
+                raise PrecondParseError("integer literal too long", tok.pos)
+            # the type of an unsuffixed decimal C literal
+            return IntLit(value, INT if value <= INT.max else LONG)
         if tok.kind == "name":
             if self.known_vars is not None and tok.text not in self.known_vars:
                 raise PrecondParseError(f"unknown identifier {tok.text!r}", tok.pos)
             return Var(tok.text)
         if tok.text == "(":
+            self.nest(tok)
             expr = self.parse_additive()
+            self.nesting -= 1
             close = self.next()
             if close.text != ")":
                 raise PrecondParseError(f"expected ')', found {close.text!r}",
@@ -236,125 +223,28 @@ class _PrecondParser:
                                 tok.pos)
 
 
-def parse_precondition(text: str,
-                       known_vars: set[str] | None = None) -> PrecondExpr:
-    """Parse a precondition formula; raises :class:`PrecondParseError`."""
+def parse_precondition(text: str, known_vars: set[str] | None = None) -> Expr:
+    """Parse a precondition formula into a :mod:`cparse` expression whose
+    value is 1 or 0; raises :class:`PrecondParseError`."""
     return _PrecondParser(_lex(text), known_vars).parse()
 
 
-def format_precondition(expr: PrecondExpr | ArithExpr) -> str:
-    if isinstance(expr, BoolBinary):
-        return (f"({format_precondition(expr.left)} {expr.op} "
-                f"{format_precondition(expr.right)})")
-    if isinstance(expr, Not):
-        return f"not ({format_precondition(expr.operand)})"
-    if isinstance(expr, Compare):
-        return (f"{format_precondition(expr.left)} {expr.op} "
-                f"{format_precondition(expr.right)}")
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        return f"-({format_precondition(expr.operand)})"
-    if isinstance(expr, ArithBinary):
-        return (f"({format_precondition(expr.left)} {expr.op} "
-                f"{format_precondition(expr.right)})")
-    raise TypeError(expr)
+def variables_of(expr: Expr) -> set[str]:
+    names, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack += [node.left, node.right]
+    return names
 
 
-def variables_of(expr) -> set[str]:
-    if isinstance(expr, Var):
-        return {expr.name}
-    if isinstance(expr, IntLit):
-        return set()
-    if isinstance(expr, (Not, Neg)):
-        return variables_of(expr.operand)
-    if isinstance(expr, (BoolBinary, Compare, ArithBinary)):
-        return variables_of(expr.left) | variables_of(expr.right)
-    raise TypeError(expr)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force evaluation
-
-
-class UndefinedOperation(Exception):
-    """Division or modulo by zero: the assignment decides nothing."""
-
-
-def _wrap(value: int, width: int, signed: bool) -> int:
-    m = value & ((1 << width) - 1)
-    if signed and m >= 1 << (width - 1):
-        m -= 1 << width
-    return m
-
-
-def _lit_type(value: int) -> CType:
-    return INT if INT.min <= value <= INT.max else LONG
-
-
-def _join(a: CType, b: CType) -> CType:
-    wa, wb = max(a.width, 32), max(b.width, 32)
-    width = max(wa, wb)
-    if width == 64:
-        signed = not ((wa == 64 and not a.signed) or (wb == 64 and not b.signed))
-        return LONG if signed else ULONG
-    signed = a.signed and b.signed
-    return INT if signed else UINT
-
-
-def eval_arith(expr: ArithExpr, env: dict[str, int],
-               types: dict[str, CType]) -> tuple[int, CType]:
-    if isinstance(expr, IntLit):
-        return expr.value, _lit_type(expr.value)
-    if isinstance(expr, Var):
-        return env[expr.name], types.get(expr.name, INT)
-    if isinstance(expr, Neg):
-        v, t = eval_arith(expr.operand, env, types)
-        t = t if t.width >= 32 else INT
-        return _wrap(-v, t.width, t.signed), t
-    if isinstance(expr, ArithBinary):
-        lv, lt = eval_arith(expr.left, env, types)
-        rv, rt = eval_arith(expr.right, env, types)
-        t = _join(lt, rt)
-        a = _wrap(lv, t.width, t.signed)
-        b = _wrap(rv, t.width, t.signed)
-        if expr.op == "+":
-            return _wrap(a + b, t.width, t.signed), t
-        if expr.op == "-":
-            return _wrap(a - b, t.width, t.signed), t
-        if expr.op == "*":
-            return _wrap(a * b, t.width, t.signed), t
-        if b == 0:
-            raise UndefinedOperation(f"{expr.op} by zero")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        if expr.op == "/":
-            return _wrap(q, t.width, t.signed), t
-        return _wrap(a - q * b, t.width, t.signed), t
-    raise TypeError(expr)
-
-
-def eval_precondition(expr: PrecondExpr, env: dict[str, int],
+def eval_precondition(expr: Expr, env: dict[str, int],
                       types: dict[str, CType]) -> bool:
-    if isinstance(expr, BoolBinary):
-        left = eval_precondition(expr.left, env, types)
-        if expr.op == "and":
-            return left and eval_precondition(expr.right, env, types)
-        return left or eval_precondition(expr.right, env, types)
-    if isinstance(expr, Not):
-        return not eval_precondition(expr.operand, env, types)
-    if isinstance(expr, Compare):
-        lv, lt = eval_arith(expr.left, env, types)
-        rv, rt = eval_arith(expr.right, env, types)
-        t = _join(lt, rt)
-        a = _wrap(lv, t.width, t.signed)
-        b = _wrap(rv, t.width, t.signed)
-        return {"<": a < b, "<=": a <= b, ">": a > b,
-                ">=": a >= b, "==": a == b, "!=": a != b}[expr.op]
-    raise TypeError(expr)
+    return bool(eval_expr(expr, env, types)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +268,11 @@ class EquivUnknown:
 
 EquivalenceResult = Equivalent | Inequivalent | EquivUnknown
 
+# The brute-force check evaluates at most this many assignments (about two
+# seconds' worth).  Two int variables over the default box take
+# 260 * 260 = 67,600; three would take 17.6 million.
+MAX_BRUTE_ASSIGNMENTS = 1_000_000
+
 
 def _domain_values(ctype: CType, box: tuple[int, int]) -> list[int]:
     lo = max(box[0], ctype.min)
@@ -388,54 +283,59 @@ def _domain_values(ctype: CType, box: tuple[int, int]) -> list[int]:
     return sorted(values)
 
 
-def brute_equivalence(a: PrecondExpr, b: PrecondExpr,
-                      variables: dict[str, CType],
+def _assignments(names: list[str], domains: list[list[int]]):
+    """Every assignment of the product, the first name outermost.  One dict
+    is updated in place and yielded each time."""
+    env = dict.fromkeys(names, 0)
+    if not names:
+        yield env
+        return
+    *outer, last = names
+    for prefix in itertools.product(*domains[:-1]):
+        env.update(zip(outer, prefix))
+        for value in domains[-1]:
+            env[last] = value
+            yield env
+
+
+def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
                       box: tuple[int, int] = (-128, 127)) -> EquivalenceResult:
     """Compare both formulas over the cartesian product of per-variable
-    domains.  Assignments where either side hits an undefined operation are
-    skipped; if everything is skipped the comparison is degenerate."""
+    domains, the first variable in sorted order outermost, and return the
+    first counterexample.  Assignments where either side hits an undefined
+    operation are skipped; if everything is skipped the comparison is
+    degenerate.  Past :data:`MAX_BRUTE_ASSIGNMENTS` assignments without a
+    counterexample the result is unknown."""
     names = sorted(variables)
     domains = [_domain_values(variables[n], box) for n in names]
-    types = dict(variables)
-    evaluated = 0
-    for combo in itertools.product(*domains):
-        env = dict(zip(names, combo))
+    fa, _ = compile_expr(a, variables)
+    fb, _ = compile_expr(b, variables)
+    defined = False
+    for env in itertools.islice(_assignments(names, domains),
+                                MAX_BRUTE_ASSIGNMENTS):
         try:
-            va = eval_precondition(a, env, types)
-            vb = eval_precondition(b, env, types)
-        except UndefinedOperation:
+            if fa(env) != fb(env):
+                return Inequivalent(dict(env))
+        except EvalUndefined:
             continue
-        evaluated += 1
-        if va != vb:
-            return Inequivalent(env)
-    if evaluated == 0 and names:
-        return EquivUnknown("degenerate: every assignment hit undefined arithmetic")
-    if not names:
-        # closed formulas: a single evaluation decides
-        try:
-            return (Equivalent() if eval_precondition(a, {}, {}) ==
-                    eval_precondition(b, {}, {}) else Inequivalent({}))
-        except UndefinedOperation:
-            return EquivUnknown("degenerate: undefined arithmetic")
+        defined = True
+    total = math.prod(map(len, domains))
+    if total > MAX_BRUTE_ASSIGNMENTS:
+        return EquivUnknown(f"budget: {MAX_BRUTE_ASSIGNMENTS} of {total} "
+                            "assignments evaluated without a counterexample")
+    if not defined:
+        return EquivUnknown(
+            "degenerate: every assignment hit undefined arithmetic" if names
+            else "degenerate: undefined arithmetic")
     return Equivalent()
 
 
 # ---------------------------------------------------------------------------
 # SMT-LIB emission
 
-
-def _smt_type_of(expr: ArithExpr, types: dict[str, CType]) -> CType:
-    if isinstance(expr, IntLit):
-        return _lit_type(expr.value)
-    if isinstance(expr, Var):
-        return types.get(expr.name, INT)
-    if isinstance(expr, Neg):
-        t = _smt_type_of(expr.operand, types)
-        return t if t.width >= 32 else INT
-    if isinstance(expr, ArithBinary):
-        return _join(_smt_type_of(expr.left, types),
-                     _smt_type_of(expr.right, types))
-    raise TypeError(expr)
+_SMT_ARITH = {"+": "bvadd", "-": "bvsub", "*": "bvmul"}
+_SMT_SIGNED = {"<": "bvslt", "<=": "bvsle", ">": "bvsgt", ">=": "bvsge"}
+_SMT_UNSIGNED = {"<": "bvult", "<=": "bvule", ">": "bvugt", ">=": "bvuge"}
 
 
 def _smt_extend(term: str, have: CType, want: CType) -> str:
@@ -446,74 +346,67 @@ def _smt_extend(term: str, have: CType, want: CType) -> str:
     return f"((_ {op} {delta}) {term})"
 
 
-def _smt_arith(expr: ArithExpr, types: dict[str, CType],
+def _smt_operands(expr: Binary, types: dict[str, CType],
+                  divisor_guards: list[str]) -> tuple[str, str, CType]:
+    """Both operands of ``expr`` converted to their usual arithmetic type."""
+    lterm, lt = _smt_arith(expr.left, types, divisor_guards)
+    rterm, rt = _smt_arith(expr.right, types, divisor_guards)
+    t = usual_arithmetic_type(lt, rt)
+    return _smt_extend(lterm, lt, t), _smt_extend(rterm, rt, t), t
+
+
+def _smt_arith(expr: Expr, types: dict[str, CType],
                divisor_guards: list[str]) -> tuple[str, CType]:
     if isinstance(expr, IntLit):
-        t = _lit_type(expr.value)
+        t = expr.ctype
         return f"(_ bv{expr.value % (1 << t.width)} {t.width})", t
     if isinstance(expr, Var):
-        t = types.get(expr.name, INT)
-        return expr.name, t
-    if isinstance(expr, Neg):
+        return expr.name, types.get(expr.name, INT)
+    if isinstance(expr, Unary) and expr.op == "-":
         term, t = _smt_arith(expr.operand, types, divisor_guards)
-        if t.width < 32:
-            term, t = _smt_extend(term, t, INT), INT
-        return f"(bvneg {term})", t
-    if isinstance(expr, ArithBinary):
-        lterm, lt = _smt_arith(expr.left, types, divisor_guards)
-        rterm, rt = _smt_arith(expr.right, types, divisor_guards)
-        t = _join(lt, rt)
-        lterm = _smt_extend(lterm, lt, t)
-        rterm = _smt_extend(rterm, rt, t)
-        ops = {"+": "bvadd", "-": "bvsub", "*": "bvmul"}
-        if expr.op in ops:
-            return f"({ops[expr.op]} {lterm} {rterm})", t
+        return f"(bvneg {_smt_extend(term, t, promote(t))})", promote(t)
+    if isinstance(expr, Binary) and expr.op in ("+", "-", "*", "/", "%"):
+        lterm, rterm, t = _smt_operands(expr, types, divisor_guards)
+        if expr.op in _SMT_ARITH:
+            return f"({_SMT_ARITH[expr.op]} {lterm} {rterm})", t
         # bvsdiv/bvsrem already implement C truncated semantics (the
         # remainder's sign follows the dividend); division by zero is
         # excluded by a side assertion to mirror the brute-force skip
-        divisor_guards.append(
-            f"(not (= {rterm} (_ bv0 {t.width})))")
+        divisor_guards.append(f"(not (= {rterm} (_ bv0 {t.width})))")
         if expr.op == "/":
             op = "bvsdiv" if t.signed else "bvudiv"
         else:
             op = "bvsrem" if t.signed else "bvurem"
         return f"({op} {lterm} {rterm})", t
-    raise TypeError(expr)
+    raise ValueError(f"not a precondition term: {expr!r}")
 
 
-def _smt_bool(expr: BoolExpr, types: dict[str, CType],
+def _smt_bool(expr: Expr, types: dict[str, CType],
               divisor_guards: list[str]) -> str:
-    if isinstance(expr, BoolBinary):
-        op = {"and": "and", "or": "or"}[expr.op]
+    if isinstance(expr, Binary) and expr.op in ("&&", "||"):
+        op = "and" if expr.op == "&&" else "or"
         return (f"({op} {_smt_bool(expr.left, types, divisor_guards)} "
                 f"{_smt_bool(expr.right, types, divisor_guards)})")
-    if isinstance(expr, Not):
+    if isinstance(expr, Unary) and expr.op == "!":
         return f"(not {_smt_bool(expr.operand, types, divisor_guards)})"
-    if isinstance(expr, Compare):
-        lterm, lt = _smt_arith(expr.left, types, divisor_guards)
-        rterm, rt = _smt_arith(expr.right, types, divisor_guards)
-        t = _join(lt, rt)
-        lterm = _smt_extend(lterm, lt, t)
-        rterm = _smt_extend(rterm, rt, t)
+    if isinstance(expr, Binary) and expr.op in _CMP_OPS:
+        lterm, rterm, t = _smt_operands(expr, types, divisor_guards)
         if expr.op == "==":
             return f"(= {lterm} {rterm})"
         if expr.op == "!=":
             return f"(not (= {lterm} {rterm}))"
-        signed = {"<": "bvslt", "<=": "bvsle", ">": "bvsgt", ">=": "bvsge"}
-        unsigned = {"<": "bvult", "<=": "bvule", ">": "bvugt", ">=": "bvuge"}
-        table = signed if t.signed else unsigned
+        table = _SMT_SIGNED if t.signed else _SMT_UNSIGNED
         return f"({table[expr.op]} {lterm} {rterm})"
-    raise TypeError(expr)
+    raise ValueError(f"not a precondition formula: {expr!r}")
 
 
-def emit_smtlib(a: PrecondExpr, b: PrecondExpr,
-                variables: dict[str, CType]) -> str:
+def emit_smtlib(a: Expr, b: Expr, variables: dict[str, CType]) -> str:
     """SMT-LIB v2 query: sat iff the formulas disagree on some assignment
-    (avoiding division by zero), so unsat means equivalent."""
+    (avoiding division by zero), so unsat means equivalent.  Each variable
+    is a bit-vector of its declared width."""
     lines = ["(set-logic QF_BV)"]
     for name in sorted(variables):
-        width = max(variables[name].width, 32)
-        lines.append(f"(declare-const {name} (_ BitVec {width}))")
+        lines.append(f"(declare-const {name} (_ BitVec {variables[name].width}))")
     guards: list[str] = []
     term_a = _smt_bool(a, variables, guards)
     term_b = _smt_bool(b, variables, guards)
@@ -576,7 +469,7 @@ def _parse_model(output: str, variables: dict[str, CType]) -> dict[str, int]:
     return model
 
 
-def smt_equivalence(a: PrecondExpr, b: PrecondExpr,
+def smt_equivalence(a: Expr, b: Expr,
                     variables: dict[str, CType],
                     solver: list[str] | None = None,
                     timeout: float = 60.0) -> EquivalenceResult:
@@ -598,7 +491,7 @@ def smt_equivalence(a: PrecondExpr, b: PrecondExpr,
     return EquivUnknown(f"solver answered {first or proc.stderr.strip()!r}")
 
 
-def check_equivalence(a: PrecondExpr, b: PrecondExpr,
+def check_equivalence(a: Expr, b: Expr,
                       variables: dict[str, CType],
                       mode: str = "brute",
                       box: tuple[int, int] = (-128, 127),
@@ -640,7 +533,7 @@ class GenerationJudgment(Enum):
     UNDECIDED = "undecided"
 
 
-def judge_generation(text: str, ground_truth: PrecondExpr,
+def judge_generation(text: str, ground_truth: Expr,
                      variables: dict[str, CType],
                      mode: str = "brute") -> GenerationJudgment:
     try:
@@ -655,7 +548,7 @@ def judge_generation(text: str, ground_truth: PrecondExpr,
     return GenerationJudgment.UNDECIDED
 
 
-def count_equivalent(generations: list[str], ground_truth: PrecondExpr,
+def count_equivalent(generations: list[str], ground_truth: Expr,
                      variables: dict[str, CType], mode: str = "brute") -> int:
     """How many of a task's precondition generations are equivalent to the
     ground truth, each judged once; the ``c`` of :func:`pass_at_k`.

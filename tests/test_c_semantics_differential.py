@@ -13,8 +13,10 @@ import subprocess
 
 import pytest
 
-from termeval import precond
-from termeval.cparse import INT, EvalUndefined, eval_expr, parse_expression
+from termeval import cparse, precond
+from termeval.cparse import (
+    INT, LONG, Binary, EvalUndefined, Unary, eval_expr, parse_expression, wrap,
+)
 
 pytestmark = pytest.mark.skipif(shutil.which("gcc") is None,
                                 reason="gcc not available")
@@ -139,34 +141,54 @@ def random_typed_expression(rng: random.Random, depth: int) -> str:
     return text
 
 
+def _undefined_division(node, env, types) -> bool:
+    """C leaves x / 0 and MIN / -1 undefined even under -fwrapv."""
+    if isinstance(node, Unary):
+        return _undefined_division(node.operand, env, types)
+    if not isinstance(node, Binary):
+        return False
+    if node.op in ("/", "%"):
+        left, left_type = eval_expr(node.left, env, types)
+        right, right_type = eval_expr(node.right, env, types)
+        t = cparse.usual_arithmetic_type(left_type, right_type)
+        dividend, divisor = wrap(left, t), wrap(right, t)
+        if divisor == 0 or (t.signed and dividend == t.min
+                            and divisor == -1):
+            return True
+    return (_undefined_division(node.left, env, types)
+            or _undefined_division(node.right, env, types))
+
+
+def _c_literal(value: int) -> str:
+    """``value`` as a C constant of at least 64 bits."""
+    if value == LONG.min:
+        return f"({value + 1}L - 1)"
+    return f"{value}UL" if value > LONG.max else f"{value}L"
+
+
+def _run_c_cases(tmp_path, name, cases, types) -> list[int]:
+    """Compile one program printing each case's ``(long long)(text)`` with
+    its variables declared at their types; returns the printed values."""
+    lines = ["#include <stdio.h>", "int main(void) {"]
+    for text, env, _ in cases:
+        decls = " ".join(f"{types[n].name} {n} = {_c_literal(v)};"
+                         for n, v in env.items())
+        lines.append(f"  {{ {decls} printf(\"%lld\\n\", (long long)({text})); }}")
+    lines += ["  return 0;", "}"]
+    source = tmp_path / f"{name}.c"
+    source.write_text("\n".join(lines) + "\n")
+    binary = tmp_path / name
+    subprocess.run(["gcc", "-fwrapv", "-O0", "-o", str(binary), str(source)],
+                   check=True, capture_output=True)
+    out = subprocess.run([str(binary)], check=True, capture_output=True,
+                         text=True)
+    return [int(v) for v in out.stdout.split()]
+
+
 def test_typed_expression_evaluator_matches_gcc(tmp_path):
     """Conversions between char, short, unsigned and long operands, and the
     unsigned division and comparison they lead to, against gcc."""
-    from termeval import cparse
-    from termeval.cparse import Binary, Unary, wrap
     types = {name: getattr(cparse, t) for name, t in TYPED_VARS.items()}
-
-    def undefined_division(node, env) -> bool:
-        # C leaves x / 0 and MIN / -1 undefined even under -fwrapv
-        if isinstance(node, Unary):
-            return undefined_division(node.operand, env)
-        if not isinstance(node, Binary):
-            return False
-        if node.op in ("/", "%"):
-            left, left_type = eval_expr(node.left, env, types)
-            right, right_type = eval_expr(node.right, env, types)
-            t = cparse.usual_arithmetic_type(left_type, right_type)
-            dividend, divisor = wrap(left, t), wrap(right, t)
-            if divisor == 0 or (t.signed and dividend == t.min
-                                and divisor == -1):
-                return True
-        return (undefined_division(node.left, env)
-                or undefined_division(node.right, env))
-
-    def literal(value: int) -> str:
-        if value == cparse.LONG.min:
-            return f"({value + 1}L - 1)"
-        return f"{value}UL" if value > cparse.LONG.max else f"{value}L"
 
     rng = random.Random(0x7E5)
     # every operator on every pair of types, once with the largest dividend
@@ -184,27 +206,14 @@ def test_typed_expression_evaluator_matches_gcc(tmp_path):
                       for name, t in types.items()}
         expr = parse_expression(text)
         try:
-            if undefined_division(expr, env):
+            if _undefined_division(expr, env, types):
                 continue
             value, _ = eval_expr(expr, env, types)
         except EvalUndefined:
             continue
         cases.append((text, env, wrap(value, cparse.LONG)))
 
-    lines = ["#include <stdio.h>", "int main(void) {"]
-    for text, env, _ in cases:
-        decls = " ".join(f"{types[n].name} {n} = {literal(v)};"
-                         for n, v in env.items())
-        lines.append(f"  {{ {decls} printf(\"%lld\\n\", (long long)({text})); }}")
-    lines += ["  return 0;", "}"]
-    source = tmp_path / "typed.c"
-    source.write_text("\n".join(lines) + "\n")
-    binary = tmp_path / "typed"
-    subprocess.run(["gcc", "-fwrapv", "-O0", "-o", str(binary), str(source)],
-                   check=True, capture_output=True)
-    out = subprocess.run([str(binary)], check=True, capture_output=True,
-                         text=True)
-    got = [int(v) for v in out.stdout.split()]
+    got = _run_c_cases(tmp_path, "typed", cases, types)
     mismatches = [(text, env, want, have)
                   for (text, env, want), have in zip(cases, got) if want != have]
     assert len(got) == len(cases) and not mismatches, mismatches[:3]
@@ -281,16 +290,86 @@ def test_precondition_arith_matches_gcc(compiled_evaluator):
             if _div_corners_hit(text, env):
                 continue
             parsed = precond.parse_precondition(f"({text}) == 0")
-            value, _ = precond.eval_arith(parsed.left, env,
-                                          {"x": INT, "y": INT})
-        except (precond.UndefinedOperation, precond.PrecondParseError):
+            value, _ = eval_expr(parsed.left, env, {"x": INT, "y": INT})
+        except (EvalUndefined, precond.PrecondParseError):
             continue
-        from termeval.cparse import wrap
         expressions.append(text)
         envs.append(env)
         expected.append(wrap(value, INT))
     got = compiled_evaluator(expressions, envs)
     assert expected == got
+
+
+PRECOND_VARS = {"x": "INT", "u": "UINT", "c": "CHAR", "uc": "UCHAR",
+                "s": "SHORT", "us": "USHORT", "l": "LONG"}
+PRECOND_LITERALS = ["0", "1", "7", "255", "65535", "2147483647",
+                    "2147483648", "4294967295", "4294967296",
+                    "9223372036854775807"]
+
+
+def random_precondition_term(rng: random.Random, depth: int) -> str:
+    """Arithmetic, written the same way in a precondition and in C."""
+    if depth == 0 or rng.random() < 0.35:
+        if rng.random() < 0.55:
+            return rng.choice(sorted(PRECOND_VARS))
+        return rng.choice(PRECOND_LITERALS)
+    if rng.random() < 0.15:
+        return f"-({random_precondition_term(rng, depth - 1)})"
+    return (f"({random_precondition_term(rng, depth - 1)} "
+            f"{rng.choice('+-*/%')} {random_precondition_term(rng, depth - 1)})")
+
+
+def random_precondition(rng: random.Random, depth: int) -> tuple[str, str]:
+    """A formula in the forgiving precondition syntax and the same formula
+    in C, written independently of the precondition parser."""
+    if depth == 0 or rng.random() < 0.35:
+        op = rng.choice(["<", "<=", ">", ">=", "==", "!=", "="])
+        left = random_precondition_term(rng, 2)
+        right = random_precondition_term(rng, 2)
+        return (f"{left} {op} {right}",
+                f"({left} {'==' if op == '=' else op} {right})")
+    if rng.random() < 0.2:
+        text, c_text = random_precondition(rng, depth - 1)
+        return f"not ({text})", f"!({c_text})"
+    op, c_op = rng.choice([("and", "&&"), ("or", "||"), ("&&", "&&"),
+                           ("OR", "||")])
+    (lt, lc), (rt, rc) = (random_precondition(rng, depth - 1),
+                          random_precondition(rng, depth - 1))
+    return f"({lt} {op} {rt})", f"({lc} {c_op} {rc})"
+
+
+def test_precondition_comparisons_match_gcc(tmp_path):
+    """Preconditions over signed, unsigned, narrow and 64-bit variables, with
+    literals too wide for int, against gcc: the front end must lower each
+    formula to the conversions C applies, unsigned char and unsigned short
+    promoting to int."""
+    types = {name: getattr(cparse, t) for name, t in PRECOND_VARS.items()}
+    rng = random.Random(0x93EC)
+    # every mixed subtraction and every variable against every literal
+    # first, then random formulas
+    queue = [(f"{a} - {b} < 0", f"({a} - {b} < 0)")
+             for a in PRECOND_VARS for b in PRECOND_VARS]
+    queue += [(f"{a} <= -{k} or {a} = {k}", f"({a} <= -{k} || {a} == {k})")
+              for a in PRECOND_VARS for k in PRECOND_LITERALS]
+    cases = []
+    while len(cases) < 900:
+        text, c_text = queue.pop() if queue else random_precondition(rng, 2)
+        env = {name: rng.choice([rng.randint(t.min, t.max), t.min, t.max,
+                                 0, 1, 2, max(t.min, -2)])
+               for name, t in types.items()}
+        expr = precond.parse_precondition(text, set(types))
+        try:
+            if _undefined_division(expr, env, types):
+                continue
+            value = precond.eval_precondition(expr, env, types)
+        except EvalUndefined:
+            continue
+        cases.append((c_text, env, int(value)))
+    got = _run_c_cases(tmp_path, "precond", cases, types)
+    mismatches = [(text, env, want, have)
+                  for (text, env, want), have in zip(cases, got) if want != have]
+    assert len(got) == len(cases) and not mismatches, mismatches[:3]
+    assert 0 < sum(got) < len(got)
 
 
 NARROW_HARNESS = """\

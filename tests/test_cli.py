@@ -149,6 +149,20 @@ class TestCheckWitnessCommand:
         assert result.exit_code == 1
         assert "DuplicateEdgeId" in result.output
 
+    def test_program_that_does_not_lex_exit_1(self, runner, tmp_path):
+        program = tmp_path / "even_spin.c"
+        program.write_text((FIXTURES / "programs" / "even_spin.c").read_text()
+                           + "/* unterminated\n")
+        result = runner.invoke(main, [
+            "check-witness", str(program),
+            str(FIXTURES / "witnesses" / "even_spin.json"),
+        ])
+        assert result.exit_code == 1
+        assert "program does not parse: line" in result.output
+        assert "unterminated comment" in result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+
     def test_emit_deterministic(self, runner, tmp_path):
         out_a = tmp_path / "a.graphml"
         out_b = tmp_path / "b.graphml"
@@ -557,6 +571,62 @@ class TestPrecondCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "Pass@1 0.750" in result.output
+
+    def test_hostile_generations_are_unparseable(self, runner, tmp_path):
+        # each of these once raised RecursionError and aborted the run
+        hostile = ["(" * 3000 + "x" + ")" * 3000 + " == 0",
+                   "not " * 3000 + "x == 0",
+                   " + ".join(["x"] * 3000) + " == 0",
+                   "-" * 3000 + "x == 0"]
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": hostile + ["x % 2 == 0"] * 4,
+        })
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "Pass@1 0.500" in result.output
+
+    def test_each_task_parsed_once(self, runner, tmp_path, monkeypatch):
+        from termeval import cli, precond
+        parsed, annotated = [], []
+        parse_program, parse_precondition = (cli.parse_program,
+                                             precond.parse_precondition)
+
+        def counting_parse_program(source):
+            parsed.append(source)
+            return parse_program(source)
+
+        def counting_parse_precondition(text, *args):
+            annotated.append(text)
+            return parse_precondition(text, *args)
+
+        monkeypatch.setattr(cli, "parse_program", counting_parse_program)
+        monkeypatch.setattr(precond, "parse_precondition",
+                            counting_parse_precondition)
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": ["x % 2 == 0"] * 2,
+            "control-loops/stall_below_minus_five": ["i < -4"] * 2,
+        })
+        shutil.copytree(run_dir / "oracle-a", run_dir / "oracle-b")
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0",
+             "control-loops/stall_below_minus_five": "i <= -5"}))
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("Pass@1 1.000") == 2
+        assert len(parsed) == 2
+        # two annotations, then the 2 x 2 x 2 generations
+        assert annotated[:2] == ["x % 2 == 0", "i <= -5"]
+        assert len(annotated) == 2 + 8
 
     def test_unparseable_annotation_fatal(self, runner, tmp_path):
         workspace, run_dir = self.make_precond_run(tmp_path, {

@@ -350,6 +350,13 @@ class TestExpressionParsing:
         with pytest.raises(CParseError, match="deeper than"):
             parse_expression(text)
 
+    @pytest.mark.parametrize("literal", ["010", "9" * 5000])
+    def test_literal_int_refuses_is_parse_error(self, literal):
+        # int(text, 0) rejects C octal and more than 4,300 digits with a
+        # ValueError
+        with pytest.raises(CParseError, match="unsupported integer literal"):
+            parse_expression("x == " + literal)
+
     def test_nesting_at_the_limit_parses(self):
         depth = cparse.MAX_EXPR_NESTING
         expr = parse_expression("(" * depth + "x + 1" + ")" * depth)

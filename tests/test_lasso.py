@@ -147,6 +147,13 @@ class TestCheckFeasibility:
         result = check_feasibility(program("even_spin.c"), lasso, FAST_CFG)
         assert result == Infeasible("E2")
 
+    def test_overlong_literal_assumption_never_holds(self):
+        data = load_witness_json("even_spin.json")["witness"]
+        data["edges"][2]["assumption"] = "x == " + "9" * 5000
+        lasso = extract_lasso(witness_from_json(data))
+        result = check_feasibility(program("even_spin.c"), lasso, FAST_CFG)
+        assert result == Infeasible("E2")
+
     def test_shadowing_program_is_not_proven(self):
         # the inner x once overwrote the outer one, and the loop on the
         # outer x (3, so the program ends) was "proven" to diverge

@@ -3,15 +3,19 @@ import random
 import pytest
 
 from termeval import cparse
-from termeval.cparse import INT
+from termeval.cparse import (
+    CHAR, INT, LONG, SHORT, UCHAR, UINT, USHORT, Binary, IntLit, Unary, Var,
+    eval_expr, format_expr,
+)
 from termeval.evalcore import pass_at_k
 from termeval.precond import (
-    BoolBinary, Compare, Equivalent, EquivUnknown, GenerationJudgment,
-    Inequivalent, IntLit, Neg, Not, PrecondParseError, Var, brute_equivalence,
-    check_equivalence, count_equivalent, emit_smtlib, eval_arith, eval_precondition, find_solver,
-    format_precondition, judge_generation, parse_precondition,
-    smt_equivalence, variables_of,
+    MAX_BRUTE_ASSIGNMENTS, Equivalent, EquivUnknown, GenerationJudgment,
+    Inequivalent, PrecondParseError, brute_equivalence, check_equivalence,
+    count_equivalent, emit_smtlib, eval_precondition, find_solver,
+    judge_generation, parse_precondition, smt_equivalence, variables_of,
 )
+
+from conftest import FIXTURES
 
 IVAR = {"i": INT}
 XY = {"x": INT, "y": INT}
@@ -20,16 +24,21 @@ XY = {"x": INT, "y": INT}
 class TestParse:
     def test_keyword_conjunction(self):
         expr = parse_precondition("(i % 2 != 0) and (i >= -2147483649)")
-        assert isinstance(expr, BoolBinary) and expr.op == "and"
+        assert isinstance(expr, Binary) and expr.op == "&&"
 
     def test_two_variable_conjunction(self):
         expr = parse_precondition("x < -1 and y > 0")
-        assert isinstance(expr, BoolBinary)
+        assert isinstance(expr, Binary) and expr.op == "&&"
         assert variables_of(expr) == {"x", "y"}
 
     def test_single_comparison(self):
         expr = parse_precondition("i <= -5")
-        assert expr == Compare("<=", Var("i"), Neg(IntLit(5)))
+        assert expr == Binary("<=", Var("i"), Unary("-", IntLit(5, INT)))
+
+    def test_literals_typed_as_unsuffixed_decimal_c(self):
+        expr = parse_precondition("i >= -2147483649 or i < 2147483647")
+        assert expr.left.right == Unary("-", IntLit(2147483649, LONG))
+        assert expr.right.right == IntLit(2147483647, INT)
 
     def test_equals_sign_is_equality(self):
         assert parse_precondition("i = 0") == parse_precondition("i == 0")
@@ -41,11 +50,17 @@ class TestParse:
 
     def test_not_and_nesting(self):
         expr = parse_precondition("not (i < 0 or i > 10)")
-        assert isinstance(expr, Not)
+        assert expr == Unary("!", Binary("||",
+                                         Binary("<", Var("i"), IntLit(0)),
+                                         Binary(">", Var("i"), IntLit(10))))
 
     def test_arith_operators(self):
         expr = parse_precondition("(i * 3 + 1) % 7 == i / 2 - 4")
-        assert isinstance(expr, Compare)
+        assert isinstance(expr, Binary) and expr.op == "=="
+        assert expr.left.op == "%" and expr.right.op == "-"
+
+    def test_unary_plus_is_dropped(self):
+        assert parse_precondition("+i > +-3") == parse_precondition("i > -3")
 
     def test_unknown_identifier(self):
         with pytest.raises(PrecondParseError):
@@ -74,7 +89,7 @@ class TestParse:
     def test_format_round_trip(self):
         text = "(i % 2 != 0) and (i >= -2147483649)"
         expr = parse_precondition(text)
-        assert parse_precondition(format_precondition(expr)) == expr
+        assert parse_precondition(format_expr(expr)) == expr
 
 
 class TestEvaluation:
@@ -90,14 +105,14 @@ class TestEvaluation:
             assert eval_precondition(expr, {"i": i}, IVAR) is True
 
     def test_arith_wraps_at_32_bits(self):
-        value, ctype = eval_arith(parse_precondition("i + 1 == 0").left,
-                                  {"i": 2**31 - 1}, IVAR)
+        value, ctype = eval_expr(parse_precondition("i + 1 == 0").left,
+                                 {"i": 2**31 - 1}, IVAR)
         assert value == -(2**31)
         assert ctype.width == 32
 
     def test_agrees_with_c_interpreter(self):
-        # same machine semantics as the program interpreter, independently
-        # implemented: differential check over random expressions
+        # the precondition front end lowers arithmetic to the same tree as
+        # the C parser: differential check over random expressions
         rng = random.Random(42)
         ops = ["+", "-", "*", "/", "%"]
 
@@ -113,8 +128,8 @@ class TestEvaluation:
             env = {"x": rng.randint(-(2**31), 2**31 - 1),
                    "y": rng.randint(-(2**31), 2**31 - 1)}
             try:
-                mine, _ = eval_arith(parse_precondition(f"{text} == 0").left,
-                                     env, XY)
+                mine, _ = eval_expr(parse_precondition(f"{text} == 0").left,
+                                    env, XY)
             except Exception:
                 continue
             theirs = cparse.eval_value(cparse.parse_expression(text), env, XY)
@@ -181,18 +196,108 @@ class TestBruteEquivalence:
         with pytest.raises(ValueError):
             check_equivalence(a, a, IVAR, mode="quantum")
 
+    def test_narrow_unsigned_operands_promote_to_int(self):
+        # C promotes unsigned char and unsigned short to int, so c - d
+        # goes negative exactly when c < d
+        for ctype in (UCHAR, USHORT):
+            a = parse_precondition("c - d < 0")
+            b = parse_precondition("c < d")
+            variables = {"c": ctype, "d": ctype}
+            assert brute_equivalence(a, b, variables, (0, 20)) == Equivalent()
+        # unsigned int does not promote: 0 - 1 wraps to UINT_MAX
+        result = brute_equivalence(a, b, {"c": UINT, "d": UINT}, (0, 20))
+        assert result == Inequivalent({"c": 0, "d": 1})
+
+
+class TestBudget:
+    THREE = {"x": INT, "y": INT, "z": INT}
+
+    def test_three_variables_exhaust_the_budget(self):
+        a = parse_precondition("x + y < z")
+        b = parse_precondition("not (x + y >= z)")
+        result = brute_equivalence(a, b, self.THREE)
+        assert isinstance(result, EquivUnknown)
+        assert result.reason.startswith(
+            f"budget: {MAX_BRUTE_ASSIGNMENTS} of {260 ** 3} assignments")
+
+    def test_counterexample_inside_the_budget_still_counts(self):
+        # z is innermost, so z = 0 is reached after a few hundred steps
+        a = parse_precondition("z < 0")
+        b = parse_precondition("z <= 0")
+        result = brute_equivalence(a, b, self.THREE)
+        assert result == Inequivalent({"x": INT.min, "y": INT.min, "z": 0})
+
+    def test_budget_covers_two_int_variables(self):
+        assert 260 ** 2 < MAX_BRUTE_ASSIGNMENTS < 260 ** 3
+        a = parse_precondition("x < 10 and y > -10")
+        b = parse_precondition("x <= 9 and y >= -9")
+        assert brute_equivalence(a, b, XY) == Equivalent()
+
+
+class TestHostileFormulas:
+    """Generations that once raised RecursionError out of judge_generation."""
+
+    TRUTH = parse_precondition("i > 0")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 3000 + "i" + ")" * 3000 + " == 0",
+        "not " * 3000 + "i == 0",
+        " + ".join(["i"] * 3000) + " == 0",
+        "-" * 3000 + "i == 0",
+        " and ".join(["i == 0"] * 3000),
+        "i == " + "9" * 5000,
+    ], ids=["parens", "not", "sum-chain", "minus", "and-chain", "long-literal"])
+    def test_unparseable(self, text):
+        with pytest.raises(PrecondParseError):
+            parse_precondition(text)
+        assert judge_generation(text, self.TRUTH, IVAR) is \
+            GenerationJudgment.UNPARSEABLE
+
+    def test_nesting_up_to_the_limit_parses(self):
+        limit = cparse.MAX_EXPR_NESTING
+        for text in ("(" * limit + "i" + ")" * limit + " > 0",
+                     "not " * limit + "i > 0",
+                     "-" * limit + "i > 0"):
+            assert judge_generation(text, self.TRUTH, IVAR) in (
+                GenerationJudgment.EQUIVALENT, GenerationJudgment.INEQUIVALENT)
+        with pytest.raises(PrecondParseError):
+            parse_precondition("(" * (limit + 1) + "i" + ")" * (limit + 1) + " > 0")
+
+
+class TestPinnedResults:
+    """``golden/precond_brute.json`` holds brute_equivalence results (type,
+    counterexample, reason) for seeded formula pairs over int, char, short,
+    long and unsigned int variables, recorded with the evaluator that
+    precond had before it lowered formulas to cparse."""
+
+    TYPES = {"int": INT, "char": CHAR, "short": SHORT, "long": LONG,
+             "unsigned int": UINT}
+
+    def test_results_match_golden_file(self):
+        import json
+        cases = json.loads((FIXTURES / "golden" / "precond_brute.json")
+                           .read_text(encoding="utf-8"))
+        assert len(cases) == 330
+        for case in cases:
+            variables = {n: self.TYPES[t] for n, t in case["variables"].items()}
+            a = parse_precondition(case["a"], set(variables))
+            b = parse_precondition(case["b"], set(variables))
+            result = brute_equivalence(a, b, variables, tuple(case["box"]))
+            got = {"type": type(result).__name__, **vars(result)}
+            assert got == case["result"], case
+
 
 def random_boolean_expr(rng, names=("x", "y"), depth=2):
     if depth == 0 or rng.random() < 0.4:
         left = random_arith(rng, names, 2)
         right = random_arith(rng, names, 2)
         op = rng.choice(["<", "<=", ">", ">=", "==", "!="])
-        return Compare(op, left, right)
+        return Binary(op, left, right)
     if rng.random() < 0.25:
-        return Not(random_boolean_expr(rng, names, depth - 1))
-    op = rng.choice(["and", "or"])
-    return BoolBinary(op, random_boolean_expr(rng, names, depth - 1),
-                      random_boolean_expr(rng, names, depth - 1))
+        return Unary("!", random_boolean_expr(rng, names, depth - 1))
+    op = {"and": "&&", "or": "||"}[rng.choice(["and", "or"])]
+    return Binary(op, random_boolean_expr(rng, names, depth - 1),
+                  random_boolean_expr(rng, names, depth - 1))
 
 
 def random_arith(rng, names, depth):
@@ -200,12 +305,11 @@ def random_arith(rng, names, depth):
         if rng.random() < 0.5:
             return Var(rng.choice(list(names)))
         return IntLit(rng.randint(-30, 30))
-    from termeval.precond import ArithBinary
     op = rng.choice(["+", "-", "*"])  # division kept rare to avoid skips
     if rng.random() < 0.1:
         op = rng.choice(["/", "%"])
-    return ArithBinary(op, random_arith(rng, names, depth - 1),
-                       random_arith(rng, names, depth - 1))
+    return Binary(op, random_arith(rng, names, depth - 1),
+                  random_arith(rng, names, depth - 1))
 
 
 class TestEquivalenceRelation:
@@ -278,6 +382,38 @@ class TestSmtEmission:
         text = emit_smtlib(a, a, XY)
         assert text.index("declare-const x") < text.index("declare-const y")
 
+    def test_narrow_variables_declared_at_their_width(self):
+        a = parse_precondition("c + 1 > 0 and u < s")
+        variables = {"c": CHAR, "s": SHORT, "u": USHORT}
+        text = emit_smtlib(a, a, variables)
+        assert "(declare-const c (_ BitVec 8))" in text
+        assert "(declare-const s (_ BitVec 16))" in text
+        assert "(declare-const u (_ BitVec 16))" in text
+        assert "(bvadd ((_ sign_extend 24) c) (_ bv1 32))" in text
+        assert "(bvslt ((_ zero_extend 16) u) ((_ sign_extend 16) s))" in text
+        assert_well_sorted(text)
+
+    def test_random_queries_are_well_sorted(self):
+        rng = random.Random(31)
+        types = [CHAR, UCHAR, SHORT, USHORT, INT, UINT, LONG, cparse.ULONG]
+        literals = ["3", "-1", "255", "2147483648", "4294967295",
+                    "9223372036854775807"]
+        for _ in range(200):
+            variables = {"x": rng.choice(types), "y": rng.choice(types)}
+
+            def term(depth):
+                if depth == 0 or rng.random() < 0.3:
+                    return rng.choice(["x", "y", *literals])
+                if rng.random() < 0.15:
+                    return f"-({term(depth - 1)})"
+                return (f"({term(depth - 1)} {rng.choice('+-*/%')} "
+                        f"{term(depth - 1)})")
+
+            text = (f"{term(2)} {rng.choice(['<', '>=', '=', '!='])} {term(2)}"
+                    f" {rng.choice(['and', 'or'])} not ({term(2)} <= {term(1)})")
+            expr = parse_precondition(text)
+            assert_well_sorted(emit_smtlib(expr, expr, variables))
+
     def test_no_solver_is_unknown(self):
         a = parse_precondition("i == 0")
         result = smt_equivalence(a, a, IVAR, solver=["/nonexistent/solver"])
@@ -289,6 +425,58 @@ class TestSmtEmission:
         a = parse_precondition("i == 0")
         result = smt_equivalence(a, a, IVAR)
         assert result == EquivUnknown("no solver")
+
+
+def assert_well_sorted(query: str) -> None:
+    """Sort-check the QF_BV subset that emit_smtlib writes: every operator
+    gets operands of one sort, so no solver is needed to catch a 56-bit term
+    compared against a 32-bit one."""
+    tokens = query.replace("(", " ( ").replace(")", " ) ").split()
+
+    def read(pos):
+        if tokens[pos] != "(":
+            return tokens[pos], pos + 1
+        items, pos = [], pos + 1
+        while tokens[pos] != ")":
+            item, pos = read(pos)
+            items.append(item)
+        return items, pos + 1
+
+    widths: dict[str, int] = {}
+
+    def sort(term):  # "Bool" or a bit-vector width
+        if isinstance(term, str):
+            assert term in widths, term
+            return widths[term]
+        head, *args = term
+        if head == "_":
+            assert args[0].startswith("bv") and int(args[0][2:]) < 2 ** int(args[1])
+            return int(args[1])
+        if isinstance(head, list):  # ((_ sign_extend k) t)
+            assert head[1] in ("sign_extend", "zero_extend") and len(args) == 1
+            inner = sort(args[0])
+            assert inner != "Bool"
+            return inner + int(head[2])
+        sorts = [sort(a) for a in args]
+        if head in ("and", "or", "not"):
+            assert set(sorts) == {"Bool"}, term
+            return "Bool"
+        assert len(set(sorts)) == 1, term
+        if head == "=" or head[3:] in ("lt", "le", "gt", "ge"):
+            return "Bool"
+        assert head in ("bvadd", "bvsub", "bvmul", "bvneg", "bvsdiv",
+                        "bvudiv", "bvsrem", "bvurem"), head
+        assert sorts[0] != "Bool"
+        return sorts[0]
+
+    pos = 0
+    while pos < len(tokens):
+        command, pos = read(pos)
+        if command[0] == "declare-const":
+            assert command[2][:2] == ["_", "BitVec"]
+            widths[command[1]] = int(command[2][2])
+        elif command[0] == "assert":
+            assert sort(command[1]) == "Bool", command
 
 
 solver_available = find_solver() is not None
