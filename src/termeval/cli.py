@@ -55,19 +55,32 @@ class RunConfig:
     prompt_kind: str  # "termination" | "precondition"
 
 
+class ConfigError(click.ClickException):
+    """A config that cannot be used; exits 2, as a usage error does."""
+    exit_code = 2
+
+
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
 def load_config(path: Path | str) -> RunConfig:
+    """The run config in the TOML file ``path``; a file that cannot be read,
+    parsed or used raises :class:`ConfigError`."""
     path = Path(path)
     try:
-        data = load_toml_text(path.read_text(encoding="utf-8"))
+        return _config_from(load_toml_text(path.read_text(encoding="utf-8")),
+                            path.parent)
     except OSError as exc:
-        raise click.ClickException(f"cannot read config: {exc}")
-    base = path.parent
+        raise ConfigError(f"cannot read config: {exc}")
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing {exc}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: {exc}")
 
+
+def _config_from(data: dict, base: Path) -> RunConfig:
     def rel(value) -> Path:
         p = Path(value)
         return p if p.is_absolute() else base / p
@@ -75,10 +88,7 @@ def load_config(path: Path | str) -> RunConfig:
     corpus_cfg = data.get("corpus", {})
     categories = None
     if "categories" in corpus_cfg:
-        try:
-            categories = {Category(c) for c in corpus_cfg["categories"]}
-        except ValueError as exc:
-            raise click.ClickException(f"bad category in config: {exc}")
+        categories = {Category(c) for c in corpus_cfg["categories"]}
 
     eval_cfg = data.get("eval", {})
     pool_size = int(eval_cfg.get("pool_size", 20))
@@ -131,7 +141,7 @@ def load_config(path: Path | str) -> RunConfig:
                 updates["reasoning_effort"] = str(m["reasoning_effort"])
             config = replace(config, **updates)
         if not config.replay and not config.endpoint_url:
-            raise click.ClickException(
+            raise ConfigError(
                 f"model {config.name}: live mode needs endpoint_url")
         models.append(config)
 
@@ -155,7 +165,7 @@ def _load_manifest_for(config: RunConfig) -> CorpusManifest:
     if config.manifest_path is not None:
         return corpus_mod.manifest_from_json(config.manifest_path)
     if config.corpus_root is None:
-        raise click.ClickException("config needs corpus.root or corpus.manifest")
+        raise ConfigError("config needs corpus.root or corpus.manifest")
     exclusions = (corpus_mod.load_exclusions(config.exclusions)
                   if config.exclusions else corpus_mod.load_exclusions())
     sidecar = (corpus_mod.SidecarTokenCounts.load(config.sidecar)

@@ -306,6 +306,17 @@ def _literal_type(value: int, is_decimal: bool, suffix: str) -> CType:
     return candidates[-1]
 
 
+def int_constant(text: str, suffix: str = "") -> tuple[int, CType]:
+    """Value and C type of an integer constant: ``0x`` starts a hexadecimal
+    one and any other leading ``0`` an octal one.  Raises ``ValueError`` on
+    a digit outside the base or past Python's limit on decimal digits."""
+    if len(text) > 1 and text[0] == "0":
+        value = int(text, 16 if text[1] in "xX" else 8)
+        return value, _literal_type(value, False, suffix)
+    value = int(text)
+    return value, _literal_type(value, True, suffix)
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i, n, line = 0, len(source), 1
@@ -350,15 +361,13 @@ def tokenize(source: str) -> list[Token]:
             while j < n and source[j] in "uUlL":
                 suffix += source[j]
                 j += 1
-            is_decimal = not text.lower().startswith("0x") and not (
-                len(text) > 1 and text.startswith("0"))
             try:
-                value = int(text, 0)
-            except ValueError:  # octal, or past Python's limit on digits
+                value, ctype = int_constant(text, suffix)
+            except ValueError:
                 raise CParseError(f"unsupported integer literal {text[:24]!r}",
                                   line)
             tokens.append(Token("num", text + suffix, line, value=value,
-                                ctype=_literal_type(value, is_decimal, suffix)))
+                                ctype=ctype))
             i = j
             continue
         if ch.isascii() and (ch.isalpha() or ch == "_"):
@@ -1144,102 +1153,8 @@ def compile_expr(expr: Expr, types: dict[str, CType],
     return _coerce(code, into), into
 
 
-def eval_expr(expr: Expr, env: dict[str, int],
-              types: dict[str, CType]) -> tuple[int, CType]:
-    """Evaluate ``expr`` under C semantics; returns (value, type).
-
-    See :func:`compile_expr`, which this compiles ``expr`` with.
-    """
-    fn, ctype = compile_expr(expr, types)
-    return fn(env), ctype
-
-
-def eval_value(expr: Expr, env: dict[str, int],
-               types: dict[str, CType] | None = None) -> int:
-    return eval_expr(expr, env, types or {})[0]
-
-
 # ---------------------------------------------------------------------------
-# Pretty printer and line resolution
-
-
-def format_expr(expr: Expr) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Unary):
-        return f"{expr.op}({format_expr(expr.operand)})"
-    if isinstance(expr, Binary):
-        return f"({format_expr(expr.left)} {expr.op} {format_expr(expr.right)})"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _format_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
-    pad = "    " * indent
-    if isinstance(stmt, Decl):
-        init = f" = {format_expr(stmt.init)}" if stmt.init is not None else ""
-        out.append(f"{pad}{stmt.ctype.name} {stmt.name}{init};")
-    elif isinstance(stmt, Assign):
-        out.append(f"{pad}{stmt.name} = {format_expr(stmt.expr)};")
-    elif isinstance(stmt, NondetAssign):
-        fn = next(k for k, v in NONDET_TYPES.items() if v == stmt.ctype)
-        out.append(f"{pad}{stmt.name} = {fn}();")
-    elif isinstance(stmt, If):
-        out.append(f"{pad}if ({format_expr(stmt.cond)}) {{")
-        for s in stmt.then_body:
-            _format_stmt(s, indent + 1, out)
-        if stmt.else_body:
-            out.append(f"{pad}}} else {{")
-            for s in stmt.else_body:
-                _format_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(stmt, While):
-        out.append(f"{pad}while ({format_expr(stmt.cond)}) {{")
-        for s in stmt.body:
-            _format_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(stmt, For):
-        parts = ["", "", ""]
-        if stmt.init is not None:
-            tmp: list[str] = []
-            _format_stmt(stmt.init, 0, tmp)
-            parts[0] = tmp[0].rstrip(";")
-        if stmt.cond is not None:
-            parts[1] = format_expr(stmt.cond)
-        if stmt.step is not None:
-            tmp = []
-            _format_stmt(stmt.step, 0, tmp)
-            parts[2] = tmp[0].rstrip(";")
-        out.append(f"{pad}for ({parts[0]}; {parts[1]}; {parts[2]}) {{")
-        for s in stmt.body:
-            _format_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    elif isinstance(stmt, Return):
-        expr = f" {format_expr(stmt.expr)}" if stmt.expr is not None else ""
-        out.append(f"{pad}return{expr};")
-    elif isinstance(stmt, Block):
-        out.append(f"{pad}{{")
-        for s in stmt.stmts:
-            _format_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-
-
-def pretty_print(program: Program) -> str:
-    """Render a Program back to plain C text (loses original line layout)."""
-    out: list[str] = []
-    for d in program.globals:
-        _format_stmt(d, 0, out)
-    for fn in program.functions.values():
-        ret = fn.ret_type.name if fn.ret_type else "void"
-        params = ", ".join(f"{t.name} {n}" for n, t in fn.params) or "void"
-        out.append(f"{ret} {fn.name}({params}) {{")
-        for s in fn.body:
-            _format_stmt(s, 1, out)
-        out.append("}")
-    return "\n".join(out) + "\n"
+# Statement traversal
 
 
 def _walk(stmts: list[Stmt]):
@@ -1263,44 +1178,3 @@ def iter_statements(program: Program):
     yield from _walk(program.globals)
     for fn in program.functions.values():
         yield from _walk(fn.body)
-
-
-def resolve_line(program: Program, line: int) -> list[Stmt]:
-    """All statements whose source line equals ``line`` (possibly empty)."""
-    return [s for s in iter_statements(program) if s.line == line]
-
-
-def strip_alpha(program: Program):
-    """Structural summary used for round-trip comparison: statement trees
-    with line tags dropped (pretty-printing renumbers lines)."""
-    def stmt_key(s: Stmt):
-        if isinstance(s, Decl):
-            init = format_expr(s.init) if s.init is not None else None
-            return ("decl", s.name, s.ctype.name, init)
-        if isinstance(s, Assign):
-            return ("assign", s.name, format_expr(s.expr))
-        if isinstance(s, NondetAssign):
-            return ("nondet", s.name, s.ctype.name)
-        if isinstance(s, If):
-            return ("if", format_expr(s.cond),
-                    tuple(stmt_key(x) for x in s.then_body),
-                    tuple(stmt_key(x) for x in s.else_body))
-        if isinstance(s, While):
-            return ("while", format_expr(s.cond),
-                    tuple(stmt_key(x) for x in s.body))
-        if isinstance(s, For):
-            return ("for",
-                    stmt_key(s.init) if s.init is not None else None,
-                    format_expr(s.cond) if s.cond is not None else None,
-                    stmt_key(s.step) if s.step is not None else None,
-                    tuple(stmt_key(x) for x in s.body))
-        if isinstance(s, Return):
-            return ("return", format_expr(s.expr) if s.expr is not None else None)
-        if isinstance(s, Block):
-            return ("block", tuple(stmt_key(x) for x in s.stmts))
-        raise TypeError(s)
-
-    return {
-        name: tuple(stmt_key(s) for s in fn.body)
-        for name, fn in program.functions.items()
-    }

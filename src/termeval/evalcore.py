@@ -74,10 +74,6 @@ def score_sample(outcome: SampleOutcome) -> int:
     return SCORE_TABLE[outcome]
 
 
-WORST_CASE = {Verdict.T: SampleOutcome.FP, Verdict.NT: SampleOutcome.FN}
-BEST_CASE = {Verdict.T: SampleOutcome.TN, Verdict.NT: SampleOutcome.TP_VALID}
-
-
 # ---------------------------------------------------------------------------
 # Category-weighted score
 
@@ -99,39 +95,6 @@ def svcomp_score(aggregates: list[CategoryAggregate]) -> float:
     k = len(aggregates)
     total_n = sum(agg.n_i for agg in aggregates)
     return (1.0 / k) * sum(agg.s_i / agg.n_i for agg in aggregates) * total_n
-
-
-def aggregate_outcomes(outcomes: dict[str, SampleOutcome],
-                       categories: dict[str, str]) -> list[CategoryAggregate]:
-    """Sum per-sample points into one aggregate per category."""
-    sums: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for task_id, outcome in outcomes.items():
-        cat = categories[task_id]
-        sums[cat] = sums.get(cat, 0) + score_sample(outcome)
-        counts[cat] = counts.get(cat, 0) + 1
-    return [CategoryAggregate(cat, sums[cat], counts[cat])
-            for cat in sorted(sums)]
-
-
-# ---------------------------------------------------------------------------
-# Consensus test-time scaling
-
-
-def consensus_of(votes: list[Verdict]) -> Verdict:
-    """Unanimity among the non-unknown votes, otherwise unknown."""
-    decided = {v for v in votes if v is not Verdict.UNK}
-    if len(decided) == 1:
-        return next(iter(decided))
-    return Verdict.UNK
-
-
-def tts_consensus(votes: list[Verdict], n: int, rng: random.Random) -> Verdict:
-    """Draw ``n`` votes without replacement and answer only on unanimity."""
-    if n > len(votes):
-        raise ValueError(f"cannot draw {n} of {len(votes)} votes")
-    drawn = [votes[i] for i in sorted(rng.sample(range(len(votes)), n))]
-    return consensus_of(drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +273,6 @@ def _f1(correct: int, predicted: int, expected: int) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-def f1_per_class(outcomes: list[tuple[Verdict, Verdict]]) -> dict[str, float]:
-    """Per-class F1 where an unknown counts as no prediction: it joins no
-    predicted-class tally but its sample still weighs down recall."""
-    result = {}
-    for cls, key in ((Verdict.T, "F1_T"), (Verdict.NT, "F1_NT")):
-        predicted = sum(1 for _, p in outcomes if p is cls)
-        expected = sum(1 for e, _ in outcomes if e is cls)
-        correct = sum(1 for e, p in outcomes if e is cls and p is cls)
-        result[key] = _f1(correct, predicted, expected)
-    return result
 
 
 # ---------------------------------------------------------------------------

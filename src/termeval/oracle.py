@@ -39,6 +39,9 @@ class ModelConfig:
     replay: bool = False
 
     def __post_init__(self):
+        # the name is a directory of the generation cache
+        if self.name in ("", ".", "..") or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"bad model name {self.name!r}")
         if not 0 < self.top_p <= 1:
             raise ValueError("top_p must be in (0, 1]")
         if self.temperature is not None and self.temperature < 0:
@@ -90,15 +93,6 @@ _PROMPT_DIR = resources.files("termeval") / "resources" / "prompts"
 
 def _read_template(name: str) -> str:
     return (_PROMPT_DIR / name).read_text(encoding="utf-8")
-
-
-def prompt_template_hashes() -> dict[str, str]:
-    """SHA-256 of each prompt template, pinned by a golden test."""
-    return {
-        name: hashlib.sha256(_read_template(name).encode("utf-8")).hexdigest()
-        for name in ("termination_instructions.txt", "termination_examples.txt",
-                     "divergence_domain.txt")
-    }
 
 
 def build_termination_prompt(task: TaskSpec) -> str:
@@ -211,7 +205,21 @@ def _persist_raw(path: Path, payload: dict) -> None:
     tmp.replace(path)
 
 
-def _record_from_payload(payload: dict) -> GenerationRecord:
+_RECORD_TYPES = {"task_id": str, "model": str, "sample_index": int,
+                 "prompt_hash": str, "raw_text": str, "latency": (int, float),
+                 "timestamp": (int, float), "transport_error": (str, type(None))}
+
+
+def _record_from_payload(payload: object) -> GenerationRecord:
+    """Raises ``ValueError`` when ``payload`` is not a well-typed record."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a JSON {type(payload).__name__}, not an object")
+    for name in ("task_id", "model", "sample_index"):
+        if name not in payload:
+            raise ValueError(f"no {name!r}")
+    for name, value in payload.items():
+        if name in _RECORD_TYPES and not isinstance(value, _RECORD_TYPES[name]):
+            raise ValueError(f"{name!r} is a {type(value).__name__}")
     error = payload.get("transport_error")
     raw = payload.get("raw_text", "")
     if error:
@@ -229,6 +237,24 @@ def _record_from_payload(payload: dict) -> GenerationRecord:
         timestamp=payload.get("timestamp", 0.0),
         transport_error=error,
     )
+
+
+def _sample_index(path: Path) -> int:
+    return int(path.stem) if path.stem.isdigit() else 0
+
+
+def _load_record(path: Path, model_name: str, task_id: str) -> GenerationRecord:
+    """The record cached at ``path``.  A file that cannot be read or decoded,
+    or holds an ill-typed record, becomes a ``cache:`` format error with no
+    text: it scores as unknown, and the pool keeps its size."""
+    try:
+        return _record_from_payload(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, RecursionError) as exc:
+        return GenerationRecord(
+            task_id=task_id, model=model_name, sample_index=_sample_index(path),
+            prompt_hash="", raw_text="",
+            parsed=FormatError(f"cache: {path.name}: {exc}", ""),
+            latency=0.0, timestamp=0.0)
 
 
 def generate(model: ModelConfig, prompt: str, n: int, *,
@@ -250,8 +276,7 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
         for index in range(n):
             path = record_path(run_dir, model.name, task_id, index)
             if path.exists():
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                records.append(_record_from_payload(payload))
+                records.append(_load_record(path, model.name, task_id))
                 continue
             if model.replay:
                 raise FileNotFoundError(
@@ -289,12 +314,8 @@ def replay_records(run_dir: Path | str, model_name: str,
     task_dir = Path(run_dir) / model_name / task_id
     if not task_dir.is_dir():
         return []
-    records = []
-    for path in sorted(task_dir.glob("*.json"),
-                       key=lambda p: int(p.stem) if p.stem.isdigit() else 0):
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        records.append(_record_from_payload(payload))
-    return records
+    return [_load_record(path, model_name, task_id)
+            for path in sorted(task_dir.glob("*.json"), key=_sample_index)]
 
 
 def list_models(run_dir: Path | str) -> list[str]:

@@ -9,8 +9,9 @@ builds :mod:`cparse` expression trees, and cparse gives them C's meaning.
 Equivalence is decided under machine-integer semantics: variables range over
 their declared width, operands take C's integer promotions and usual
 arithmetic conversions, operations wrap, ``/`` and ``%`` truncate toward
-zero, and literals too wide for int take a 64-bit type (so
-``i >= -2147483649`` compares in 64 bits, exactly as C would).  Two backends
+zero, and literals take C's types: a leading ``0`` is octal, and literals
+too wide for int take a wider type (so ``i >= -2147483649`` compares in 64
+bits, exactly as C would).  Two backends
 are provided: a brute-force check that compiles each formula once with
 :func:`cparse.compile_expr` and runs it over a boxed domain plus width
 sentinels, within an assignment budget; and an SMT-LIB bit-vector encoding
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cparse import (
-    INT, LONG, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, Binary, CType, EvalUndefined,
-    Expr, IntLit, Unary, Var, compile_expr, eval_expr, expr_depth, promote,
+    INT, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, Binary, CType, EvalUndefined,
+    Expr, IntLit, Unary, Var, compile_expr, expr_depth, int_constant, promote,
     usual_arithmetic_type,
 )
 
@@ -201,11 +202,11 @@ class _PrecondParser:
         tok = self.next()
         if tok.kind == "num":
             try:
-                value = int(tok.text)
-            except ValueError:  # past Python's limit on digits
-                raise PrecondParseError("integer literal too long", tok.pos)
-            # the type of an unsuffixed decimal C literal
-            return IntLit(value, INT if value <= INT.max else LONG)
+                value, ctype = int_constant(tok.text)
+            except ValueError:  # 08, or past Python's limit on digits
+                raise PrecondParseError(f"bad integer literal {tok.text[:24]!r}",
+                                        tok.pos)
+            return IntLit(value, ctype)
         if tok.kind == "name":
             if self.known_vars is not None and tok.text not in self.known_vars:
                 raise PrecondParseError(f"unknown identifier {tok.text!r}", tok.pos)
@@ -240,11 +241,6 @@ def variables_of(expr: Expr) -> set[str]:
         elif isinstance(node, Binary):
             stack += [node.left, node.right]
     return names
-
-
-def eval_precondition(expr: Expr, env: dict[str, int],
-                      types: dict[str, CType]) -> bool:
-    return bool(eval_expr(expr, env, types)[0])
 
 
 # ---------------------------------------------------------------------------

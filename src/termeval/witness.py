@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -423,40 +422,3 @@ def emit_graphml(w: WitnessAutomaton, task, meta: ProducerMeta) -> str:
     out.append("  </graph>")
     out.append("</graphml>")
     return "\n".join(out) + "\n"
-
-
-def parse_graphml(text: str) -> WitnessAutomaton:
-    """Read a witness automaton back from GraphML (round-trip checks)."""
-    ns = "{http://graphml.graphdrawing.org/xmlns}"
-    root = ET.fromstring(text)
-    graph = root.find(f"{ns}graph")
-    if graph is None:
-        raise ValueError("no graph element")
-
-    def data_map(element) -> dict[str, str]:
-        return {d.get("key"): (d.text or "") for d in element.findall(f"{ns}data")}
-
-    nodes = []
-    for el in graph.findall(f"{ns}node"):
-        data = data_map(el)
-        nodes.append(WitnessNode(
-            id=el.get("id", ""),
-            entry=data.get("entry", "false") == "true",
-            cyclehead=data.get("cyclehead", "false") == "true",
-        ))
-    edges = []
-    for el in graph.findall(f"{ns}edge"):
-        data = data_map(el)
-        edges.append(WitnessEdge(
-            id=el.get("id", ""),
-            source=el.get("source", ""),
-            target=el.get("target", ""),
-            line=int(data["startline"]) if "startline" in data else None,
-            sourcecode=data.get("sourcecode"),
-            control=data.get("control"),
-            assumption=data.get("assumption"),
-            enter_loop_head=data.get("enterLoopHead", "false") == "true",
-            enter_function=data.get("enterFunction"),
-            return_from=data.get("returnFromFunction"),
-        ))
-    return WitnessAutomaton(tuple(nodes), tuple(edges))

@@ -19,9 +19,8 @@ import pytest
 from termeval import corpus as corpus_mod
 from termeval.cparse import INT, parse_program
 from termeval.evalcore import (
-    BEST_CASE, WORST_CASE, CategoryAggregate, SampleOutcome,
-    WitnessStatus, aggregate_outcomes, classify_sample, consensus_of,
-    f1_per_class, pass_at_k, score_sample, svcomp_score, tts_consensus,
+    CategoryAggregate, EvalConfig, PoolEntry, SampleOutcome, WitnessStatus,
+    bootstrap_eval, classify_sample, pass_at_k, score_sample, svcomp_score,
 )
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, ProvenInfinite,
@@ -30,14 +29,17 @@ from termeval.lasso import (
 )
 from termeval.precond import (
     Equivalent, EquivUnknown, Inequivalent, brute_equivalence,
-    check_equivalence, eval_precondition, find_solver, parse_precondition,
-    smt_equivalence,
+    check_equivalence, find_solver, parse_precondition, smt_equivalence,
 )
 from termeval.witness import (
     Verdict, WitnessAutomaton, WitnessEdge, WitnessNode, witness_from_json,
 )
 
 from conftest import FIXTURES, load_program, load_witness_json
+from reference import (
+    BEST_CASE, WORST_CASE, aggregate_outcomes, consensus_of, eval_expr,
+    f1_per_class, tts_consensus,
+)
 from test_precond import random_boolean_expr
 
 
@@ -324,11 +326,13 @@ def test_criterion_5_checker_soundness():
 # 6. Consensus behaviour vs. hypergeometric enumeration
 
 
-def exact_unknown_probability(n_t: int, n_nt: int, n_unk: int,
-                              draw: int) -> float:
+def exact_answer_probabilities(n_t: int, n_nt: int, n_unk: int,
+                               draw: int) -> dict[Verdict, Fraction]:
+    """Chance of each consensus answer when ``draw`` votes are drawn without
+    replacement from a pool of the given composition."""
     pool = n_t + n_nt + n_unk
     total = math.comb(pool, draw)
-    p = Fraction(0)
+    p = {T: Fraction(0), NT: Fraction(0), UNK: Fraction(0)}
     for k_t in range(min(n_t, draw) + 1):
         for k_nt in range(min(n_nt, draw - k_t) + 1):
             k_unk = draw - k_t - k_nt
@@ -336,14 +340,59 @@ def exact_unknown_probability(n_t: int, n_nt: int, n_unk: int,
                 continue
             ways = (math.comb(n_t, k_t) * math.comb(n_nt, k_nt)
                     * math.comb(n_unk, k_unk))
-            if (k_t > 0) == (k_nt > 0):  # both classes or neither: unknown
-                p += Fraction(ways, total)
-    return float(p)
+            # both classes or neither: unknown
+            answer = UNK if (k_t > 0) == (k_nt > 0) else T if k_t else NT
+            p[answer] += Fraction(ways, total)
+    return p
+
+
+def exact_unknown_probability(n_t: int, n_nt: int, n_unk: int,
+                              draw: int) -> float:
+    return float(exact_answer_probabilities(n_t, n_nt, n_unk, draw)[UNK])
+
+
+def bootstrap_pools(compositions: dict[str, tuple[Verdict, list[Verdict]]],
+                    cfg: EvalConfig, mode: str):
+    """``bootstrap_eval`` over one category of tasks, each given as
+    (expected verdict, pool of votes without witnesses)."""
+    pools = {task: [PoolEntry(v) for v in votes]
+             for task, (_, votes) in compositions.items()}
+    expected = {task: want for task, (want, _) in compositions.items()}
+    return bootstrap_eval(pools, expected, dict.fromkeys(expected, "c"),
+                          cfg, mode)
 
 
 def test_criterion_6_tts_behaviour():
     with Criterion(6, "consensus draws match exact enumeration", budget=30.0):
         compositions = [(10, 10, 0), (17, 1, 2), (12, 6, 2), (6, 6, 8)]
+        # the production bootstrap: 50,000 (run, task) draws per composition
+        cfg = EvalConfig(pool_size=20, n_bootstrap=100, tts_n=10,
+                         rng_seed=0x775)
+        tasks = 500
+        for n_t, n_nt, n_unk in compositions:
+            votes = [T] * n_t + [NT] * n_nt + [UNK] * n_unk
+            exact = exact_answer_probabilities(n_t, n_nt, n_unk, 10)
+            tts = bootstrap_pools({f"t{i}": (T, votes) for i in range(tasks)},
+                                  cfg, "tts")
+            assert abs(tts.unk_fraction - exact_unknown_probability(
+                n_t, n_nt, n_unk, 10)) < 0.02, (n_t, n_nt, n_unk)
+            # every task expects T, so a T answer scores 2 and an NT answer
+            # -16: the mean score gives the share of each answer
+            points = sum(tts.per_run_scores) / (cfg.n_bootstrap * tasks)
+            nt_share = (2 * (1 - tts.unk_fraction) - points) / 18
+            t_share = 1 - tts.unk_fraction - nt_share
+            assert abs(nt_share - exact[NT]) < 0.02, (n_t, n_nt, n_unk)
+            assert abs(t_share - exact[T]) < 0.02, (n_t, n_nt, n_unk)
+
+        # unanimity is deterministic regardless of the draw
+        unanimous = {f"t{i}": (T, [T] * 20) for i in range(20)}
+        unanimous.update({f"n{i}": (NT, [NT] * 15 + [UNK] * 5)
+                          for i in range(20)})
+        tts = bootstrap_pools(unanimous, cfg, "tts")
+        assert tts.unk_fraction == 0
+        assert set(tts.per_run_f1) == {(1.0, 1.0)}
+
+        # the reference rule, drawn directly
         draws = 100_000
         rng = random.Random(0x775)
         for n_t, n_nt, n_unk in compositions:
@@ -357,7 +406,6 @@ def test_criterion_6_tts_behaviour():
                     unk += 1
             assert abs(unk / draws - exact) < 0.02, (n_t, n_nt, n_unk)
 
-        # unanimity is deterministic regardless of the draw
         for _ in range(2000):
             assert tts_consensus([T] * 20, 10, rng) is T
             assert tts_consensus([NT] * 15 + [UNK] * 5, 10, rng) is NT
@@ -367,14 +415,30 @@ def test_criterion_6_tts_behaviour():
 # 7. F1 conventions
 
 
+def bootstrap_f1(pairs: list[tuple[Verdict, Verdict]], mode: str):
+    """Per-class F1 of one bootstrap run over one-generation pools."""
+    cfg = EvalConfig(pool_size=1, n_bootstrap=1, tts_n=1)
+    result = bootstrap_pools(
+        {f"t{i}": (want, [got]) for i, (want, got) in enumerate(pairs)},
+        cfg, mode)
+    f1_t, f1_nt = result.per_run_f1[0]
+    return {"F1_T": f1_t, "F1_NT": f1_nt}
+
+
 def test_criterion_7_f1_conventions():
     with Criterion(7, "F1 worked examples", budget=1.0):
-        half = f1_per_class([(NT, NT)] * 5 + [(NT, UNK)] * 5)
-        assert half["F1_NT"] == 2 / 3
-        nothing = f1_per_class([(T, UNK)] * 4 + [(NT, UNK)] * 6)
-        assert nothing == {"F1_T": 0.0, "F1_NT": 0.0}
-        perfect = f1_per_class([(T, T)] * 4 + [(NT, NT)] * 6)
-        assert perfect == {"F1_T": 1.0, "F1_NT": 1.0}
+        half = [(NT, NT)] * 5 + [(NT, UNK)] * 5
+        nothing = [(T, UNK)] * 4 + [(NT, UNK)] * 6
+        perfect = [(T, T)] * 4 + [(NT, NT)] * 6
+        for mode in ("single", "tts"):
+            assert bootstrap_f1(half, mode)["F1_NT"] == 2 / 3
+            assert bootstrap_f1(nothing, mode) == {"F1_T": 0.0, "F1_NT": 0.0}
+            assert bootstrap_f1(perfect, mode) == {"F1_T": 1.0, "F1_NT": 1.0}
+
+        # the reference rule
+        assert f1_per_class(half)["F1_NT"] == 2 / 3
+        assert f1_per_class(nothing) == {"F1_T": 0.0, "F1_NT": 0.0}
+        assert f1_per_class(perfect) == {"F1_T": 1.0, "F1_NT": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +494,7 @@ def test_criterion_9_precondition_equivalence():
         result = check_equivalence(wrong, right, ivar, mode="brute")
         assert isinstance(result, Inequivalent)
         env = result.counterexample
-        assert eval_precondition(wrong, env, ivar) != \
-            eval_precondition(right, env, ivar)
+        assert eval_expr(wrong, env, ivar)[0] != eval_expr(right, env, ivar)[0]
 
         rng = random.Random(0x9E9)
         box = (-12, 11)

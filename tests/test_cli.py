@@ -91,6 +91,31 @@ class TestLoadConfig:
         with pytest.raises(click.ClickException):
             load_config(config_path)
 
+    @pytest.mark.parametrize("body, message", [
+        ('[[models]]\nname = "org/model"\nmode = "replay"',
+         "bad model name 'org/model'"),
+        ('[[models]]\nname = "a\\\\b"\nmode = "replay"', "bad model name"),
+        ('[[models]]\nname = ".."\nmode = "replay"', "bad model name '..'"),
+        ('[[models]]\nname = ""\nmode = "replay"', "bad model name ''"),
+        ('[[models]]\nmode = "replay"', "missing 'name'"),
+        ('[[models]]\nname = "m"\nmode = "replay"\ntop_p = 2', "top_p"),
+        ('[[models]]\nname = "m"\nmode = "replay"\npreset = "hot"',
+         "unknown sampling preset"),
+        ('[eval]\npool_size = 5\ntts_n = 10', "tts_n must not exceed"),
+        ('[eval]\npool_size = "many"', "'many'"),
+        ('[checker]\ndomain = 3', "not subscriptable"),
+        ("[eval\n", "c.toml"),
+    ], ids=["slash", "backslash", "dot-dot", "empty-name", "no-name", "top-p",
+            "preset", "tts-n", "pool-size", "domain", "bad-toml"])
+    def test_bad_config_exits_2(self, runner, tmp_path, body, message):
+        config_path = tmp_path / "c.toml"
+        config_path.write_text(f'[corpus]\nroot = "x"\n{body}\n')
+        result = runner.invoke(main, ["run", "-c", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert message in result.output
+
 
 class TestIngestCommand:
     def test_counts_table(self, runner):
@@ -294,6 +319,42 @@ class TestScoreCommand:
             report = json.loads((run_dir / "report" / "report.json").read_text())
             assert [m["model"] for m in report["models"]] == \
                 ["oracle-a", "oracle-b"]
+
+    def test_corrupt_cache_records_score_unknown(self, runner, tmp_path,
+                                                 monkeypatch):
+        from termeval import cli
+        from termeval.evalcore import PoolEntry
+        from termeval.witness import Verdict
+        from test_oracle import BAD_RECORDS
+
+        pools = {}
+        build_pools = cli.build_pools
+
+        def keep_pools(manifest, run_dir, model_name, *args, **kwargs):
+            result = build_pools(manifest, run_dir, model_name, *args, **kwargs)
+            pools[model_name] = result[0]
+            return result
+
+        monkeypatch.setattr(cli, "build_pools", keep_pools)
+        workspace = copy_fixture_workspace(tmp_path)
+        model_dir = workspace / "runs" / "demo" / "oracle-b"
+        victims = [model_dir / "control-loops" / "count_to_ten" / f"{i}.json"
+                   for i in range(3)]
+        victims.append(model_dir / "misc" / "heap_user" / "1.json")
+        for victim, kind in zip(victims, ["raw text not a string",
+                                          "list payload", "no task id",
+                                          "truncated"]):
+            victim.write_text(BAD_RECORDS[kind])
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        unknown = PoolEntry(Verdict.UNK)
+        assert pools["oracle-b"]["control-loops/count_to_ten"] == [unknown] * 3
+        assert pools["oracle-b"]["misc/heap_user"][1] == unknown
+        assert len(pools["oracle-b"]["misc/heap_user"]) == 3
 
     def test_incomplete_pool_exit_1(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)

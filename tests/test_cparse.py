@@ -5,12 +5,12 @@ from termeval import cparse
 from termeval.corpus import number_lines
 from termeval.cparse import (
     Assign, Binary, CParseError, EvalUndefined, If, IntLit, NondetAssign,
-    Program, UnsupportedConstruct, Var, While, eval_expr, eval_value,
-    parse_expression, parse_program, pretty_print, resolve_line, strip_alpha,
-    INT, UINT, wrap,
+    Program, UnsupportedConstruct, Var, While, parse_expression,
+    parse_program, INT, UINT, wrap,
 )
 
 from conftest import load_program
+from reference import eval_expr, pretty_print, resolve_line, strip_alpha
 
 
 def collect(program, kind):
@@ -254,39 +254,40 @@ class TestCompiledExpressions:
 
 class TestSemantics:
     def test_truncated_division(self):
-        assert eval_value(parse_expression("-7 / 2"), {}) == -3
-        assert eval_value(parse_expression("7 / -2"), {}) == -3
-        assert eval_value(parse_expression("-7 % 2"), {}) == -1
-        assert eval_value(parse_expression("7 % -2"), {}) == 1
+        assert eval_expr(parse_expression("-7 / 2"), {}, {})[0] == -3
+        assert eval_expr(parse_expression("7 / -2"), {}, {})[0] == -3
+        assert eval_expr(parse_expression("-7 % 2"), {}, {})[0] == -1
+        assert eval_expr(parse_expression("7 % -2"), {}, {})[0] == 1
 
     def test_wraparound_add(self):
         env = {"x": 2**31 - 1}
-        assert eval_value(parse_expression("x + 1"), env, {"x": INT}) == -(2**31)
+        value, _ = eval_expr(parse_expression("x + 1"), env, {"x": INT})
+        assert value == -(2**31)
 
     def test_wraparound_multiplication(self):
         env = {"x": 2**30}
-        assert eval_value(parse_expression("x * 4"), env, {"x": INT}) == 0
+        assert eval_expr(parse_expression("x * 4"), env, {"x": INT})[0] == 0
 
     def test_division_by_zero_undefined(self):
         with pytest.raises(EvalUndefined):
-            eval_value(parse_expression("1 / 0"), {})
+            eval_expr(parse_expression("1 / 0"), {}, {})[0]
         with pytest.raises(EvalUndefined):
-            eval_value(parse_expression("1 % 0"), {})
+            eval_expr(parse_expression("1 % 0"), {}, {})[0]
 
     def test_bitwise_and_shifts(self):
-        assert eval_value(parse_expression("5 & 3"), {}) == 1
-        assert eval_value(parse_expression("5 | 2"), {}) == 7
-        assert eval_value(parse_expression("5 ^ 1"), {}) == 4
-        assert eval_value(parse_expression("1 << 4"), {}) == 16
-        assert eval_value(parse_expression("-8 >> 1"), {}) == -4
+        assert eval_expr(parse_expression("5 & 3"), {}, {})[0] == 1
+        assert eval_expr(parse_expression("5 | 2"), {}, {})[0] == 7
+        assert eval_expr(parse_expression("5 ^ 1"), {}, {})[0] == 4
+        assert eval_expr(parse_expression("1 << 4"), {}, {})[0] == 16
+        assert eval_expr(parse_expression("-8 >> 1"), {}, {})[0] == -4
 
     def test_bitwise_not(self):
-        assert eval_value(parse_expression("~x"), {"x": -64}, {"x": INT}) == 63
+        assert eval_expr(parse_expression("~x"), {"x": -64}, {"x": INT})[0] == 63
 
     def test_logic_short_circuit(self):
         # right operand would divide by zero; && must not evaluate it
-        assert eval_value(parse_expression("0 && (1 / 0)"), {}) == 0
-        assert eval_value(parse_expression("1 || (1 / 0)"), {}) == 1
+        assert eval_expr(parse_expression("0 && (1 / 0)"), {}, {})[0] == 0
+        assert eval_expr(parse_expression("1 || (1 / 0)"), {}, {})[0] == 1
 
     def test_int_min_literal_is_long(self):
         # 2147483648 does not fit int, so -2147483648 compares in 64 bits
@@ -298,12 +299,12 @@ class TestSemantics:
         # i >= -2147483649 is vacuously true for any 32-bit i
         expr = parse_expression("i >= -2147483649")
         for i in (-2**31, -1, 0, 2**31 - 1):
-            assert eval_value(expr, {"i": i}, {"i": INT}) == 1
+            assert eval_expr(expr, {"i": i}, {"i": INT})[0] == 1
 
     def test_unsigned_comparison(self):
         expr = parse_expression("x > 0")
-        assert eval_value(expr, {"x": -1}, {"x": UINT}) == 1
-        assert eval_value(expr, {"x": -1}, {"x": INT}) == 0
+        assert eval_expr(expr, {"x": -1}, {"x": UINT})[0] == 1
+        assert eval_expr(expr, {"x": -1}, {"x": INT})[0] == 0
 
     def test_char_promotion(self):
         expr = parse_expression("c + 1")
@@ -324,8 +325,8 @@ class TestSemantics:
         a32, b32 = wrap(a, INT), wrap(b, INT)
         if b32 == 0:
             return
-        q = eval_value(Binary("/", IntLit(a32), IntLit(b32)), {})
-        r = eval_value(Binary("%", IntLit(a32), IntLit(b32)), {})
+        q = eval_expr(Binary("/", IntLit(a32), IntLit(b32)), {}, {})[0]
+        r = eval_expr(Binary("%", IntLit(a32), IntLit(b32)), {}, {})[0]
         assert wrap(q * b32 + r, INT) == a32
 
 
@@ -336,10 +337,10 @@ class TestExpressionParsing:
 
     def test_precedence(self):
         expr = parse_expression("1 + 2 * 3 == 7")
-        assert eval_value(expr, {}) == 1
+        assert eval_expr(expr, {}, {})[0] == 1
 
     def test_parentheses(self):
-        assert eval_value(parse_expression("(1 + 2) * 3"), {}) == 9
+        assert eval_expr(parse_expression("(1 + 2) * 3"), {}, {})[0] == 9
 
     @pytest.mark.parametrize("text", [
         "(" * 3000 + "x" + ")" * 3000,
@@ -350,19 +351,34 @@ class TestExpressionParsing:
         with pytest.raises(CParseError, match="deeper than"):
             parse_expression(text)
 
-    @pytest.mark.parametrize("literal", ["010", "9" * 5000])
+    @pytest.mark.parametrize("literal", ["08", "9" * 5000])
     def test_literal_int_refuses_is_parse_error(self, literal):
-        # int(text, 0) rejects C octal and more than 4,300 digits with a
-        # ValueError
+        # 8 is not an octal digit, and int() rejects more than 4,300 decimal
+        # digits with a ValueError
         with pytest.raises(CParseError, match="unsupported integer literal"):
             parse_expression("x == " + literal)
+
+    @pytest.mark.parametrize("literal, value, ctype", [
+        ("010", 8, INT), ("0", 0, INT), ("00", 0, INT), ("0777u", 511, UINT),
+        ("0x1F", 31, INT), ("017777777777", 2**31 - 1, INT),
+        # a non-decimal constant takes unsigned int before long
+        ("020000000000", 2**31, UINT), ("2147483648", 2**31, cparse.LONG),
+    ])
+    def test_leading_zero_is_octal(self, literal, value, ctype):
+        token = cparse.tokenize(literal)[0]
+        assert (token.value, token.ctype) == (value, ctype)
+
+    def test_octal_in_a_program(self):
+        program = parse_program("int main() { int x = 010; return 0; }")
+        assert isinstance(program, Program)
+        assert program.main.body[0].init == IntLit(8)
 
     def test_nesting_at_the_limit_parses(self):
         depth = cparse.MAX_EXPR_NESTING
         expr = parse_expression("(" * depth + "x + 1" + ")" * depth)
-        assert eval_value(expr, {"x": 1}) == 2
+        assert eval_expr(expr, {"x": 1}, {})[0] == 2
 
     def test_paper_style_guard(self):
         expr = parse_expression("i >= -5 && i <= 5")
-        assert eval_value(expr, {"i": 0}, {"i": INT}) == 1
-        assert eval_value(expr, {"i": 6}, {"i": INT}) == 0
+        assert eval_expr(expr, {"i": 0}, {"i": INT})[0] == 1
+        assert eval_expr(expr, {"i": 6}, {"i": INT})[0] == 0

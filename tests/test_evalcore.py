@@ -8,13 +8,17 @@ from hypothesis import given, strategies as st
 
 from termeval.corpus import LengthBinning
 from termeval.evalcore import (
-    BEST_CASE, WORST_CASE, CategoryAggregate, ConfusionCounts, EvalConfig,
-    PoolEntry, SampleOutcome, WitnessStatus, aggregate_outcomes,
-    bootstrap_eval, classify_sample, consensus_of, f1_per_class, pass_at_k,
-    score_by_length_bin, score_sample, svcomp_score, task_rng, tts_consensus,
-    unknown_rates, witness_metrics,
+    CategoryAggregate, ConfusionCounts, EvalConfig, PoolEntry, SampleOutcome,
+    WitnessStatus, bootstrap_eval, classify_sample, pass_at_k,
+    score_by_length_bin, score_sample, svcomp_score, task_rng, unknown_rates,
+    witness_metrics,
 )
 from termeval.witness import Verdict
+
+from reference import (
+    BEST_CASE, WORST_CASE, aggregate_outcomes, consensus_of, f1_per_class,
+    tts_consensus,
+)
 
 T, NT, UNK = Verdict.T, Verdict.NT, Verdict.UNK
 VALID, INVALID, ABSENT = (WitnessStatus.VALID, WitnessStatus.INVALID,

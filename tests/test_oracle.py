@@ -10,9 +10,11 @@ from termeval.corpus import Architecture, Category, TaskSpec, number_lines
 from termeval.oracle import (
     AuthError, ModelConfig, SAMPLING_PRESETS, apply_preset,
     build_precondition_prompt, build_termination_prompt, generate,
-    prompt_hash, prompt_template_hashes, record_path, replay_records,
+    prompt_hash, record_path, replay_records,
 )
 from termeval.witness import FormatError, Prediction, Verdict
+
+from reference import prompt_template_hashes
 
 # accidental prompt edits change evaluation behaviour: fail loudly
 PINNED_TEMPLATE_HASHES = {
@@ -97,6 +99,11 @@ class TestModelConfig:
             ModelConfig(name="m", temperature=-1.0)
         with pytest.raises(ValueError):
             ModelConfig(name="m", reasoning_effort="extreme")
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "org/model", "a\\b"])
+    def test_name_must_be_one_cache_directory(self, name):
+        with pytest.raises(ValueError, match="bad model name"):
+            ModelConfig(name=name)
 
 
 class StubEndpoint:
@@ -305,3 +312,46 @@ class TestGenerate:
                  sleep=no_sleep)
         assert (tmp_path / "modelx" / "suite" / "task1" / "0.json").exists()
         assert (tmp_path / "modelx" / "suite" / "task1" / "1.json").exists()
+
+
+# one of each kind of record the cache may hold but no run writes
+BAD_RECORDS = {
+    "raw text not a string": '{"task_id": "t", "model": "m", '
+                             '"sample_index": 0, "raw_text": 5}',
+    "list payload": '[1, 2]',
+    "no task id": '{"model": "m", "sample_index": 0, "raw_text": "{}"}',
+    "truncated": '{"task_id": "t", "model": "m", "sample_in',
+    "deep": "[" * 100_000,
+    "not utf-8": b'{"raw_text": "\xff"}',
+}
+
+
+class TestCorruptCache:
+    @pytest.mark.parametrize("content", BAD_RECORDS.values(),
+                             ids=BAD_RECORDS.keys())
+    def test_bad_record_is_a_cache_format_error(self, tmp_path, content):
+        good = {"task_id": "t", "model": "m", "sample_index": 0,
+                "raw_text": '{"verdict": true}'}
+        record_path(tmp_path, "m", "t", 0).parent.mkdir(parents=True)
+        record_path(tmp_path, "m", "t", 0).write_text(json.dumps(good))
+        bad = record_path(tmp_path, "m", "t", 1)
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        records = replay_records(tmp_path, "m", "t")
+        assert [r.sample_index for r in records] == [0, 1]
+        assert records[0].parsed.verdict is Verdict.T
+        assert isinstance(records[1].parsed, FormatError)
+        assert records[1].parsed.message.startswith("cache: 1.json: ")
+        assert (records[1].task_id, records[1].model) == ("t", "m")
+        assert records[1].raw_text == ""
+
+    def test_generate_keeps_a_bad_cached_record(self, tmp_path):
+        path = record_path(tmp_path, "m", "t", 0)
+        path.parent.mkdir(parents=True)
+        path.write_text(BAD_RECORDS["truncated"])
+        model = ModelConfig(name="m", replay=True)
+        records = generate(model, "p", 1, run_dir=tmp_path, task_id="t",
+                           sleep=no_sleep)
+        assert records[0].parsed.message.startswith("cache: 0.json: ")

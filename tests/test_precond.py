@@ -5,17 +5,17 @@ import pytest
 from termeval import cparse
 from termeval.cparse import (
     CHAR, INT, LONG, SHORT, UCHAR, UINT, USHORT, Binary, IntLit, Unary, Var,
-    eval_expr, format_expr,
 )
 from termeval.evalcore import pass_at_k
 from termeval.precond import (
     MAX_BRUTE_ASSIGNMENTS, Equivalent, EquivUnknown, GenerationJudgment,
     Inequivalent, PrecondParseError, brute_equivalence, check_equivalence,
-    count_equivalent, emit_smtlib, eval_precondition, find_solver,
+    count_equivalent, emit_smtlib, find_solver,
     judge_generation, parse_precondition, smt_equivalence, variables_of,
 )
 
 from conftest import FIXTURES
+from reference import eval_expr, format_expr
 
 IVAR = {"i": INT}
 XY = {"x": INT, "y": INT}
@@ -39,6 +39,19 @@ class TestParse:
         expr = parse_precondition("i >= -2147483649 or i < 2147483647")
         assert expr.left.right == Unary("-", IntLit(2147483649, LONG))
         assert expr.right.right == IntLit(2147483647, INT)
+
+    def test_leading_zero_is_octal(self):
+        assert parse_precondition("i == 010") == \
+            Binary("==", Var("i"), IntLit(8, INT))
+        # a non-decimal constant takes unsigned int before long
+        assert parse_precondition("i < 020000000000").right == \
+            IntLit(2**31, UINT)
+        assert parse_precondition("i > 0").right == IntLit(0, INT)
+
+    @pytest.mark.parametrize("text", ["i == 08", "i == 0779"])
+    def test_octal_with_digit_8_or_9_is_error(self, text):
+        with pytest.raises(PrecondParseError, match="bad integer literal"):
+            parse_precondition(text)
 
     def test_equals_sign_is_equality(self):
         assert parse_precondition("i = 0") == parse_precondition("i == 0")
@@ -95,14 +108,14 @@ class TestParse:
 class TestEvaluation:
     def test_comparison_semantics(self):
         expr = parse_precondition("i % 2 != 0")
-        assert eval_precondition(expr, {"i": 3}, IVAR) is True
-        assert eval_precondition(expr, {"i": -3}, IVAR) is True  # trunc rem
-        assert eval_precondition(expr, {"i": 4}, IVAR) is False
+        assert eval_expr(expr, {"i": 3}, IVAR)[0] == 1
+        assert eval_expr(expr, {"i": -3}, IVAR)[0] == 1  # trunc rem
+        assert eval_expr(expr, {"i": 4}, IVAR)[0] == 0
 
     def test_wide_literal_promotes_comparison(self):
         expr = parse_precondition("i >= -2147483649")
         for i in (-(2**31), -1, 0, 2**31 - 1):
-            assert eval_precondition(expr, {"i": i}, IVAR) is True
+            assert eval_expr(expr, {"i": i}, IVAR)[0] == 1
 
     def test_arith_wraps_at_32_bits(self):
         value, ctype = eval_expr(parse_precondition("i + 1 == 0").left,
@@ -132,7 +145,7 @@ class TestEvaluation:
                                     env, XY)
             except Exception:
                 continue
-            theirs = cparse.eval_value(cparse.parse_expression(text), env, XY)
+            theirs, _ = eval_expr(cparse.parse_expression(text), env, XY)
             assert mine == theirs, (text, env)
             checked += 1
         assert checked > 150
@@ -150,7 +163,7 @@ class TestBruteEquivalence:
         result = check_equivalence(a, b, IVAR, mode="brute")
         assert isinstance(result, Inequivalent)
         env = result.counterexample
-        assert eval_precondition(a, env, IVAR) != eval_precondition(b, env, IVAR)
+        assert eval_expr(a, env, IVAR)[0] != eval_expr(b, env, IVAR)[0]
 
     def test_off_by_one_boundary(self):
         a = parse_precondition("i <= -5")
@@ -495,7 +508,7 @@ class TestSmtBackend:
         result = smt_equivalence(a, b, IVAR)
         assert isinstance(result, Inequivalent)
         env = result.counterexample
-        assert eval_precondition(a, env, IVAR) != eval_precondition(b, env, IVAR)
+        assert eval_expr(a, env, IVAR)[0] != eval_expr(b, env, IVAR)[0]
 
     def test_agreement_with_brute(self):
         rng = random.Random(12)

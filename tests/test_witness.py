@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from termeval.corpus import Architecture, Category, TaskSpec, number_lines
 from termeval.witness import (
     FormatError, Prediction, ProducerMeta, Verdict, WitnessAutomaton,
-    WitnessEdge, WitnessNode, emit_graphml, parse_graphml, parse_prediction,
+    WitnessEdge, WitnessNode, emit_graphml, parse_prediction,
     _iter_json_objects, program_hash, validate_schema, witness_from_json,
 )
 
 from conftest import FIXTURES, load_witness_json, load_witness_text
+from reference import parse_graphml
 
 ALL_WITNESS_FIXTURES = [
     "even_spin.json", "absorb_to_zero.json", "absorb_to_zero_selfloop.json",
