@@ -161,17 +161,39 @@ def _config_from(data: dict, base: Path) -> RunConfig:
     )
 
 
+def _read_corpus_file(what: str, read, path: Path | None):
+    """``read(path)``; a file that cannot be read or used raises
+    :class:`ConfigError` naming it."""
+    try:
+        return read(path)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"{what} {path}: {exc}")
+
+
+def _ingest(root: Path, categories: set[Category] | None,
+            exclusions: Path | None, sidecar: Path | None,
+            ) -> corpus_mod.ManifestLoad:
+    """The tasks under ``root``, with the given exclusions and sidecar files
+    (the packaged exclusions and no sidecar when ``None``)."""
+    excluded = _read_corpus_file("exclusions", corpus_mod.load_exclusions,
+                                 exclusions)
+    counts = (_read_corpus_file("sidecar", corpus_mod.load_sidecar, sidecar)
+              if sidecar is not None else None)
+    try:
+        return corpus_mod.load_manifest(root, categories, exclusions=excluded,
+                                        sidecar=counts)
+    except corpus_mod.IngestError as exc:
+        raise ConfigError(str(exc))
+
+
 def _load_manifest_for(config: RunConfig) -> CorpusManifest:
     if config.manifest_path is not None:
-        return corpus_mod.manifest_from_json(config.manifest_path)
+        return _read_corpus_file("manifest", corpus_mod.manifest_from_json,
+                                 config.manifest_path)
     if config.corpus_root is None:
         raise ConfigError("config needs corpus.root or corpus.manifest")
-    exclusions = (corpus_mod.load_exclusions(config.exclusions)
-                  if config.exclusions else corpus_mod.load_exclusions())
-    sidecar = (corpus_mod.SidecarTokenCounts.load(config.sidecar)
-               if config.sidecar else None)
-    load = corpus_mod.load_manifest(config.corpus_root, config.categories,
-                                    exclusions=exclusions, sidecar=sidecar)
+    load = _ingest(config.corpus_root, config.categories, config.exclusions,
+                   config.sidecar)
     for task_id, message in load.report.errors:
         click.echo(f"warning: {task_id}: {message}", err=True)
     return load.manifest
@@ -199,15 +221,7 @@ def ingest(root: Path, out: Path | None, category_names, exclusions, sidecar):
     """Ingest a benchmark tree into a manifest and print category counts."""
     categories = ({Category(c) for c in category_names}
                   if category_names else None)
-    try:
-        load = corpus_mod.load_manifest(
-            root, categories,
-            exclusions=corpus_mod.load_exclusions(exclusions) if exclusions
-            else corpus_mod.load_exclusions(),
-            sidecar=corpus_mod.SidecarTokenCounts.load(sidecar) if sidecar else None,
-        )
-    except corpus_mod.IngestError as exc:
-        _fail(str(exc), 2)
+    load = _ingest(root, categories, exclusions, sidecar)
     manifest, report = load.manifest, load.report
     for note in report.notes:
         click.echo(f"note: {note}", err=True)
@@ -215,12 +229,13 @@ def ingest(root: Path, out: Path | None, category_names, exclusions, sidecar):
         click.echo(f"warning: {task_id}: {message}", err=True)
 
     click.echo(f"{'category':<18} {'tasks':>6}")
+    category_counts = manifest.category_counts
     for category in Category:
-        if category in manifest.category_counts:
-            click.echo(f"{category.value:<18} {manifest.category_counts[category]:>6}")
+        if category in category_counts:
+            click.echo(f"{category.value:<18} {category_counts[category]:>6}")
     click.echo(f"{'total':<18} {len(manifest.tasks):>6}")
-    click.echo(f"labels: T={manifest.label_counts['T']} "
-               f"NT={manifest.label_counts['NT']}")
+    labels = manifest.label_counts
+    click.echo(f"labels: T={labels['T']} NT={labels['NT']}")
     if report.skipped_excluded:
         click.echo(f"excluded: {report.skipped_excluded}")
     if out is not None:
@@ -367,7 +382,7 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
                     else corpus_mod.Architecture.BITS32)
             task = corpus_mod.TaskSpec(
                 task_id=program_path.stem, source_path=program_path,
-                numbered_source=corpus_mod.number_lines(source),
+                source=source,
                 category=Category.OTHER, expected_verdict="NT",
                 architecture=arch,
                 token_count=corpus_mod.heuristic_token_count(source))
@@ -440,7 +455,7 @@ def witness_status_for(prediction: Prediction | FormatError,
 def _parse_task_program(task) -> Program | UnsupportedConstruct:
     """The task's program; one that does not parse counts as unsupported."""
     try:
-        return parse_program(task.numbered_source)
+        return parse_program(task.source)
     except Exception:
         return UnsupportedConstruct(1, "parse error")
 

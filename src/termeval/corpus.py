@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -35,10 +36,6 @@ class Architecture(Enum):
 _DATA_MODELS = {"ILP32": Architecture.BITS32, "LP64": Architecture.BITS64}
 
 
-class ConfigurationError(Exception):
-    pass
-
-
 class IngestError(Exception):
     """Fatal ingestion problem (unreadable root, missing manifest)."""
 
@@ -47,7 +44,7 @@ class IngestError(Exception):
 class TaskSpec:
     task_id: str
     source_path: Path
-    numbered_source: str
+    source: str  # the C file's text, exactly as read
     category: Category
     expected_verdict: str  # "T" or "NT"
     architecture: Architecture
@@ -57,8 +54,6 @@ class TaskSpec:
 @dataclass
 class CorpusManifest:
     tasks: list[TaskSpec]
-    category_counts: dict[Category, int]
-    label_counts: dict[str, int]
     root: Path
 
     def task(self, task_id: str) -> TaskSpec:
@@ -66,6 +61,15 @@ class CorpusManifest:
 
     def __post_init__(self):
         self._index = {t.task_id: t for t in self.tasks}
+
+    @property
+    def category_counts(self) -> dict[Category, int]:
+        return dict(Counter(t.category for t in self.tasks))
+
+    @property
+    def label_counts(self) -> dict[str, int]:
+        counts = Counter(t.expected_verdict for t in self.tasks)
+        return {"T": counts["T"], "NT": counts["NT"]}
 
 
 @dataclass
@@ -88,27 +92,6 @@ class LengthBinning:
 
 
 # ---------------------------------------------------------------------------
-# Line numbering
-
-
-def number_lines(source: str) -> str:
-    """Prefix each line k (1-based) with ``"k: "``, preserving content."""
-    lines = source.splitlines(keepends=True)
-    return "".join(f"{k}: {line}" for k, line in enumerate(lines, start=1))
-
-
-def strip_numbering(numbered: str) -> str:
-    """Exact inverse of :func:`number_lines`."""
-    out = []
-    for k, line in enumerate(numbered.splitlines(keepends=True), start=1):
-        prefix = f"{k}: "
-        if not line.startswith(prefix):
-            raise ValueError(f"line {k} does not carry prefix {prefix!r}")
-        out.append(line[len(prefix):])
-    return "".join(out)
-
-
-# ---------------------------------------------------------------------------
 # Token counting
 
 
@@ -117,37 +100,18 @@ def heuristic_token_count(source: str) -> int:
     return math.ceil(len(source.encode("utf-8")) / 4)
 
 
-class SidecarTokenCounts:
-    """Exact counts produced by an external tokenizer, keyed by task id."""
+def load_sidecar(path: Path | str) -> dict[str, int]:
+    """Exact token counts from an external tokenizer, keyed by task id.
 
-    def __init__(self, counts: dict[str, int]):
-        self.counts = dict(counts)
-
-    @classmethod
-    def load(cls, path: Path | str) -> "SidecarTokenCounts":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"sidecar {path} must map task_id to count")
-        return cls({str(k): int(v) for k, v in data.items()})
-
-    def get(self, task_id: str) -> int | None:
-        return self.counts.get(task_id)
-
-
-def count_tokens(source: str, tokenizer) -> int:
-    """Count tokens with the registered counting callable.
-
-    ``tokenizer`` is any ``str -> int`` callable (see
-    :func:`heuristic_token_count`).  A missing tokenizer is a configuration
-    error rather than a silent fallback.
+    Raises ``ValueError`` unless the file is a JSON object that maps task ids
+    to non-negative integers.
     """
-    if tokenizer is None:
-        raise ConfigurationError("no tokenizer registered")
-    n = tokenizer(source)
-    if n < 0:
-        raise ConfigurationError(f"tokenizer returned negative count {n}")
-    return n
+    with open(path, encoding="utf-8") as fh:
+        counts = json.load(fh)
+    if not isinstance(counts, dict) or not all(
+            type(n) is int and n >= 0 for n in counts.values()):
+        raise ValueError("a sidecar must map task ids to non-negative integers")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +199,14 @@ def load_manifest(
     categories: set[Category] | None = None,
     *,
     exclusions: set[str] | None = None,
-    sidecar: SidecarTokenCounts | None = None,
-    tokenizer=heuristic_token_count,
+    sidecar: dict[str, int] | None = None,
 ) -> ManifestLoad:
     """Ingest every termination task under ``root``.
 
     Per-task problems (missing source, unreadable YAML) are collected in the
-    report; an unreadable root raises :class:`IngestError`.  Token counts come
-    from the sidecar when one is supplied and carries the task, otherwise
-    from ``tokenizer`` applied to the raw source.
+    report; an unreadable root raises :class:`IngestError`.  A task's token
+    count is its ``sidecar`` entry, else :func:`heuristic_token_count` of its
+    source.
     """
     root = Path(root)
     if not root.is_dir():
@@ -295,16 +258,15 @@ def load_manifest(
             report.errors.append((task_id, f"missing source file: {exc}"))
             continue
 
-        count = sidecar.get(task_id) if sidecar is not None else None
-        if count is None:
-            count = count_tokens(source, tokenizer)
+        count = (sidecar[task_id] if sidecar and task_id in sidecar
+                 else heuristic_token_count(source))
         options = data.get("options") or {}
         arch = _DATA_MODELS.get(str(options.get("data_model", "ILP32")),
                                 Architecture.BITS32)
         tasks.append(TaskSpec(
             task_id=task_id,
             source_path=source_path,
-            numbered_source=number_lines(source),
+            source=source,
             category=category,
             expected_verdict="T" if verdict else "NT",
             architecture=arch,
@@ -312,13 +274,7 @@ def load_manifest(
         ))
 
     tasks.sort(key=lambda t: t.task_id)
-    category_counts: dict[Category, int] = {}
-    label_counts = {"T": 0, "NT": 0}
-    for t in tasks:
-        category_counts[t.category] = category_counts.get(t.category, 0) + 1
-        label_counts[t.expected_verdict] += 1
-    manifest = CorpusManifest(tasks, category_counts, label_counts, root)
-    return ManifestLoad(manifest, report)
+    return ManifestLoad(CorpusManifest(tasks, root), report)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +312,7 @@ def assign_length_bins(manifest: CorpusManifest) -> LengthBinning:
 
 def manifest_to_json(manifest: CorpusManifest) -> str:
     """Stable JSON rendering (tasks sorted by id; sources stored as paths)."""
+    category_counts = manifest.category_counts
     payload = {
         "root": str(manifest.root),
         "tasks": [
@@ -370,8 +327,7 @@ def manifest_to_json(manifest: CorpusManifest) -> str:
             for t in sorted(manifest.tasks, key=lambda t: t.task_id)
         ],
         "category_counts": {
-            c.value: manifest.category_counts[c]
-            for c in Category if c in manifest.category_counts
+            c.value: category_counts[c] for c in Category if c in category_counts
         },
         "label_counts": manifest.label_counts,
     }
@@ -386,17 +342,13 @@ def manifest_from_json(path: Path | str) -> CorpusManifest:
     tasks = []
     for entry in payload["tasks"]:
         source_path = root / entry["source_path"]
-        source = source_path.read_text(encoding="utf-8")
         tasks.append(TaskSpec(
             task_id=entry["task_id"],
             source_path=source_path,
-            numbered_source=number_lines(source),
+            source=source_path.read_text(encoding="utf-8"),
             category=Category(entry["category"]),
             expected_verdict=entry["expected_verdict"],
             architecture=Architecture(entry["architecture"]),
             token_count=entry["token_count"],
         ))
-    category_counts: dict[Category, int] = {}
-    for t in tasks:
-        category_counts[t.category] = category_counts.get(t.category, 0) + 1
-    return CorpusManifest(tasks, category_counts, payload["label_counts"], root)
+    return CorpusManifest(tasks, root)

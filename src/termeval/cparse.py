@@ -205,7 +205,6 @@ class Program:
     entry: str
     nondet_vars: list[NondetSite]
     globals: list[Decl] = field(default_factory=list)
-    line_count: int = 0
     # declared type of every variable of main and of the globals
     types: dict[str, CType] = field(default_factory=dict)
 
@@ -233,30 +232,6 @@ class _Unsupported(Exception):
     def __init__(self, line: int, construct: str):
         self.line = line
         self.construct = construct
-
-
-# ---------------------------------------------------------------------------
-# Line-number prefixes
-
-_PREFIX_RE = re.compile(r"^(\d+): ?")
-
-
-def strip_line_prefixes(source: str) -> str:
-    """Remove ``k: `` prefixes when every nonempty line carries one."""
-    lines = source.splitlines(keepends=True)
-    bodies = []
-    for raw in lines:
-        content = raw.rstrip("\n")
-        m = _PREFIX_RE.match(content)
-        if m is None:
-            if content.strip():
-                return source  # not a uniformly numbered source
-            bodies.append(raw)
-        else:
-            bodies.append(content[m.end():] + raw[len(content):])
-    if not any(_PREFIX_RE.match(ln) for ln in lines):
-        return source
-    return "".join(bodies)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +278,14 @@ def _literal_type(value: int, is_decimal: bool, suffix: str) -> CType:
     for t in candidates:
         if t.min <= value <= t.max:
             return t
-    return candidates[-1]
+    raise ValueError(f"{value} fits no {candidates[-1].name}")
 
 
 def int_constant(text: str, suffix: str = "") -> tuple[int, CType]:
     """Value and C type of an integer constant: ``0x`` starts a hexadecimal
     one and any other leading ``0`` an octal one.  Raises ``ValueError`` on
-    a digit outside the base or past Python's limit on decimal digits."""
+    a digit outside the base, past Python's limit on decimal digits, or on a
+    value too large for every type the constant may take."""
     if len(text) > 1 and text[0] == "0":
         value = int(text, 16 if text[1] in "xX" else 8)
         return value, _literal_type(value, False, suffix)
@@ -730,7 +706,7 @@ class _Parser:
 
     # -- top level
 
-    def parse_program(self, line_count: int) -> Program:
+    def parse_program(self) -> Program:
         functions: dict[str, FunctionDef] = {}
         globals_: list[Decl] = []
         while self.peek().kind != "eof":
@@ -750,7 +726,7 @@ class _Parser:
         types = {name: _scoped_types(globals_, fn)
                  for name, fn in functions.items()}
         return Program(functions, "main", self.nondet_sites, globals_,
-                       line_count, types["main"])
+                       types["main"])
 
     def _parse_typedef(self) -> None:
         line = self.expect("typedef").line
@@ -920,18 +896,16 @@ def _scoped_types(globals_: list[Decl], fn: FunctionDef) -> dict[str, CType]:
     return types
 
 
-def parse_program(numbered_source: str) -> Program | UnsupportedConstruct:
-    """Parse (possibly line-numbered) C source into a :class:`Program`.
+def parse_program(source: str) -> Program | UnsupportedConstruct:
+    """Parse C source into a :class:`Program`.
 
     Constructs outside the subset yield :class:`UnsupportedConstruct` — a
     classification, not an error.  Lexical problems raise
     :class:`CParseError`.
     """
-    raw = strip_line_prefixes(numbered_source)
-    line_count = len(raw.splitlines())
-    tokens = tokenize(raw)
+    tokens = tokenize(source)
     try:
-        return _Parser(tokens).parse_program(line_count)
+        return _Parser(tokens).parse_program()
     except _Unsupported as u:
         return UnsupportedConstruct(u.line, u.construct)
 

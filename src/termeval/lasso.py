@@ -492,10 +492,8 @@ def _simulate_assignment(code: list[tuple], lasso: LassoPath,
                          expected: list[tuple]) -> _RunOutcome:
     try:
         tracker = _PendingTracker(lasso, cfg, matchable, expected)
-    except _DegenerateCycle:
+    except _DegenerateCycle:  # no edge of the cycle can match a step
         return _RunOutcome(_NO_PROGRESS)
-    except (_Periodic, _CycleTarget):
-        return _RunOutcome(_NO_PROGRESS)  # cycle closed before any execution
     return _execute(code, assignment, tracker, cfg.max_steps, cfg.stall_steps)
 
 
@@ -579,7 +577,7 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
             saw_budget = True
 
     if best_bounded is not None:
-        return BoundedEvidence(best_bounded.cycles, best_bounded.assignment)
+        return best_bounded
     if saw_budget or truncated:
         return Unknown("budget exhausted before a conclusive answer")
     if first_failed_edge is not None:

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import requests
 
-from .corpus import TaskSpec, strip_numbering
+from .corpus import TaskSpec
 from .witness import FormatError, Prediction, parse_prediction
 
 log = logging.getLogger(__name__)
@@ -95,17 +96,28 @@ def _read_template(name: str) -> str:
     return (_PROMPT_DIR / name).read_text(encoding="utf-8")
 
 
+# a line ends at "\n" only, as in C: the number the prompt shows for a
+# statement is then the line `cparse` gives it, and so the line a witness
+# must cite.  Other Unicode line breaks stay inside their line.
+_LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def number_lines(source: str) -> str:
+    """Prefix each line k (1-based) with ``"k: "``, preserving content."""
+    return "".join(f"{k}: {line}"
+                   for k, line in enumerate(_LINE_RE.findall(source), start=1))
+
+
 def build_termination_prompt(task: TaskSpec) -> str:
     instructions = _read_template("termination_instructions.txt")
     examples = _read_template("termination_examples.txt")
     return (f"{instructions.rstrip()}\n\n{examples.rstrip()}\n\n"
-            f"{task.numbered_source}")
+            f"{number_lines(task.source)}")
 
 
 def build_precondition_prompt(task: TaskSpec) -> str:
     template = _read_template("divergence_domain.txt")
-    raw_source = strip_numbering(task.numbered_source)
-    return f"{template.rstrip()}\n\n{raw_source}"
+    return f"{template.rstrip()}\n\n{task.source}"
 
 
 def prompt_hash(prompt: str) -> str:

@@ -203,7 +203,7 @@ class _PrecondParser:
         if tok.kind == "num":
             try:
                 value, ctype = int_constant(tok.text)
-            except ValueError:  # 08, or past Python's limit on digits
+            except ValueError:  # 08, too many digits, or too large for C
                 raise PrecondParseError(f"bad integer literal {tok.text[:24]!r}",
                                         tok.pos)
             return IntLit(value, ctype)

@@ -558,12 +558,12 @@ def test_criterion_11_external_validator(tmp_path):
         pytest.skip("external validator not installed")
     with Criterion(11, "emitted GraphML validates externally", budget=300.0):
         from termeval.corpus import (Architecture, Category, TaskSpec,
-                                     heuristic_token_count, number_lines)
+                                     heuristic_token_count)
         from termeval.witness import ProducerMeta, emit_graphml
 
         program_path = FIXTURES / "programs" / "absorb_to_zero.c"
         source = program_path.read_text()
-        task = TaskSpec("absorb_to_zero", program_path, number_lines(source),
+        task = TaskSpec("absorb_to_zero", program_path, source,
                         Category.OTHER, "NT", Architecture.BITS32,
                         heuristic_token_count(source))
         automaton = witness_from_json(

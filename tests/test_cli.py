@@ -57,6 +57,9 @@ class TestToml:
         assert data["path"] == "a#b"
 
 
+REPLAY_MODEL = '[[models]]\nname = "m"\nmode = "replay"'
+
+
 class TestLoadConfig:
     def test_fixture_config(self):
         config = load_config(FIXTURES / "score_config.toml")
@@ -105,9 +108,19 @@ class TestLoadConfig:
         ('[eval]\npool_size = "many"', "'many'"),
         ('[checker]\ndomain = 3', "not subscriptable"),
         ("[eval\n", "c.toml"),
+        # the config loads, but a corpus file it names does not
+        (REPLAY_MODEL, "corpus root"),
+        (f'manifest = "m.json"\n{REPLAY_MODEL}', "manifest"),
+        (f'exclusions = "ex.txt"\n{REPLAY_MODEL}', "exclusions"),
+        (f'sidecar = "list.json"\n{REPLAY_MODEL}', "list.json"),
+        (f'sidecar = "word.json"\n{REPLAY_MODEL}', "word.json"),
     ], ids=["slash", "backslash", "dot-dot", "empty-name", "no-name", "top-p",
-            "preset", "tts-n", "pool-size", "domain", "bad-toml"])
+            "preset", "tts-n", "pool-size", "domain", "bad-toml",
+            "no-corpus-root", "no-manifest", "no-exclusions", "sidecar-list",
+            "sidecar-word"])
     def test_bad_config_exits_2(self, runner, tmp_path, body, message):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "word.json").write_text('{"a": "x"}')
         config_path = tmp_path / "c.toml"
         config_path.write_text(f'[corpus]\nroot = "x"\n{body}\n')
         result = runner.invoke(main, ["run", "-c", str(config_path)])

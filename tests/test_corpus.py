@@ -5,11 +5,11 @@ from hypothesis import given, strategies as st
 
 from termeval import corpus
 from termeval.corpus import (
-    Architecture, Category, ConfigurationError, IngestError,
-    SidecarTokenCounts, assign_length_bins, count_tokens,
-    heuristic_token_count, load_exclusions, load_manifest, manifest_from_json,
-    manifest_to_json, number_lines, strip_numbering,
+    Architecture, Category, IngestError, assign_length_bins,
+    heuristic_token_count, load_exclusions, load_manifest, load_sidecar,
+    manifest_from_json, manifest_to_json,
 )
+from termeval.oracle import number_lines
 
 
 class TestNumberLines:
@@ -29,10 +29,18 @@ class TestNumberLines:
     def test_blank_lines_numbered(self):
         assert number_lines("a\n\nb\n") == "1: a\n2: \n3: b\n"
 
-    @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+    @given(st.text(alphabet=st.sampled_from("ab \n\f\v\r\x1c\x85\u2028\u2029")
+                   | st.characters(blacklist_categories=("Cs",)),
                    max_size=500))
     def test_round_trip(self, source):
-        assert strip_numbering(number_lines(source)) == source
+        # line k of the numbered text is "k: " and line k of the source; only
+        # "\n" ends a line, as in C and in cparse's line count
+        lines = source.split("\n")
+        numbered = number_lines(source).split("\n")
+        if lines[-1] == "":  # a final "\n" ends the last line
+            lines.pop()
+            assert numbered.pop() == ""
+        assert numbered == [f"{k}: {line}" for k, line in enumerate(lines, 1)]
 
 
 class TestTokenCounting:
@@ -43,21 +51,24 @@ class TestTokenCounting:
         assert heuristic_token_count("abcd") == 1
         assert heuristic_token_count("abcde") == 2
 
-    def test_deterministic(self):
-        text = "int main() { return 0; }"
-        assert count_tokens(text, heuristic_token_count) == \
-            count_tokens(text, heuristic_token_count)
-
-    def test_missing_tokenizer(self):
-        with pytest.raises(ConfigurationError):
-            count_tokens("x", None)
+    def test_deterministic(self, corpus_root):
+        # without a sidecar every count is the heuristic's on the source
+        for task in load_manifest(corpus_root).manifest.tasks:
+            assert task.token_count == heuristic_token_count(task.source)
 
     def test_sidecar(self, tmp_path):
         path = tmp_path / "counts.json"
-        path.write_text(json.dumps({"a/b": 123}))
-        sidecar = SidecarTokenCounts.load(path)
-        assert sidecar.get("a/b") == 123
-        assert sidecar.get("missing") is None
+        path.write_text(json.dumps({"a/b": 123, "c": 0}))
+        assert load_sidecar(path) == {"a/b": 123, "c": 0}
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2], {"a": "x"}, {"a": -1}, {"a": 1.5}, {"a": True}, {"a": None},
+    ])
+    def test_sidecar_must_map_ids_to_counts(self, tmp_path, payload):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="non-negative integers"):
+            load_sidecar(path)
 
 
 class TestLoadManifest:
@@ -147,8 +158,8 @@ class TestLoadManifest:
     def test_numbered_source_line_counts(self, corpus_root):
         for task in load_manifest(corpus_root).manifest.tasks:
             raw = task.source_path.read_text(encoding="utf-8")
-            assert len(task.numbered_source.splitlines()) == len(raw.splitlines())
-            assert strip_numbering(task.numbered_source) == raw
+            assert task.source == raw
+            assert number_lines(raw).count("\n") == raw.count("\n")
 
     def test_task_ids_unique_and_sorted(self, corpus_root):
         tasks = load_manifest(corpus_root).manifest.tasks
@@ -157,7 +168,7 @@ class TestLoadManifest:
         assert len(ids) == len(set(ids))
 
     def test_sidecar_overrides_heuristic(self, corpus_root):
-        sidecar = SidecarTokenCounts({"bitvector-spin/even_spin": 999})
+        sidecar = {"bitvector-spin/even_spin": 999}
         load = load_manifest(corpus_root, sidecar=sidecar)
         task = load.manifest.task("bitvector-spin/even_spin")
         assert task.token_count == 999
@@ -172,19 +183,28 @@ class TestLoadManifest:
         assert reloaded.label_counts == manifest.label_counts
         assert manifest_to_json(reloaded) == manifest_to_json(manifest)
 
+    def test_reload_counts_the_tasks(self, corpus_root, tmp_path):
+        # the stored counts are a summary: the tasks are the truth
+        payload = json.loads(manifest_to_json(load_manifest(corpus_root).manifest))
+        payload["label_counts"] = {"T": 40, "NT": 2}
+        payload["category_counts"] = {"Other": 9}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        reloaded = manifest_from_json(path)
+        assert reloaded.label_counts == {"T": 1, "NT": 5}
+        assert reloaded.category_counts[Category.MAIN_CONTROL_FLOW] == 3
+
 
 def _mini_manifest(counts):
     tasks = [
         corpus.TaskSpec(
             task_id=f"t{str(i).zfill(2)}", source_path=corpus.Path("x.c"),
-            numbered_source="1: x\n", category=Category.OTHER,
+            source="x\n", category=Category.OTHER,
             expected_verdict="T", architecture=Architecture.BITS32,
             token_count=count)
         for i, count in enumerate(counts)
     ]
-    cc = {Category.OTHER: len(tasks)}
-    return corpus.CorpusManifest(tasks, cc, {"T": len(tasks), "NT": 0},
-                                 corpus.Path("."))
+    return corpus.CorpusManifest(tasks, corpus.Path("."))
 
 
 class TestLengthBins:

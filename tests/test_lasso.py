@@ -2,14 +2,19 @@ import dataclasses
 import json
 import stat
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from termeval.cli import witness_status_for
 from termeval.cparse import parse_program
+from termeval.evalcore import WitnessStatus
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, NoLasso,
     ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig,
     check_feasibility, extract_lasso, run_external_validator, run_program,
 )
 from termeval.witness import (
-    WitnessAutomaton, WitnessEdge, WitnessNode, witness_from_json,
+    WitnessAutomaton, WitnessEdge, WitnessNode, parse_prediction,
+    witness_from_json,
 )
 
 from conftest import FIXTURES, load_program, load_witness_json
@@ -150,6 +155,14 @@ class TestCheckFeasibility:
     def test_overlong_literal_assumption_never_holds(self):
         data = load_witness_json("even_spin.json")["witness"]
         data["edges"][2]["assumption"] = "x == " + "9" * 5000
+        lasso = extract_lasso(witness_from_json(data))
+        result = check_feasibility(program("even_spin.c"), lasso, FAST_CFG)
+        assert result == Infeasible("E2")
+
+    def test_oversize_literal_assumption_never_holds(self):
+        # 2**64 + 1 fits no C type; read modulo 2**64 it would equal 1
+        data = load_witness_json("even_spin.json")["witness"]
+        data["edges"][2]["assumption"] = "x % 2 == 0 && 18446744073709551617 == 1"
         lasso = extract_lasso(witness_from_json(data))
         result = check_feasibility(program("even_spin.c"), lasso, FAST_CFG)
         assert result == Infeasible("E2")
@@ -308,6 +321,77 @@ class TestPinnedResults:
         assert table.keys() == golden.keys()
         for key in golden:
             assert table[key] == golden[key], key
+
+
+PROGRAMS = sorted(p.name for p in (FIXTURES / "programs").glob("*.c"))
+WITNESSES = sorted(p.name for p in (FIXTURES / "witnesses").glob("*.json"))
+# values an oracle might put in a witness field, sane and not
+FIELD_VALUES = st.one_of(
+    st.integers(-3, 20), st.sampled_from(["N0", "N1", "N2", "N3", "E0"]),
+    st.sampled_from(["condition-true", "condition-false", "true", None]),
+    st.sampled_from(["x > 0", "x % 2 == 0", "i == -5", "x / 0 == 1",
+                     "y == ~x", "i = 0", "x == 18446744073709551617", "(("]),
+    st.text(max_size=12), st.booleans(), st.lists(st.integers(), max_size=2),
+)
+EDGE_FIELDS = ["id", "source", "target", "line", "control", "assumption",
+               "enterLoopHead", "sourcecode"]
+
+
+@st.composite
+def mutated_witness(draw) -> dict:
+    """A fixture witness with a few fields overwritten, removed or repeated."""
+    data = load_witness_json(draw(st.sampled_from(WITNESSES)))["witness"]
+    for _ in range(draw(st.integers(1, 4))):
+        part = draw(st.sampled_from(["edges", "nodes"]))
+        items = data[part]
+        if not items:
+            continue
+        i = draw(st.integers(0, len(items) - 1))
+        action = draw(st.sampled_from(["set", "set", "drop", "repeat"]))
+        if action == "drop":
+            del items[i]
+        elif action == "repeat":
+            items.append(dict(items[i]))
+        else:
+            field = draw(st.sampled_from(
+                EDGE_FIELDS if part == "edges" else ["id", "entry", "cyclehead"]))
+            items[i][field] = draw(FIELD_VALUES)
+    return data
+
+
+FEASIBILITY_RESULTS = (ProvenInfinite, BoundedEvidence, Infeasible, Unknown)
+
+
+class TestHostileWitnesses:
+    """Oracle output is hostile input: no reply or witness may crash
+    scoring or the checker."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(PROGRAMS), st.sampled_from(WITNESSES),
+           st.integers(0, 2000), st.integers(0, 40),
+           st.one_of(st.text(max_size=40), FIELD_VALUES.map(json.dumps)))
+    def test_reply_text_to_status_never_raises(self, program_name,
+                                               witness_name, at, cut, text):
+        reply = (FIXTURES / "witnesses" / witness_name).read_text()
+        at %= len(reply)
+        reply = reply[:at] + text + reply[at + cut:]
+        status = witness_status_for(parse_prediction(reply),
+                                    program(program_name), None, FAST_CFG,
+                                    None)
+        assert isinstance(status, WitnessStatus)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(PROGRAMS), mutated_witness())
+    def test_mutated_witness_check_never_raises(self, program_name, data):
+        try:
+            lasso = extract_lasso(witness_from_json(data))
+        except ValueError:  # ill-typed: a format error, never checked
+            return
+        if isinstance(lasso, LassoPath):
+            result = check_feasibility(program(program_name), lasso, FAST_CFG)
+            assert isinstance(result, FEASIBILITY_RESULTS)
 
 
 class TestExternalValidator:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 import requests
 
-from termeval.corpus import Architecture, Category, TaskSpec, number_lines
+from termeval.corpus import Architecture, Category, TaskSpec
+from termeval.cparse import While, iter_statements, parse_program
 from termeval.oracle import (
     AuthError, ModelConfig, SAMPLING_PRESETS, apply_preset,
     build_precondition_prompt, build_termination_prompt, generate,
@@ -31,7 +32,7 @@ def make_task(source: str = "int main() { return 0; }\n",
               task_id: str = "demo/task") -> TaskSpec:
     return TaskSpec(
         task_id=task_id, source_path=Path("demo.c"),
-        numbered_source=number_lines(source), category=Category.OTHER,
+        source=source, category=Category.OTHER,
         expected_verdict="T", architecture=Architecture.BITS32, token_count=5)
 
 
@@ -49,6 +50,18 @@ class TestPrompts:
     def test_numbered_source_appended(self):
         prompt = build_termination_prompt(make_task("int x;\nint y;\n"))
         assert prompt.endswith("1: int x;\n2: int y;\n")
+
+    def test_prompt_line_is_the_parsed_line(self):
+        # a form feed ends no line in C: the line the prompt shows for the
+        # loop is the line a witness must cite for it
+        source = ("int main() {\n  int x = 1;\f\n"
+                  "  while (x > 0) { x = x; }\n  return 0;\n}\n")
+        (loop,) = [s for s in iter_statements(parse_program(source))
+                   if isinstance(s, While)]
+        prompt = build_termination_prompt(make_task(source))
+        (shown,) = [line for line in prompt.split("\n")
+                    if "while (x > 0) { x = x; }" in line]
+        assert shown.startswith(f"{loop.line}: ")
 
     def test_identical_tasks_identical_prompts(self):
         a = build_termination_prompt(make_task("int x;\n", "one"))

@@ -48,8 +48,11 @@ class TestParse:
             IntLit(2**31, UINT)
         assert parse_precondition("i > 0").right == IntLit(0, INT)
 
-    @pytest.mark.parametrize("text", ["i == 08", "i == 0779"])
-    def test_octal_with_digit_8_or_9_is_error(self, text):
+    @pytest.mark.parametrize("text", [
+        "i == 08", "i == 0779", "i == 18446744073709551617",
+        "i == 9223372036854775808", "i == 03777777777777777777777",
+    ])
+    def test_malformed_or_oversize_literal_is_error(self, text):
         with pytest.raises(PrecondParseError, match="bad integer literal"):
             parse_precondition(text)
 
@@ -259,7 +262,9 @@ class TestHostileFormulas:
         "-" * 3000 + "i == 0",
         " and ".join(["i == 0"] * 3000),
         "i == " + "9" * 5000,
-    ], ids=["parens", "not", "sum-chain", "minus", "and-chain", "long-literal"])
+        "i == 18446744073709551617",
+    ], ids=["parens", "not", "sum-chain", "minus", "and-chain", "long-literal",
+            "oversize-literal"])
     def test_unparseable(self, text):
         with pytest.raises(PrecondParseError):
             parse_precondition(text)

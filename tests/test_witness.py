@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termeval.corpus import Architecture, Category, TaskSpec, number_lines
+from termeval.corpus import Architecture, Category, TaskSpec
 from termeval.witness import (
     FormatError, Prediction, ProducerMeta, Verdict, WitnessAutomaton,
     WitnessEdge, WitnessNode, emit_graphml, parse_prediction,
@@ -254,7 +254,7 @@ def make_task(tmp_path, name="even_spin.c") -> TaskSpec:
     path.write_text(source)
     return TaskSpec(
         task_id=name[:-2], source_path=path,
-        numbered_source=number_lines(source), category=Category.OTHER,
+        source=source, category=Category.OTHER,
         expected_verdict="NT", architecture=Architecture.BITS32,
         token_count=1)
 
@@ -351,7 +351,7 @@ class TestGraphML:
         source = source_path.read_text(encoding="utf-8")
         task = TaskSpec(
             task_id="even_spin", source_path=source_path,
-            numbered_source=number_lines(source), category=Category.OTHER,
+            source=source, category=Category.OTHER,
             expected_verdict="NT", architecture=Architecture.BITS32,
             token_count=1)
         emitted = emit_graphml(fixture_automaton("even_spin.json"), task,
