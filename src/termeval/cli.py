@@ -13,6 +13,7 @@ import json
 import re
 import sys
 import tempfile
+import tomllib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,7 +22,6 @@ import click
 
 from . import corpus as corpus_mod
 from . import evalcore, lasso, oracle, precond
-from ._toml import load_toml_text
 from .corpus import Category, CorpusManifest
 from .cparse import INT, CParseError, parse_program, Program, UnsupportedConstruct
 from .evalcore import (
@@ -70,13 +70,13 @@ def load_config(path: Path | str) -> RunConfig:
     parsed or used raises :class:`ConfigError`."""
     path = Path(path)
     try:
-        return _config_from(load_toml_text(path.read_text(encoding="utf-8")),
+        return _config_from(tomllib.loads(path.read_text(encoding="utf-8")),
                             path.parent)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except KeyError as exc:
         raise ConfigError(f"{path}: missing {exc}")
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
@@ -626,6 +626,21 @@ def extract_precondition_answer(raw: str) -> str:
     return lines[-1] if lines else ""
 
 
+def _read_annotations(path: Path) -> dict[str, str]:
+    """The task-id -> formula map in the JSON file ``path``; a file of any
+    other shape exits 2."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        _fail(f"{path}: cannot read annotations: {exc}", 2)
+    if not isinstance(data, dict):
+        _fail(f"{path}: annotations must map task ids to formulas", 2)
+    for task_id, text in data.items():
+        if not isinstance(text, str):
+            _fail(f"{path}: annotation for {task_id} is not a string", 2)
+    return data
+
+
 @main.command("precond")
 @click.argument("run_dir", type=click.Path(path_type=Path, exists=True))
 @click.argument("annotations", type=click.Path(path_type=Path, exists=True))
@@ -639,7 +654,7 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
     """Pass@1 / Pass@3 of divergence-precondition predictions."""
     config = load_config(config_path)
     manifest = _load_manifest_for(config)
-    truth_raw = json.loads(annotations.read_text(encoding="utf-8"))
+    truth_raw = _read_annotations(annotations)
 
     model_names = oracle.list_models(run_dir)
     if not model_names:
@@ -650,7 +665,11 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
     for task_id, truth_text in sorted(truth_raw.items()):
         # a program that does not parse leaves the annotation to name the
         # variables
-        program = _parse_task_program(manifest.task(task_id))
+        try:
+            task = manifest.task(task_id)
+        except KeyError:
+            _fail(f"{annotations}: task {task_id} is not in the corpus", 2)
+        program = _parse_task_program(task)
         if isinstance(program, Program):
             variables = {site.name: site.ctype for site in program.nondet_vars}
         else:
@@ -659,7 +678,8 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
             truth = precond.parse_precondition(
                 truth_text, set(variables) if variables else None)
         except precond.PrecondParseError as exc:
-            _fail(f"annotation for {task_id} does not parse: {exc}", 2)
+            _fail(f"{annotations}: annotation for {task_id} does not parse: "
+                  f"{exc}", 2)
         if not variables:
             variables = {name: INT for name in precond.variables_of(truth)}
         truths.append((task_id, truth, variables))

@@ -84,11 +84,9 @@ def usual_arithmetic_type(a: CType, b: CType) -> CType:
         if a.signed == b.signed:
             return a
         return UINT if a.width == 32 else ULONG
-    wide, narrow = (a, b) if a.width > b.width else (b, a)
-    if wide.signed and not narrow.signed:
-        # long (64) can represent every unsigned int (32) value
-        return wide
-    return wide
+    # the wider operand's type wins: long holds every unsigned int value,
+    # and int converts to unsigned long
+    return a if a.width > b.width else b
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +395,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.bool_typedef = False
         self.nondet_sites: list[NondetSite] = []
-        self.extern_fns: set[str] = set()
         self.nesting = 0
 
     # -- token helpers
@@ -745,7 +741,6 @@ class _Parser:
             alias = self.next()
             self.expect(";")
             if alias.text == "bool" and names[:2] == ["false", "true"]:
-                self.bool_typedef = True
                 return
             raise _Unsupported(line, f"typedef enum {alias.text}")
         raise _Unsupported(line, "typedef")
@@ -764,7 +759,6 @@ class _Parser:
                     raise CParseError("unterminated extern declaration", line)
                 depth += {"(": 1, ")": -1}.get(t.text, 0)
             self.expect(";")
-            self.extern_fns.add(name.text)
             return
         raise _Unsupported(line, "extern variable")
 
@@ -795,7 +789,6 @@ class _Parser:
                             break
             self.expect(")")
             if self.accept(";"):
-                self.extern_fns.add(name.text)
                 return
             self.expect("{")
             body = self.parse_block_body()

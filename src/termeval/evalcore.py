@@ -109,6 +109,10 @@ class EvalConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if self.pool_size < 1:
+            raise ValueError("pool_size must be >= 1")
+        if self.tts_n < 1:
+            raise ValueError("tts_n must be >= 1")
         if self.tts_n > self.pool_size:
             raise ValueError("tts_n must not exceed pool_size")
         if self.n_bootstrap < 1:

@@ -26,6 +26,8 @@ verdict overrides the internal tiers when configured.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import subprocess
 from dataclasses import dataclass
@@ -531,45 +533,21 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     code = _lower(p)
 
     domains = [_clamp_domain(site.ctype, cfg.nondet_domain) for site in sites]
-    total = 1
-    for d in domains:
-        total *= len(d)
-    truncated = total > cfg.max_assignments
-
-    def assignments():
-        if not sites:
-            yield {}
-            return
-        count = 0
-        indices = [0] * len(sites)
-        while True:
-            yield {
-                _site_key(site.name, site.line): domains[i][indices[i]]
-                for i, site in enumerate(sites)
-            }
-            count += 1
-            if count >= cfg.max_assignments:
-                return
-            k = len(sites) - 1
-            while k >= 0:
-                indices[k] += 1
-                if indices[k] < len(domains[k]):
-                    break
-                indices[k] = 0
-                k -= 1
-            if k < 0:
-                return
+    truncated = math.prod(map(len, domains)) > cfg.max_assignments
+    keys = [_site_key(site.name, site.line) for site in sites]
+    # the last site varies fastest
+    values = itertools.islice(itertools.product(*domains), cfg.max_assignments)
 
     best_bounded: BoundedEvidence | None = None
     first_failed_edge: str | None = None
     saw_budget = False
-    for assignment in assignments():
+    for assignment in (dict(zip(keys, v)) for v in values):
         outcome = _simulate_assignment(code, lasso, assignment, cfg,
                                        matchable, expected)
         if outcome.kind == _PROVEN:
-            return ProvenInfinite(outcome.state, dict(assignment))
+            return ProvenInfinite(outcome.state, assignment)
         if outcome.kind == _BOUNDED and best_bounded is None:
-            best_bounded = BoundedEvidence(outcome.cycles, dict(assignment))
+            best_bounded = BoundedEvidence(outcome.cycles, assignment)
         elif outcome.kind == _EDGE_FAIL:
             if first_failed_edge is None:
                 first_failed_edge = outcome.edge_id

@@ -274,6 +274,91 @@ def test_simulator_termination_matches_gcc(tmp_path):
     assert agreements >= 20
 
 
+STORE_VARS = ["x", "c", "s", "u"]  # int, signed char, short, unsigned
+COMPOUND_OPS = ["+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="]
+
+
+def random_store(rng: random.Random, op: str) -> str:
+    """One store statement (without ``;``) into a random variable.  Divisors
+    and shift counts are small positive constants, so no store is undefined
+    under gcc -fwrapv."""
+    var = rng.choice(STORE_VARS)
+    if op in ("++", "--"):
+        return f"{var}{op}"
+    if op in ("/=", "%="):
+        return f"{var} {op} {rng.randint(1, 7)}"
+    if op in ("<<=", ">>="):
+        return f"{var} {op} {rng.randint(0, 7)}"
+    rhs = rng.choice([str(rng.randint(-9, 99)), rng.choice(STORE_VARS),
+                      f"({rng.choice(STORE_VARS)} {rng.choice('+-*&|^')} "
+                      f"{rng.randint(-9, 99)})"])
+    return f"{var} {op} {rhs}"
+
+
+def random_statement(rng: random.Random, op: str) -> str:
+    """A store in one of the statement shapes: plain, nested block, after an
+    empty statement, as a brace-less if/else or for body, or beside an empty
+    for and while."""
+    store = random_store(rng, op)
+    other = random_store(rng, rng.choice(COMPOUND_OPS + ["=", "++", "--"]))
+    n = rng.randint(0, 3)
+    return rng.choice([
+        f"{store};",
+        f"{{ {store}; {{ {other}; }} }}",
+        f"; {store};",
+        f"if (x > {rng.randint(-50, 50)}) {store}; else {other};",
+        f"for (i = 0; i < {n}; i++) {store};",
+        f"for (i = 0; i < {n}; i++); while (i < {n}); {store};",
+    ])
+
+
+def test_stores_and_statement_shapes_match_gcc(tmp_path):
+    """Compound assignments, ``++``/``--`` and narrow stores in every
+    statement shape leave ``x`` where gcc leaves it: the program followed
+    by ``while (x != K);`` ends under the interpreter exactly when K is the
+    value gcc prints."""
+    from termeval.cparse import parse_program
+    from termeval.lasso import run_program
+
+    rng = random.Random(0x5705)
+    ops = COMPOUND_OPS + ["=", "++", "--"]
+    bodies = []
+    for _ in range(24):
+        lines = [f"int x = {rng.randint(-300, 300)};",
+                 f"signed char c = {rng.randint(-128, 127)};",
+                 f"short s = {rng.randint(-32768, 32767)};",
+                 f"unsigned u = {rng.randint(0, 4294967295)}u;",
+                 "int i = 0;"]
+        # every operator in every program, in a random order
+        lines += [random_statement(rng, op) for op in rng.sample(ops, len(ops))]
+        lines.append("x = x + c + s + u;")
+        bodies.append("\n  ".join(lines))
+
+    c_lines = ["#include <stdio.h>"]
+    for k, body in enumerate(bodies):
+        c_lines.append(f"static int prog{k}(void) {{\n  {body}\n  return x;\n}}")
+    c_lines.append("int main(void) {")
+    c_lines += [f'  printf("%d\\n", prog{k}());' for k in range(len(bodies))]
+    c_lines += ["  return 0;", "}"]
+    c_file = tmp_path / "stores.c"
+    c_file.write_text("\n".join(c_lines) + "\n")
+    binary = tmp_path / "stores"
+    subprocess.run(["gcc", "-fwrapv", "-O0", "-o", str(binary), str(c_file)],
+                   check=True, capture_output=True)
+    out = subprocess.run([str(binary)], check=True, capture_output=True,
+                         text=True)
+    finals = [int(v) for v in out.stdout.split()]
+    assert len(finals) == len(bodies)
+
+    for body, final in zip(bodies, finals):
+        for k in (final, final ^ 1, final // 2 + 1):
+            program = parse_program(f"int main() {{\n  {body}\n"
+                                    f"  while (x != {k});\n  return 0;\n}}\n")
+            state, _ = run_program(program, {}, max_steps=20_000)
+            assert state == ("terminated" if k == final else "running"), \
+                (body, final, k)
+
+
 def test_precondition_arith_matches_gcc(compiled_evaluator):
     rng = random.Random(0xD1FF)
     expressions = []

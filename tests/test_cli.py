@@ -9,7 +9,6 @@ import pytest
 from click.testing import CliRunner
 
 from termeval.cli import extract_precondition_answer, load_config, main
-from termeval._toml import TOMLDecodeError, loads as toml_loads
 
 from conftest import FIXTURES
 
@@ -25,36 +24,6 @@ def copy_fixture_workspace(tmp_path: Path) -> Path:
     shutil.copytree(FIXTURES / "runs", tmp_path / "runs")
     shutil.copy(FIXTURES / "score_config.toml", tmp_path / "score_config.toml")
     return tmp_path
-
-
-class TestToml:
-    def test_tables_and_arrays(self):
-        data = toml_loads(
-            '[corpus]\nroot = "x"  # comment\ncategories = ["Other", "MainHeap"]\n'
-            "[eval]\npool_size = 20\nseed = 123\n"
-            '[[models]]\nname = "a"\ntemperature = 1.0\n'
-            '[[models]]\nname = "b"\nflag = true\n')
-        assert data["corpus"]["root"] == "x"
-        assert data["corpus"]["categories"] == ["Other", "MainHeap"]
-        assert data["eval"]["pool_size"] == 20
-        assert [m["name"] for m in data["models"]] == ["a", "b"]
-        assert data["models"][1]["flag"] is True
-
-    def test_numbers(self):
-        data = toml_loads("a = -3\nb = 0.5\nc = 1_000\nd = [1, 2, 3]\n")
-        assert data == {"a": -3, "b": 0.5, "c": 1000, "d": [1, 2, 3]}
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(TOMLDecodeError):
-            toml_loads("a = 1\na = 2\n")
-
-    def test_bad_line_rejected(self):
-        with pytest.raises(TOMLDecodeError):
-            toml_loads("what is this\n")
-
-    def test_string_with_hash(self):
-        data = toml_loads('path = "a#b"  # real comment\n')
-        assert data["path"] == "a#b"
 
 
 REPLAY_MODEL = '[[models]]\nname = "m"\nmode = "replay"'
@@ -106,8 +75,12 @@ class TestLoadConfig:
          "unknown sampling preset"),
         ('[eval]\npool_size = 5\ntts_n = 10', "tts_n must not exceed"),
         ('[eval]\npool_size = "many"', "'many'"),
+        ('[eval]\npool_size = 0', "pool_size must be >= 1"),
+        ('[eval]\ntts_n = 0', "tts_n must be >= 1"),
+        ('[eval]\ntts_n = -1', "tts_n must be >= 1"),
         ('[checker]\ndomain = 3', "not subscriptable"),
         ("[eval\n", "c.toml"),
+        ("deep = " + "[" * 5000 + "]" * 5000, "c.toml"),
         # the config loads, but a corpus file it names does not
         (REPLAY_MODEL, "corpus root"),
         (f'manifest = "m.json"\n{REPLAY_MODEL}', "manifest"),
@@ -115,7 +88,8 @@ class TestLoadConfig:
         (f'sidecar = "list.json"\n{REPLAY_MODEL}', "list.json"),
         (f'sidecar = "word.json"\n{REPLAY_MODEL}', "word.json"),
     ], ids=["slash", "backslash", "dot-dot", "empty-name", "no-name", "top-p",
-            "preset", "tts-n", "pool-size", "domain", "bad-toml",
+            "preset", "tts-n", "pool-size", "pool-size-0", "tts-n-0",
+            "tts-n-negative", "domain", "bad-toml", "deep-toml",
             "no-corpus-root", "no-manifest", "no-exclusions", "sidecar-list",
             "sidecar-word"])
     def test_bad_config_exits_2(self, runner, tmp_path, body, message):
@@ -645,6 +619,30 @@ class TestPrecondCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "Pass@1 0.750" in result.output
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"bitvector-spin/even_spin": ', "cannot read annotations"),
+        ("[" * 100_000, "cannot read annotations"),
+        ('["x % 2 == 0"]', "annotations must map task ids to formulas"),
+        ('{"bitvector-spin/even_spin": 3}',
+         "annotation for bitvector-spin/even_spin is not a string"),
+        ('{"nowhere/missing": "x == 0"}',
+         "task nowhere/missing is not in the corpus"),
+    ], ids=["not-json", "deep", "list", "not-a-string", "unknown-task"])
+    def test_malformed_annotations_exit_2(self, runner, tmp_path, text,
+                                          message):
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": ["x % 2 == 0"] * 3,
+        })
+        annotations = workspace / "annotations.json"
+        annotations.write_text(text)
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{annotations}: {message}" in result.output
 
     def test_hostile_generations_are_unparseable(self, runner, tmp_path):
         # each of these once raised RecursionError and aborted the run
