@@ -456,7 +456,7 @@ def _parse_task_program(task) -> Program | UnsupportedConstruct:
     """The task's program; one that does not parse counts as unsupported."""
     try:
         return parse_program(task.source)
-    except Exception:
+    except CParseError:
         return UnsupportedConstruct(1, "parse error")
 
 

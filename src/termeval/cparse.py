@@ -943,8 +943,8 @@ class _Code(NamedTuple):
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "&": operator.and_, "|": operator.or_, "^": operator.xor}
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+# ``c op x`` is ``x flip(op) c``
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
 def _masks(t: CType) -> tuple[int, int]:
@@ -1021,11 +1021,13 @@ def _binary(op: str, left: _Code, right: _Code) -> _Code:
         return _Code(_wrapping(_ARITH[op], lf, rf, t), t, True, None)
     a, b = _coerce(left, t), _coerce(right, t)
     c = None if right.const is None else b({})
-    if op in _COMPARE:
+    if op in _FLIP:
         if c is not None:
             return _Code(_compare_with(op, a, c), INT, True, None)
-        cmp = _COMPARE[op]
-        return _Code(lambda env: 1 if cmp(a(env), b(env)) else 0, INT, True, None)
+        if left.const is not None:
+            # both operands were converted to t, so swapping them is exact
+            return _Code(_compare_with(_FLIP[op], b, a({})), INT, True, None)
+        return _Code(_compare(op, a, b), INT, True, None)
     if op in ("/", "%"):
         return _Code(_divide(op, a, b, c, t), t, True, None)
     raise ValueError(f"bad binary op {op}")
@@ -1044,6 +1046,21 @@ def _compare_with(op: str, a, c: int) -> Callable[[dict[str, int]], int]:
     if op == "==":
         return lambda env: 1 if a(env) == c else 0
     return lambda env: 1 if a(env) != c else 0
+
+
+def _compare(op: str, a, b) -> Callable[[dict[str, int]], int]:
+    """``a(env) op b(env)`` as 1 or 0."""
+    if op == "<":
+        return lambda env: 1 if a(env) < b(env) else 0
+    if op == "<=":
+        return lambda env: 1 if a(env) <= b(env) else 0
+    if op == ">":
+        return lambda env: 1 if a(env) > b(env) else 0
+    if op == ">=":
+        return lambda env: 1 if a(env) >= b(env) else 0
+    if op == "==":
+        return lambda env: 1 if a(env) == b(env) else 0
+    return lambda env: 1 if a(env) != b(env) else 0
 
 
 def _divide(op: str, a, b, c: int | None,
@@ -1081,8 +1098,11 @@ def _compile(expr: Expr, types: dict[str, CType]) -> _Code:
         value, t = expr.value, expr.ctype
         return _Code(lambda env: value, t, t.min <= value <= t.max, value)
     if isinstance(expr, Var):
-        return _Code(operator.itemgetter(expr.name), types.get(expr.name, INT),
-                     False, None)
+        # a declared variable holds a value of its type; any other may hold
+        # any int, such as an undeclared one assigned from a wider nondet call
+        declared = types.get(expr.name)
+        return _Code(operator.itemgetter(expr.name), declared or INT,
+                     declared is not None, None)
     if isinstance(expr, Unary):
         operand = _compile(expr.operand, types)
         code = _unary(expr.op, operand)
@@ -1109,7 +1129,10 @@ def compile_expr(expr: Expr, types: dict[str, CType],
     under C semantics, and ``ctype`` is its type.
 
     Variables take their type from ``types`` (``int`` when missing), and
-    every conversion and wrap is worked out here, not at each call.  With
+    every conversion and wrap is worked out here, not at each call.  A name
+    in ``types`` must hold a value in its type's range, as every store of a
+    program run does; its value is read without a wrap.  A name missing
+    from ``types`` may hold any int, and is read wrapped to ``int``.  With
     ``into`` the value is converted to that type, as an assignment does.
     ``fn`` raises :class:`EvalUndefined` on division by zero or an invalid
     shift and ``KeyError`` on an unbound variable.

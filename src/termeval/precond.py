@@ -264,9 +264,10 @@ class EquivUnknown:
 
 EquivalenceResult = Equivalent | Inequivalent | EquivUnknown
 
-# The brute-force check evaluates at most this many assignments (about two
-# seconds' worth).  Two int variables over the default box take
-# 260 * 260 = 67,600; three would take 17.6 million.
+# The brute-force check evaluates at most this many assignments (about 1.2 s
+# of `x + y < z` against its negation on a 2-vCPU VM, Python 3.11).  Two int
+# variables over the default box take 260 * 260 = 67,600; three would take
+# 17.6 million.
 MAX_BRUTE_ASSIGNMENTS = 1_000_000
 
 
@@ -277,21 +278,6 @@ def _domain_values(ctype: CType, box: tuple[int, int]) -> list[int]:
     # wraparound boundary sentinels
     values.update({ctype.min, ctype.min + 1, ctype.max - 1, ctype.max})
     return sorted(values)
-
-
-def _assignments(names: list[str], domains: list[list[int]]):
-    """Every assignment of the product, the first name outermost.  One dict
-    is updated in place and yielded each time."""
-    env = dict.fromkeys(names, 0)
-    if not names:
-        yield env
-        return
-    *outer, last = names
-    for prefix in itertools.product(*domains[:-1]):
-        env.update(zip(outer, prefix))
-        for value in domains[-1]:
-            env[last] = value
-            yield env
 
 
 def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
@@ -306,23 +292,38 @@ def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
     domains = [_domain_values(variables[n], box) for n in names]
     fa, _ = compile_expr(a, variables)
     fb, _ = compile_expr(b, variables)
-    defined = False
-    for env in itertools.islice(_assignments(names, domains),
-                                MAX_BRUTE_ASSIGNMENTS):
+    if not names:
         try:
-            if fa(env) != fb(env):
-                return Inequivalent(dict(env))
+            same = fa({}) == fb({})
         except EvalUndefined:
-            continue
-        defined = True
+            return EquivUnknown("degenerate: undefined arithmetic")
+        return Equivalent() if same else Inequivalent({})
+    # one dict, updated in place: each prefix of the outer names, then
+    # every value of the last name, until the budget is spent
+    env = dict.fromkeys(names, 0)
+    *outer, last = names
+    left = MAX_BRUTE_ASSIGNMENTS
+    defined = False
+    for prefix in itertools.product(*domains[:-1]):
+        if left <= 0:
+            break
+        env.update(zip(outer, prefix))
+        values = domains[-1][:left]
+        left -= len(values)
+        for value in values:
+            env[last] = value
+            try:
+                if fa(env) != fb(env):
+                    return Inequivalent(dict(env))
+            except EvalUndefined:
+                continue
+            defined = True
     total = math.prod(map(len, domains))
     if total > MAX_BRUTE_ASSIGNMENTS:
         return EquivUnknown(f"budget: {MAX_BRUTE_ASSIGNMENTS} of {total} "
                             "assignments evaluated without a counterexample")
     if not defined:
-        return EquivUnknown(
-            "degenerate: every assignment hit undefined arithmetic" if names
-            else "degenerate: undefined arithmetic")
+        return EquivUnknown("degenerate: every assignment hit undefined arithmetic")
     return Equivalent()
 
 

@@ -222,6 +222,35 @@ def test_typed_expression_evaluator_matches_gcc(tmp_path):
     assert len(got) == len(cases) and not mismatches, mismatches[:3]
 
 
+CONSTANT_LEFT = ["-1", "0", "1", "-129", "127", "128", "65535", "2147483647",
+                 "4294967295", "0x80000000", "100u", "-3000000000"]
+COMPARISONS = ["<", "<=", ">", ">=", "==", "!="]
+
+
+def test_constant_left_comparisons_match_gcc(tmp_path):
+    """``c op v``, evaluated as ``v flip(op) c``, with every variable at its
+    type's extremes and constants of every signedness; and ``!v`` on the
+    narrow and unsigned variables."""
+    types = {name: getattr(cparse, t) for name, t in TYPED_VARS.items()}
+    cases = []
+    for name, t in types.items():
+        for value in sorted({t.min, t.min + 1, -1 if t.signed else 1, 0,
+                             t.max - 1, t.max}):
+            env = {name: value}
+            texts = [f"{c} {op} {name}" for c in CONSTANT_LEFT
+                     for op in COMPARISONS] + [f"!{name}"]
+            for text in texts:
+                value_of, _ = eval_expr(parse_expression(text), env, types)
+                cases.append((text, env, value_of))
+    assert {"-1 < u", "4294967295 == u", "-129 < c", "0 > l", "!c", "!s",
+            "!u"} <= {text for text, _, _ in cases}
+
+    got = _run_c_cases(tmp_path, "constant_left", cases, types)
+    mismatches = [(text, env, want, have)
+                  for (text, env, want), have in zip(cases, got) if want != have]
+    assert len(got) == len(cases) and not mismatches, mismatches[:3]
+
+
 NONDET_HARNESS = """\
 #include <sys/time.h>
 #include <stdlib.h>

@@ -4,11 +4,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
+from termeval import cli
 from termeval.cli import extract_precondition_answer, load_config, main
+from termeval.cparse import UnsupportedConstruct
 
 from conftest import FIXTURES
 
@@ -219,6 +222,22 @@ class TestCheckWitnessCommand:
         ])
         assert result.exit_code == 1
         assert "Infeasible" in result.output
+
+
+class TestTaskProgram:
+    def test_source_that_does_not_lex_is_a_parse_error(self):
+        task = SimpleNamespace(source="int main() { return 0; } /* open\n")
+        assert cli._parse_task_program(task) == UnsupportedConstruct(
+            1, "parse error")
+
+    def test_a_fault_in_the_parser_propagates(self, monkeypatch):
+        def broken(source):
+            raise TypeError("parser bug")
+
+        monkeypatch.setattr(cli, "parse_program", broken)
+        task = SimpleNamespace(source="int main() { return 0; }\n")
+        with pytest.raises(TypeError, match="parser bug"):
+            cli._parse_task_program(task)
 
 
 class TestScoreCommand:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from termeval import corpus
@@ -71,7 +72,39 @@ class TestTokenCounting:
             load_sidecar(path)
 
 
+LIBYAML = pytest.mark.skipif(not yaml.__with_libyaml__,
+                             reason="PyYAML built without libyaml")
+LOADERS = [pytest.param(yaml.SafeLoader, id="python"),
+           pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                        marks=LIBYAML)]
+
+
 class TestLoadManifest:
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_unreadable_yaml_collected_under_its_task_id(self, tmp_path,
+                                                          monkeypatch, loader):
+        monkeypatch.setattr(corpus, "_YAML_LOADER", loader)
+        (tmp_path / "loops").mkdir()
+        (tmp_path / "loops" / "broken.yml").write_text(
+            "input_files: [broken.c\nproperties: {\n")
+        load = load_manifest(tmp_path)
+        assert load.manifest.tasks == []
+        [(task_id, message)] = load.report.errors
+        assert task_id == "loops/broken"
+        assert message.startswith("unreadable YAML: ")
+
+    @LIBYAML
+    def test_both_yaml_loaders_give_equal_manifests(self, corpus_root,
+                                                    monkeypatch):
+        loads = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            monkeypatch.setattr(corpus, "_YAML_LOADER", loader)
+            loads.append(load_manifest(corpus_root))
+        python, libyaml = loads
+        assert python.manifest.tasks == libyaml.manifest.tasks
+        assert python.report == libyaml.report
+        assert len(python.manifest.tasks) == 6
+
     def test_counts_and_labels(self, corpus_root):
         load = load_manifest(corpus_root)
         manifest = load.manifest

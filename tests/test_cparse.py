@@ -7,6 +7,7 @@ from termeval.cparse import (
     Program, UnsupportedConstruct, Var, While, parse_expression,
     parse_program, INT, UINT, wrap,
 )
+from termeval.lasso import run_program
 
 from conftest import load_program
 from reference import eval_expr, pretty_print, resolve_line, strip_alpha
@@ -239,6 +240,24 @@ class TestCompiledExpressions:
         with pytest.raises(EvalUndefined, match="shift by 40 on 32-bit"):
             shift({})
 
+    def test_undeclared_name_reads_as_wrapped_int(self):
+        # only a declared name is read without a wrap; an undeclared one
+        # stored from an unsigned nondet call may hold any unsigned value
+        fn, _ = cparse.compile_expr(parse_expression("x < 0"), {})
+        assert fn({"x": 4294967295}) == 1
+        fn, _ = cparse.compile_expr(parse_expression("x < 0"), {"x": UINT})
+        assert fn({"x": 4294967295}) == 0
+        program = parse_program(
+            "extern unsigned int __VERIFIER_nondet_uint(void);\n"
+            "int main() {\n"
+            "  x = __VERIFIER_nondet_uint();\n"
+            "  while (x < 0) { }\n"
+            "  return 0;\n"
+            "}\n")
+        assert program.types == {}
+        assert run_program(program, {"x@3": 5}, 1000)[0] == "terminated"
+        assert run_program(program, {"x@3": 4294967295}, 1000)[0] == "running"
+
     def test_deep_chain_in_program_is_parse_error(self):
         chain = " + ".join(["x"] * 300)
         with pytest.raises(CParseError, match="deeper than"):
@@ -296,7 +315,7 @@ class TestSemantics:
 
     def test_unsigned_comparison(self):
         expr = parse_expression("x > 0")
-        assert eval_expr(expr, {"x": -1}, {"x": UINT})[0] == 1
+        assert eval_expr(expr, {"x": 4294967295}, {"x": UINT})[0] == 1
         assert eval_expr(expr, {"x": -1}, {"x": INT})[0] == 0
 
     def test_char_promotion(self):

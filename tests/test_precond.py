@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from termeval import cparse
+from termeval import cparse, precond
 from termeval.cparse import (
     CHAR, INT, LONG, SHORT, UCHAR, UINT, USHORT, Binary, IntLit, Unary, Var,
 )
@@ -248,6 +248,48 @@ class TestBudget:
         a = parse_precondition("x < 10 and y > -10")
         b = parse_precondition("x <= 9 and y >= -9")
         assert brute_equivalence(a, b, XY) == Equivalent()
+
+    # the rows over XY: x outermost, y fastest, each over these 260 values
+    INT_DOMAIN = [INT.min, INT.min + 1, *range(-128, 128), INT.max - 1, INT.max]
+
+    def row(self, n: int) -> dict[str, int]:
+        """The ``n``-th assignment over XY, counting from 1."""
+        x, y = divmod(n - 1, len(self.INT_DOMAIN))
+        return {"x": self.INT_DOMAIN[x], "y": self.INT_DOMAIN[y]}
+
+    @pytest.mark.parametrize("n", [1, 259, 260, 261, 300])
+    def test_budget_ends_after_exactly_n_rows(self, monkeypatch, n):
+        monkeypatch.setattr(precond, "MAX_BRUTE_ASSIGNMENTS", n)
+        never = parse_precondition("x < x")
+        at_n, after_n = self.row(n), self.row(n + 1)
+        only_row_n = parse_precondition(
+            f"x == {at_n['x']} and y == {at_n['y']}")
+        only_row_after = parse_precondition(
+            f"x == {after_n['x']} and y == {after_n['y']}")
+        assert brute_equivalence(only_row_n, never, XY) == Inequivalent(at_n)
+        assert brute_equivalence(only_row_after, never, XY) == EquivUnknown(
+            f"budget: {n} of {260 ** 2} assignments evaluated without a "
+            "counterexample")
+
+    def test_formula_without_variables_is_evaluated_once(self, monkeypatch):
+        envs = []
+
+        def counting_compile(expr, types):
+            fn, ctype = cparse.compile_expr(expr, types)
+
+            def counted(env):
+                envs.append(dict(env))
+                return fn(env)
+            return counted, ctype
+
+        monkeypatch.setattr(precond, "compile_expr", counting_compile)
+        a, b = parse_precondition("1 < 2"), parse_precondition("2 > 1")
+        assert brute_equivalence(a, b, {}) == Equivalent()
+        assert envs == [{}, {}]
+        assert brute_equivalence(a, parse_precondition("2 < 1"), {}) == (
+            Inequivalent({}))
+        assert brute_equivalence(parse_precondition("1 / 0 == 0"), a, {}) == (
+            EquivUnknown("degenerate: undefined arithmetic"))
 
 
 class TestHostileFormulas:
