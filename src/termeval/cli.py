@@ -8,12 +8,14 @@ usage or configuration error.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
 import sys
 import tempfile
 import tomllib
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -415,13 +417,14 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
 
 
 def witness_status_for(prediction: Prediction | FormatError,
-                       program: Program | UnsupportedConstruct | None,
+                       program_of: Callable[[], Program | UnsupportedConstruct],
                        task, checker_cfg: CheckerConfig,
                        validator_cfg: ValidatorConfig | None) -> WitnessStatus:
     """Resolve one generation's witness status for scoring.
 
     The external validator, when configured, is authoritative; otherwise the
-    internal checker accepts witnesses it can prove or bound.
+    internal checker accepts witnesses it can prove or bound.  The task's
+    program is asked of ``program_of`` only when the internal checker runs.
     """
     if isinstance(prediction, FormatError):
         return WitnessStatus.ABSENT
@@ -441,7 +444,8 @@ def witness_status_for(prediction: Prediction | FormatError,
                 if result.status is ValidationStatus.VALIDATED
                 else WitnessStatus.INVALID)
 
-    if program is None or isinstance(program, UnsupportedConstruct):
+    program = program_of()
+    if isinstance(program, UnsupportedConstruct):
         return WitnessStatus.INVALID
     lasso_path = extract_lasso(prediction.witness)
     if not isinstance(lasso_path, LassoPath):
@@ -466,31 +470,25 @@ def _task_pool(task, run_dir: Path, model_name: str, config: RunConfig,
     """Score-ready entries for one task's cached generations.
 
     A witness's status depends only on the task and the witness, so it is
-    looked up in this pool first, then in ``statuses``, which is shared
-    across models and keyed by task id and a digest of the witness.  Under
+    kept in ``statuses``, which is shared across models and keyed by task id
+    and a digest of the witness.  The program is parsed at most once per
+    pool, and only if a witness reaches the internal checker.  Under
     ``--jobs`` one thread pools each task, so no two threads share a key.
     """
     records = oracle.replay_records(run_dir, model_name, task.task_id)
-    program: Program | UnsupportedConstruct | None = None
-    status_cache: dict[object, WitnessStatus] = {}
+    program_of = functools.cache(lambda: _parse_task_program(task))
     entries = []
     for record in records:
         parsed = record.parsed
         verdict = Verdict.UNK if isinstance(parsed, FormatError) else parsed.verdict
         status = WitnessStatus.ABSENT
         if verdict is Verdict.NT:
-            # identical witnesses across samples check identically
-            witness = parsed.witness
-            if witness not in status_cache:
-                key = (task.task_id,
-                       hashlib.sha256(repr(witness).encode()).hexdigest())
-                if key not in statuses:
-                    if program is None:
-                        program = _parse_task_program(task)
-                    statuses[key] = witness_status_for(
-                        parsed, program, task, config.checker, config.validator)
-                status_cache[witness] = statuses[key]
-            status = status_cache[witness]
+            key = (task.task_id,
+                   hashlib.sha256(repr(parsed.witness).encode()).hexdigest())
+            if key not in statuses:
+                statuses[key] = witness_status_for(
+                    parsed, program_of, task, config.checker, config.validator)
+            status = statuses[key]
         entries.append(PoolEntry(verdict, status))
     return entries
 
@@ -572,25 +570,16 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
         if incomplete:
             _fail(f"model {model_name}: incomplete pools for "
                   f"{incomplete[:5]}{'...' if len(incomplete) > 5 else ''}", 1)
-        single = bootstrap_eval(pools, expected, categories, config.eval, "single")
-        tts = bootstrap_eval(pools, expected, categories, config.eval, "tts")
-        rates = unknown_rates(pools, config.eval, tts)
         bin_means = (score_by_length_bin(generation_outcomes, binning)
                      if binning is not None else {})
         reports.append(ModelReport(
             model=model_name,
-            svcomp_single=single.scores,
-            svcomp_tts=tts.scores,
-            f1_t_single=single.f1_t,
-            f1_nt_single=single.f1_nt,
-            f1_t_tts=tts.f1_t,
-            f1_nt_tts=tts.f1_nt,
+            single=bootstrap_eval(pools, expected, categories, config.eval,
+                                  "single"),
+            tts=bootstrap_eval(pools, expected, categories, config.eval, "tts"),
             witness=witness_metrics(confusion),
-            unk_rate=rates.unk_rate,
-            tts_unk_rate=rates.tts_unk_rate,
+            unk_rate=unknown_rates(pools, config.eval),
             bin_means=bin_means,
-            per_run_single=single.per_run_scores,
-            per_run_tts=tts.per_run_scores,
         ))
 
     report = EvalReport(

@@ -87,7 +87,6 @@ class ManifestLoad:
 
 @dataclass(frozen=True)
 class LengthBinning:
-    bin_edges: tuple[int, int]
     assignment: dict[str, int]  # task_id -> bin index in {0, 1, 2}
 
 
@@ -208,10 +207,10 @@ def load_manifest(
 ) -> ManifestLoad:
     """Ingest every termination task under ``root``.
 
-    Per-task problems (missing source, unreadable YAML) are collected in the
-    report; an unreadable root raises :class:`IngestError`.  A task's token
-    count is its ``sidecar`` entry, else :func:`heuristic_token_count` of its
-    source.
+    Per-task problems (missing source, unreadable YAML, an
+    ``expected_verdict`` that is not a boolean) are collected in the report;
+    an unreadable root raises :class:`IngestError`.  A task's token count is
+    its ``sidecar`` entry, else :func:`heuristic_token_count` of its source.
     """
     root = Path(root)
     if not root.is_dir():
@@ -248,6 +247,11 @@ def load_manifest(
             continue
         category = _categorize(yml_path, patterns)
         if categories is not None and category not in categories:
+            continue
+        if type(verdict) is not bool:
+            report.errors.append(
+                (task_id, f"expected_verdict must be true or false, "
+                          f"got {verdict!r:.40}"))
             continue
 
         input_files = data["input_files"]
@@ -299,16 +303,12 @@ def assign_length_bins(manifest: CorpusManifest) -> LengthBinning:
     base, extra = divmod(n, 3)
     sizes = [base + (1 if i < extra else 0) for i in range(3)]
     assignment: dict[str, int] = {}
-    edges: list[int] = []
     pos = 0
     for idx, size in enumerate(sizes):
-        chunk = ordered[pos:pos + size]
-        for t in chunk:
+        for t in ordered[pos:pos + size]:
             assignment[t.task_id] = idx
-        if idx < 2:
-            edges.append(chunk[-1].token_count)
         pos += size
-    return LengthBinning((edges[0], edges[1]), assignment)
+    return LengthBinning(assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,10 @@ def manifest_from_json(path: Path | str) -> CorpusManifest:
     root = Path(payload["root"])
     tasks = []
     for entry in payload["tasks"]:
+        if entry["expected_verdict"] not in ("T", "NT"):
+            raise ValueError(f"task {entry['task_id']}: expected_verdict must "
+                             f"be \"T\" or \"NT\", got "
+                             f"{entry['expected_verdict']!r:.40}")
         source_path = root / entry["source_path"]
         tasks.append(TaskSpec(
             task_id=entry["task_id"],

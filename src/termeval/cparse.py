@@ -291,6 +291,12 @@ def int_constant(text: str, suffix: str = "") -> tuple[int, CType]:
     return value, _literal_type(value, True, suffix)
 
 
+# matched in place with ``.match(source, i)``: slicing off the rest of the
+# source for each token would make tokenizing quadratic in its length
+_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[0-9]+")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     i, n, line = 0, len(source), 1
@@ -328,8 +334,7 @@ def tokenize(source: str) -> list[Token]:
             i = j + 1
             continue
         if ch.isascii() and ch.isdigit():
-            m = re.match(r"0[xX][0-9a-fA-F]+|[0-9]+", source[i:])
-            text = m.group(0)
+            text = _NUMBER_RE.match(source, i).group(0)
             j = i + len(text)
             suffix = ""
             while j < n and source[j] in "uUlL":
@@ -345,8 +350,7 @@ def tokenize(source: str) -> list[Token]:
             i = j
             continue
         if ch.isascii() and (ch.isalpha() or ch == "_"):
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", source[i:])
-            text = m.group(0)
+            text = _IDENT_RE.match(source, i).group(0)
             kind = "keyword" if text in _KEYWORDS else "ident"
             tokens.append(Token(kind, text, line))
             i += len(text)

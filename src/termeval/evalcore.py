@@ -22,7 +22,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 from .witness import Verdict
@@ -153,7 +153,6 @@ def _stats(values: list[float]) -> Stats:
 
 @dataclass
 class BootstrapResult:
-    mode: str
     scores: Stats
     f1_t: Stats
     f1_nt: Stats
@@ -257,7 +256,6 @@ def bootstrap_eval(pools: dict[str, list[PoolEntry]],
         unk_answers += sum(row[0] + row[3] for row in tally)
 
     return BootstrapResult(
-        mode=mode,
         scores=_stats(per_run_scores),
         f1_t=_stats([f[0] for f in per_run_f1]),
         f1_nt=_stats([f[1] for f in per_run_f1]),
@@ -326,32 +324,18 @@ def witness_metrics(c: ConfusionCounts) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Unknown rates
+# Unknown share
 
 
-@dataclass
-class UnknownRates:
-    unk_rate: float
-    tts_unk_rate: float
+def unknown_rates(pools: dict[str, list[PoolEntry]], cfg: EvalConfig) -> float:
+    """Share of all pooled generations whose reply gave no verdict.
 
-
-def unknown_rates(pools: dict[str, list[PoolEntry]], cfg: EvalConfig,
-                  tts: BootstrapResult) -> UnknownRates:
-    """Raw unknown share over all generations, plus the share of
-    (task, bootstrap draw) pairs that resolve to unknown under consensus.
-
-    The consensus share is ``tts.unk_fraction``: ``tts`` must be the
-    ``"tts"`` bootstrap of these pools under ``cfg``, which already counted
-    the unknown answers of every drawn substream.
+    ``cfg`` is not read: the signature is the one ``bench/spans.py`` traces.
+    The consensus-mode share is the ``"tts"`` bootstrap's ``unk_fraction``.
     """
-    if tts.mode != "tts" or len(tts.per_run_scores) != cfg.n_bootstrap:
-        raise ValueError("tts_unk_rate needs the tts bootstrap run under cfg")
     total = sum(len(p) for p in pools.values())
     unk = sum(1 for p in pools.values() for e in p if e.verdict is Verdict.UNK)
-    return UnknownRates(
-        unk_rate=unk / total if total else 0.0,
-        tts_unk_rate=tts.unk_fraction,
-    )
+    return unk / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +377,14 @@ def pass_at_k(n: int, c: int, k: int) -> float:
 @dataclass
 class ModelReport:
     model: str
-    svcomp_single: Stats
-    svcomp_tts: Stats
-    f1_t_single: Stats
-    f1_nt_single: Stats
-    f1_t_tts: Stats
-    f1_nt_tts: Stats
+    single: BootstrapResult
+    tts: BootstrapResult  # consensus mode; its unk_fraction is tts_unk_rate
     witness: dict[str, float]
     unk_rate: float
-    tts_unk_rate: float
     bin_means: dict[int, float] = field(default_factory=dict)
-    per_run_single: list[float] = field(default_factory=list)
-    per_run_tts: list[float] = field(default_factory=list)
+
+    def modes(self) -> tuple[tuple[str, BootstrapResult], ...]:
+        return (("single", self.single), ("tts", self.tts))
 
 
 @dataclass
@@ -414,6 +394,21 @@ class EvalReport:
     witness_check_mode: str  # "external-validator" or "internal-checker"
 
     def to_json(self) -> str:
+        models = []
+        for m in self.models:
+            entry = {
+                "model": m.model,
+                "witness": m.witness,
+                "unk_rate": m.unk_rate,
+                "tts_unk_rate": m.tts.unk_fraction,
+                "bin_means": {str(k): v for k, v in sorted(m.bin_means.items())},
+            }
+            for mode, result in m.modes():
+                for name, stats in (("svcomp", result.scores),
+                                    ("f1_t", result.f1_t),
+                                    ("f1_nt", result.f1_nt)):
+                    entry[f"{name}_{mode}"] = asdict(stats)
+            models.append(entry)
         payload = {
             "config": {
                 "pool_size": self.config.pool_size,
@@ -422,26 +417,7 @@ class EvalReport:
                 "rng_seed": self.config.rng_seed,
             },
             "witness_check_mode": self.witness_check_mode,
-            "models": [
-                {
-                    "model": m.model,
-                    "svcomp_single": {"mean": m.svcomp_single.mean,
-                                      "std": m.svcomp_single.std},
-                    "svcomp_tts": {"mean": m.svcomp_tts.mean,
-                                   "std": m.svcomp_tts.std},
-                    "f1_t_single": {"mean": m.f1_t_single.mean,
-                                    "std": m.f1_t_single.std},
-                    "f1_nt_single": {"mean": m.f1_nt_single.mean,
-                                     "std": m.f1_nt_single.std},
-                    "f1_t_tts": {"mean": m.f1_t_tts.mean, "std": m.f1_t_tts.std},
-                    "f1_nt_tts": {"mean": m.f1_nt_tts.mean, "std": m.f1_nt_tts.std},
-                    "witness": m.witness,
-                    "unk_rate": m.unk_rate,
-                    "tts_unk_rate": m.tts_unk_rate,
-                    "bin_means": {str(k): v for k, v in sorted(m.bin_means.items())},
-                }
-                for m in self.models
-            ],
+            "models": models,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -462,12 +438,12 @@ class EvalReport:
         for m in self.models:
             lines.append(
                 f"{m.model:<24} "
-                f"{m.svcomp_single.mean:>10.1f} {m.svcomp_tts.mean:>10.1f} "
-                f"{m.f1_t_single.mean:>7.3f} {m.f1_nt_single.mean:>7.3f} "
-                f"{m.f1_t_tts.mean:>7.3f} {m.f1_nt_tts.mean:>8.3f} "
+                f"{m.single.scores.mean:>10.1f} {m.tts.scores.mean:>10.1f} "
+                f"{m.single.f1_t.mean:>7.3f} {m.single.f1_nt.mean:>7.3f} "
+                f"{m.tts.f1_t.mean:>7.3f} {m.tts.f1_nt.mean:>8.3f} "
                 f"{m.witness['precision']:>7.3f} {m.witness['recall']:>7.3f} "
                 f"{m.witness['validity']:>7.3f} "
-                f"{m.unk_rate:>6.3f} {m.tts_unk_rate:>8.3f}")
+                f"{m.unk_rate:>6.3f} {m.tts.unk_fraction:>8.3f}")
         if any(m.bin_means for m in self.models):
             lines.append("")
             lines.append(f"{'model':<24} {'bin0':>10} {'bin1':>10} {'bin2':>10}")
@@ -484,8 +460,7 @@ class EvalReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["model", "mode", "run", "score"])
         for m in self.models:
-            for i, score in enumerate(m.per_run_single):
-                writer.writerow([m.model, "single", i, repr(score)])
-            for i, score in enumerate(m.per_run_tts):
-                writer.writerow([m.model, "tts", i, repr(score)])
+            for mode, result in m.modes():
+                for i, score in enumerate(result.per_run_scores):
+                    writer.writerow([m.model, mode, i, repr(score)])
         return buf.getvalue()

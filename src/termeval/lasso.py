@@ -39,7 +39,7 @@ from .cparse import (
     Assign, Block, CType, Decl, EvalUndefined, For, If, NondetAssign, Program,
     Return, UnsupportedConstruct, While, wrap,
 )
-from .witness import WitnessAutomaton, WitnessEdge
+from .witness import WitnessAutomaton, WitnessEdge, _reachable
 
 
 # ---------------------------------------------------------------------------
@@ -58,35 +58,42 @@ class NoLasso:
     reason: str
 
 
-def _lex_dfs_path(edges_from: dict[str, list[WitnessEdge]], start: str,
-                  goal: str, allow_empty: bool) -> list[WitnessEdge] | None:
+def _lex_path(edges_from: dict[str, list[WitnessEdge]],
+              adjacency: dict[str, set[str]], start: str, goal: str,
+              allow_empty: bool) -> list[WitnessEdge] | None:
     """Lexicographically smallest (by edge-id sequence) simple path
     start -> goal.  With ``allow_empty`` false a path must use >= 1 edge,
-    which makes start == goal a cycle search.  Trying edges in sorted order
-    and returning the first completed path yields the lexicographic minimum.
+    which makes start == goal a cycle search.
+
+    A greedy walk: at each node take the first edge, in id order, after which
+    the goal can still be reached without revisiting the path.  Every edge
+    tried costs one reachability search and nothing is backtracked, so the
+    time is polynomial in the witness and the stack stays flat.  The last
+    candidate is taken untested: if the goal is reachable from the node, it
+    is reachable through that edge; if not, there is no path at all, and the
+    walk ends at a node with no candidates.
     """
     if start == goal and allow_empty:
         return []
-
-    def dfs(node: str, visited: set[str], path: list[WitnessEdge]) -> bool:
-        for edge in edges_from.get(node, ()):
-            if edge.target == goal:
-                path.append(edge)
-                return True
-            if edge.target in visited:
-                continue
-            visited.add(edge.target)
-            path.append(edge)
-            if dfs(edge.target, visited, path):
-                return True
-            path.pop()
-            visited.discard(edge.target)
-        return False
-
     path: list[WitnessEdge] = []
-    if dfs(start, {start}, path):
-        return path
-    return None
+    on_path = set() if start == goal else {start}  # never entered again
+    node = start
+    while True:
+        options = [e for e in edges_from.get(node, ())
+                   if e.target == goal or e.target not in on_path]
+        for edge in options[:-1]:
+            if (edge.target == goal
+                    or goal in _reachable({edge.target}, adjacency, on_path)):
+                break
+        else:
+            if not options:
+                return None
+            edge = options[-1]
+        path.append(edge)
+        if edge.target == goal:
+            return path
+        node = edge.target
+        on_path.add(node)
 
 
 def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
@@ -100,16 +107,20 @@ def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
     if not cycleheads or not entries:
         return NoLasso("missing entry or cyclehead node")
     edges_from: dict[str, list[WitnessEdge]] = {}
+    adjacency: dict[str, set[str]] = {}
     for edge in w.edges:
         edges_from.setdefault(edge.source, []).append(edge)
+        adjacency.setdefault(edge.source, set()).add(edge.target)
     for out in edges_from.values():
         out.sort(key=lambda e: e.id)
 
     for head in cycleheads:
-        cycle = _lex_dfs_path(edges_from, head.id, head.id, allow_empty=False)
+        cycle = _lex_path(edges_from, adjacency, head.id, head.id,
+                          allow_empty=False)
         if cycle is None:
             continue
-        stem = _lex_dfs_path(edges_from, entries[0].id, head.id, allow_empty=True)
+        stem = _lex_path(edges_from, adjacency, entries[0].id, head.id,
+                         allow_empty=True)
         if stem is None:
             continue
         return LassoPath(tuple(stem), tuple(cycle), head.id)

@@ -2,8 +2,9 @@
 
 None of this is reached from the ``termeval`` CLI: each is the plain,
 direct statement of a rule whose production form is optimised or folded
-into another function (consensus and F1 inside ``evalcore.bootstrap_eval``),
-or a tool that only tests need (one-shot evaluation of a C expression, a C
+into another function (consensus and F1 inside ``evalcore.bootstrap_eval``,
+the backtracking lasso path search behind ``lasso.extract_lasso``), or a
+tool that only tests need (one-shot evaluation of a C expression, a C
 pretty-printer for round trips, a GraphML reader for the emitter's round
 trip, the prompt templates' hashes).
 """
@@ -248,6 +249,44 @@ def parse_graphml(text: str) -> WitnessAutomaton:
             return_from=data.get("returnFromFunction"),
         ))
     return WitnessAutomaton(tuple(nodes), tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# Lasso paths
+
+
+def lex_dfs_path(edges_from: dict[str, list[WitnessEdge]], start: str,
+                 goal: str, allow_empty: bool) -> list[WitnessEdge] | None:
+    """Lexicographically smallest (by edge-id sequence) simple path
+    start -> goal.  With ``allow_empty`` false a path must use >= 1 edge,
+    which makes start == goal a cycle search.  Trying edges in sorted order
+    and returning the first completed path yields the lexicographic minimum.
+
+    Recursive backtracking: exponential on ladders of diamonds, and as deep
+    as the path is long.
+    """
+    if start == goal and allow_empty:
+        return []
+
+    def dfs(node: str, visited: set[str], path: list[WitnessEdge]) -> bool:
+        for edge in edges_from.get(node, ()):
+            if edge.target == goal:
+                path.append(edge)
+                return True
+            if edge.target in visited:
+                continue
+            visited.add(edge.target)
+            path.append(edge)
+            if dfs(edge.target, visited, path):
+                return True
+            path.pop()
+            visited.discard(edge.target)
+        return False
+
+    path: list[WitnessEdge] = []
+    if dfs(start, {start}, path):
+        return path
+    return None
 
 
 # ---------------------------------------------------------------------------

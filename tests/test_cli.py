@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,8 +11,10 @@ import pytest
 from click.testing import CliRunner
 
 from termeval import cli
+from termeval import corpus as corpus_mod
 from termeval.cli import extract_precondition_answer, load_config, main
 from termeval.cparse import UnsupportedConstruct
+from termeval.lasso import ValidatorConfig
 
 from conftest import FIXTURES
 
@@ -105,6 +108,18 @@ class TestLoadConfig:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert message in result.output
+
+
+    def test_manifest_with_unknown_verdict_exits_2(self, runner, tmp_path):
+        manifest = corpus_mod.load_manifest(FIXTURES / "corpus").manifest
+        payload = json.loads(corpus_mod.manifest_to_json(manifest))
+        payload["tasks"][0]["expected_verdict"] = "false"
+        (tmp_path / "m.json").write_text(json.dumps(payload))
+        config_path = tmp_path / "c.toml"
+        config_path.write_text(f'[corpus]\nmanifest = "m.json"\n{REPLAY_MODEL}\n')
+        result = runner.invoke(main, ["run", "-c", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "expected_verdict" in result.output
 
 
 class TestIngestCommand:
@@ -240,6 +255,80 @@ class TestTaskProgram:
             cli._parse_task_program(task)
 
 
+def _write_replies(run_dir: Path, model: str, task_id: str,
+                   replies: list[str]) -> None:
+    task_dir = run_dir / model / task_id
+    task_dir.mkdir(parents=True)
+    for i, raw_text in enumerate(replies):
+        (task_dir / f"{i}.json").write_text(json.dumps({
+            "model": model, "task_id": task_id, "sample_index": i,
+            "raw_text": raw_text, "prompt_hash": "test", "latency": 0.0,
+            "timestamp": 0.0}))
+
+
+class TestTaskPool:
+    """A task's program is parsed only for a witness the internal checker
+    will read, and at most once per pool."""
+
+    VALID = (FIXTURES / "witnesses" / "even_spin.json").read_text()
+    NO_ENTRY = json.dumps({"verdict": False, "witness": {
+        "nodes": [{"id": "N0", "cyclehead": "true"}],
+        "edges": [{"id": "E0", "source": "N0", "target": "N0", "line": 9,
+                   "sourcecode": "x"}]}})
+    NO_EDGE_LINE = VALID.replace('"line": 3, ', "")
+
+    def pools_and_parses(self, tmp_path, monkeypatch, replies, validator=None):
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        _write_replies(run_dir, "m", "bitvector-spin/even_spin", replies)
+        parsed = []
+        parse_program = cli.parse_program
+
+        def counting(source):
+            parsed.append(source)
+            return parse_program(source)
+
+        monkeypatch.setattr(cli, "parse_program", counting)
+        config = load_config(workspace / "score_config.toml")
+        config = dataclasses.replace(config, validator=validator)
+        manifest = cli._load_manifest_for(config)
+        pools, _, _ = cli.build_pools(manifest, run_dir, "m", config)
+        return pools["bitvector-spin/even_spin"], len(parsed)
+
+    @pytest.mark.parametrize("replies, statuses", [
+        (['{"verdict": false}', '{"verdict": true}', "no answer"],
+         ["absent"] * 3),
+        ([NO_ENTRY, NO_EDGE_LINE, '{"verdict": false}'],
+         ["invalid", "invalid", "absent"]),
+    ], ids=["no-witness", "schema-invalid"])
+    def test_unchecked_witnesses_parse_no_program(self, tmp_path, monkeypatch,
+                                                  replies, statuses):
+        pool, parses = self.pools_and_parses(tmp_path, monkeypatch, replies)
+        assert [e.witness_status.value for e in pool] == statuses
+        assert parses == 0
+
+    def test_checked_witnesses_parse_the_program_once(self, tmp_path,
+                                                      monkeypatch):
+        other = self.VALID.replace('"x = x + 2"', '"x += 2"')
+        pool, parses = self.pools_and_parses(
+            tmp_path, monkeypatch, [self.VALID, other, self.NO_ENTRY])
+        assert [e.witness_status.value for e in pool] == \
+            ["valid", "valid", "invalid"]
+        assert parses == 1
+
+    def test_external_validator_parses_no_program(self, tmp_path, monkeypatch):
+        root = tmp_path / "validator"
+        root.mkdir()
+        script = root / "Ultimate.py"
+        script.write_text("#!/bin/sh\necho 'RESULT: FALSE(TERM)'\n")
+        script.chmod(0o755)
+        pool, parses = self.pools_and_parses(
+            tmp_path, monkeypatch, [self.VALID] * 3,
+            validator=ValidatorConfig(root))
+        assert [e.witness_status.value for e in pool] == ["valid"] * 3
+        assert parses == 0
+
+
 class TestScoreCommand:
     def test_reports_written(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
@@ -299,9 +388,9 @@ class TestScoreCommand:
         checked = []
         status_for = cli.witness_status_for
 
-        def counting(prediction, program, task, *args):
+        def counting(prediction, program_of, task, *args):
             checked.append((task.task_id, repr(prediction.witness)))
-            return status_for(prediction, program, task, *args)
+            return status_for(prediction, program_of, task, *args)
 
         monkeypatch.setattr(cli, "witness_status_for", counting)
         workspace = copy_fixture_workspace(tmp_path)

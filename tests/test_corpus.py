@@ -93,6 +93,35 @@ class TestLoadManifest:
         assert task_id == "loops/broken"
         assert message.startswith("unreadable YAML: ")
 
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("verdict", ['"false"', "'true'", "0", "[]"])
+    def test_non_boolean_verdict_is_a_task_error(self, tmp_path, monkeypatch,
+                                                 loader, verdict):
+        monkeypatch.setattr(corpus, "_YAML_LOADER", loader)
+        for name, text in (("good", "true"), ("bad", verdict)):
+            (tmp_path / f"{name}.c").write_text("int main() { return 0; }\n")
+            (tmp_path / f"{name}.yml").write_text(
+                "format_version: '2.0'\n"
+                f"input_files: '{name}.c'\n"
+                "properties:\n"
+                "  - property_file: ../properties/termination.prp\n"
+                f"    expected_verdict: {text}\n")
+        load = load_manifest(tmp_path)
+        assert [t.task_id for t in load.manifest.tasks] == ["good"]
+        [(task_id, message)] = load.report.errors
+        assert task_id == "bad"
+        assert message.startswith("expected_verdict must be true or false")
+
+    @pytest.mark.parametrize("verdict", ["F", "t", "false", True, None])
+    def test_reload_rejects_an_unknown_verdict(self, corpus_root, tmp_path,
+                                               verdict):
+        payload = json.loads(manifest_to_json(load_manifest(corpus_root).manifest))
+        payload["tasks"][0]["expected_verdict"] = verdict
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="expected_verdict"):
+            manifest_from_json(path)
+
     @LIBYAML
     def test_both_yaml_loaders_give_equal_manifests(self, corpus_root,
                                                     monkeypatch):

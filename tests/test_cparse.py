@@ -1,3 +1,6 @@
+import math
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -388,6 +391,20 @@ class TestExpressionParsing:
         program = parse_program("int main() { int x = 010; return 0; }")
         assert isinstance(program, Program)
         assert program.main.body[0].init == IntLit(8)
+
+    def test_tokenize_time_is_linear_in_the_text(self):
+        # a witness assumption may be a megabyte long; copying the rest of
+        # the text for each token would make the time quadratic
+        def seconds(size: int) -> float:
+            text = ("x1 23 " * (size // 6 + 1))[:size]
+            best = math.inf
+            for _ in range(2):
+                start = time.perf_counter()
+                cparse.tokenize(text)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(1_000_000) / seconds(250_000) < 8
 
     def test_nesting_at_the_limit_parses(self):
         depth = cparse.MAX_EXPR_NESTING

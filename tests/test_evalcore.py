@@ -429,24 +429,13 @@ class TestUnknownRates:
     def test_all_decided_pool(self):
         pools = {"a": [entry(T)] * 20}
         cfg = EvalConfig(pool_size=20, n_bootstrap=50, tts_n=10, rng_seed=4)
-        rates = unknown_rates(pools, cfg, tts_of(pools, cfg))
-        assert rates.unk_rate == 0.0
-        assert rates.tts_unk_rate == 0.0
+        assert unknown_rates(pools, cfg) == 0.0
+        assert tts_of(pools, cfg).unk_fraction == 0.0
 
     def test_two_unknowns_of_twenty(self):
         pools = {"a": [entry(UNK)] * 2 + [entry(T)] * 18}
         cfg = EvalConfig(pool_size=20, n_bootstrap=10, tts_n=10, rng_seed=4)
-        tts = tts_of(pools, cfg)
-        rates = unknown_rates(pools, cfg, tts)
-        assert rates.unk_rate == pytest.approx(0.10)
-        assert rates.tts_unk_rate == tts.unk_fraction
-
-    def test_needs_the_tts_bootstrap(self):
-        pools = {"a": [entry(T)] * 4}
-        cfg = EvalConfig(pool_size=4, n_bootstrap=5, tts_n=2, rng_seed=4)
-        single = bootstrap_eval(pools, {"a": T}, {"a": "X"}, cfg, "single")
-        with pytest.raises(ValueError):
-            unknown_rates(pools, cfg, single)
+        assert unknown_rates(pools, cfg) == pytest.approx(0.10)
 
     def test_mixed_pool_matches_hypergeometric(self):
         pools = {"a": [entry(T)] * 10 + [entry(NT)] * 10}
@@ -465,8 +454,8 @@ class TestUnknownRates:
 
 
 class TestLengthBinScores:
-    BINNING = LengthBinning((10, 20), {"s1": 0, "s2": 0, "m1": 1, "m2": 1,
-                                       "l1": 2, "l2": 2})
+    BINNING = LengthBinning({"s1": 0, "s2": 0, "m1": 1, "m2": 1,
+                             "l1": 2, "l2": 2})
 
     def test_identical_outcomes_equal_means(self):
         outcomes = [(t, SampleOutcome.TN) for t in self.BINNING.assignment]

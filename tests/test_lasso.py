@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import signal
 import stat
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,14 +11,16 @@ from termeval.evalcore import WitnessStatus
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, NoLasso,
     ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig,
-    check_feasibility, extract_lasso, run_external_validator, run_program,
+    _lex_path, check_feasibility, extract_lasso, run_external_validator,
+    run_program,
 )
 from termeval.witness import (
     WitnessAutomaton, WitnessEdge, WitnessNode, parse_prediction,
-    witness_from_json,
+    validate_schema, witness_from_json,
 )
 
 from conftest import FIXTURES, load_program, load_witness_json
+from reference import lex_dfs_path
 
 FAST_CFG = CheckerConfig(nondet_domain=(-16, 16), bounded_cycle_target=200,
                          stall_steps=500, max_steps=50_000)
@@ -31,6 +34,31 @@ def program(name: str):
     p = parse_program(load_program(name))
     assert not isinstance(p, str)
     return p
+
+
+def chain_witness(n: int) -> WitnessAutomaton:
+    """Entry N0, a stem through N1 .. N(n-1), and a self-loop there."""
+    nodes = ([WitnessNode("N0", entry=True)]
+             + [WitnessNode(f"N{i}") for i in range(1, n - 1)]
+             + [WitnessNode(f"N{n - 1}", cyclehead=True)])
+    edges = [WitnessEdge(f"E{i:05d}", f"N{i}", f"N{i + 1}", 6, "int i;")
+             for i in range(n - 1)]
+    edges.append(WitnessEdge("F", f"N{n - 1}", f"N{n - 1}", 9, "while"))
+    return WitnessAutomaton(tuple(nodes), tuple(edges))
+
+
+def within_seconds(seconds: int, fn, *args):
+    """``fn(*args)``, failing the test if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"{fn.__name__} ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExtractLasso:
@@ -79,6 +107,57 @@ class TestExtractLasso:
         )
         lasso = extract_lasso(w)
         assert [e.id for e in lasso.cycle] == ["EA", "EC"]
+
+    def test_long_chain_stem(self):
+        w = chain_witness(5000)
+        lasso = extract_lasso(w)
+        assert [e.id for e in lasso.stem] == [e.id for e in w.edges[:-1]]
+        assert [e.id for e in lasso.cycle] == ["F"]
+
+    def test_ladder_under_a_cyclehead_without_cycle(self):
+        # the first cyclehead tops a ladder of 40 diamonds with no way back;
+        # a backtracking search tries all 2**40 paths through it
+        nodes = [WitnessNode("IN", entry=True), WitnessNode("H", cyclehead=True),
+                 WitnessNode("C", cyclehead=True)]
+        edges = [WitnessEdge("E0", "IN", "C", 1, "s"),
+                 WitnessEdge("E1", "C", "C", 1, "s"),
+                 WitnessEdge("E2", "IN", "H", 1, "s")]
+        top = "H"
+        for k in range(40):
+            nodes += [WitnessNode(f"A{k}"), WitnessNode(f"B{k}"),
+                      WitnessNode(f"D{k}")]
+            edges += [WitnessEdge(f"L{k}a", top, f"A{k}", 1, "s"),
+                      WitnessEdge(f"L{k}b", top, f"B{k}", 1, "s"),
+                      WitnessEdge(f"L{k}c", f"A{k}", f"D{k}", 1, "s"),
+                      WitnessEdge(f"L{k}d", f"B{k}", f"D{k}", 1, "s")]
+            top = f"D{k}"
+        w = WitnessAutomaton(tuple(nodes), tuple(edges))
+        assert not validate_schema(w)
+        lasso = within_seconds(5, extract_lasso, w)
+        assert lasso.cyclehead == "C"
+        assert [e.id for e in lasso.stem] == ["E0"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.sampled_from("ABCDEFGHIJ")), max_size=16))))
+    def test_path_search_matches_backtracking(self, graph):
+        n, arcs = graph
+        edges_from: dict[str, list[WitnessEdge]] = {}
+        adjacency: dict[str, set[str]] = {}
+        for i, (a, b, eid) in enumerate(arcs):
+            edge = WitnessEdge(eid, f"N{a}", f"N{b}", i + 1, "s")
+            edges_from.setdefault(edge.source, []).append(edge)
+            adjacency.setdefault(edge.source, set()).add(edge.target)
+        for out in edges_from.values():
+            out.sort(key=lambda e: e.id)
+        for start in range(n):
+            for goal in range(n):
+                for allow_empty in (False, True):
+                    args = (f"N{start}", f"N{goal}", allow_empty)
+                    assert _lex_path(edges_from, adjacency, *args) == \
+                        lex_dfs_path(edges_from, *args)
 
 
 class TestCheckFeasibility:
@@ -366,6 +445,21 @@ class TestHostileWitnesses:
     """Oracle output is hostile input: no reply or witness may crash
     scoring or the checker."""
 
+    def test_long_chain_reply_is_checked(self):
+        # 3,000 nodes in a row, a 0.3 MB reply: deeper than the
+        # interpreter's recursion limit
+        w = chain_witness(3000)
+        reply = json.dumps({"verdict": False, "witness": {
+            "nodes": [dataclasses.asdict(n) for n in w.nodes],
+            "edges": [{"id": e.id, "source": e.source, "target": e.target,
+                       "line": e.line, "sourcecode": e.sourcecode}
+                      for e in w.edges]}})
+        prediction = parse_prediction(reply)
+        assert prediction.witness == w
+        status = witness_status_for(prediction, lambda: program("even_spin.c"),
+                                    None, FAST_CFG, None)
+        assert isinstance(status, WitnessStatus)
+
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.sampled_from(PROGRAMS), st.sampled_from(WITNESSES),
@@ -377,8 +471,8 @@ class TestHostileWitnesses:
         at %= len(reply)
         reply = reply[:at] + text + reply[at + cut:]
         status = witness_status_for(parse_prediction(reply),
-                                    program(program_name), None, FAST_CFG,
-                                    None)
+                                    lambda: program(program_name), None,
+                                    FAST_CFG, None)
         assert isinstance(status, WitnessStatus)
 
     @settings(max_examples=400, deadline=None,
