@@ -34,7 +34,7 @@ from .evalcore import (
 from .lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, ProvenInfinite,
     Unknown, ValidationStatus, ValidatorConfig, check_feasibility,
-    extract_lasso, run_external_validator,
+    checker_view, extract_lasso, run_external_validator,
 )
 from .witness import (
     FormatError, Prediction, ProducerMeta, Verdict, emit_graphml,
@@ -416,44 +416,59 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
 # score
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def witness_status_for(prediction: Prediction | FormatError,
                        program_of: Callable[[], Program | UnsupportedConstruct],
                        task, checker_cfg: CheckerConfig,
-                       validator_cfg: ValidatorConfig | None) -> WitnessStatus:
+                       validator_cfg: ValidatorConfig | None,
+                       statuses: dict[tuple[str, str], WitnessStatus],
+                       ) -> WitnessStatus:
     """Resolve one generation's witness status for scoring.
 
     The external validator, when configured, is authoritative; otherwise the
-    internal checker accepts witnesses it can prove or bound.  The task's
-    program is asked of ``program_of`` only when the internal checker runs.
+    internal checker accepts witnesses it can prove or bound.  A status that
+    one of them gives is kept in ``statuses`` under the task id and a sha256
+    of what it read: the whole witness for the validator, the lasso's
+    :func:`lasso.checker_view` for the internal checker.  So the checker runs
+    once per distinct (task, lasso view), and ``program_of``, which gives the
+    task's program, is called only when it runs.
     """
     if isinstance(prediction, FormatError):
         return WitnessStatus.ABSENT
     if prediction.verdict is not Verdict.NT or prediction.witness is None:
         return WitnessStatus.ABSENT
-    if validate_schema(prediction.witness):
+    witness = prediction.witness
+    if validate_schema(witness):
         return WitnessStatus.INVALID
 
     if validator_cfg is not None:
-        graphml = emit_graphml(prediction.witness, task, ProducerMeta())
-        with tempfile.TemporaryDirectory(prefix="termeval-validate-") as tmp:
-            target = Path(tmp) / "witness.graphml"
-            target.write_text(graphml, encoding="utf-8")
-            result = run_external_validator(task.source_path, target,
-                                            validator_cfg)
-        return (WitnessStatus.VALID
-                if result.status is ValidationStatus.VALIDATED
-                else WitnessStatus.INVALID)
+        key = (task.task_id, _digest(witness))
+        if key not in statuses:
+            graphml = emit_graphml(witness, task, ProducerMeta())
+            with tempfile.TemporaryDirectory(prefix="termeval-validate-") as tmp:
+                target = Path(tmp) / "witness.graphml"
+                target.write_text(graphml, encoding="utf-8")
+                result = run_external_validator(task.source_path, target,
+                                                validator_cfg)
+            statuses[key] = (WitnessStatus.VALID
+                             if result.status is ValidationStatus.VALIDATED
+                             else WitnessStatus.INVALID)
+        return statuses[key]
 
-    program = program_of()
-    if isinstance(program, UnsupportedConstruct):
-        return WitnessStatus.INVALID
-    lasso_path = extract_lasso(prediction.witness)
+    lasso_path = extract_lasso(witness)
     if not isinstance(lasso_path, LassoPath):
         return WitnessStatus.INVALID
-    result = check_feasibility(program, lasso_path, checker_cfg)
-    if isinstance(result, (ProvenInfinite, BoundedEvidence)):
-        return WitnessStatus.VALID
-    return WitnessStatus.INVALID
+    key = (task.task_id, _digest(checker_view(lasso_path)))
+    if key not in statuses:
+        program = program_of()
+        valid = isinstance(program, Program) and isinstance(
+            check_feasibility(program, lasso_path, checker_cfg),
+            (ProvenInfinite, BoundedEvidence))
+        statuses[key] = WitnessStatus.VALID if valid else WitnessStatus.INVALID
+    return statuses[key]
 
 
 def _parse_task_program(task) -> Program | UnsupportedConstruct:
@@ -469,11 +484,11 @@ def _task_pool(task, run_dir: Path, model_name: str, config: RunConfig,
                ) -> list[PoolEntry]:
     """Score-ready entries for one task's cached generations.
 
-    A witness's status depends only on the task and the witness, so it is
-    kept in ``statuses``, which is shared across models and keyed by task id
-    and a digest of the witness.  The program is parsed at most once per
-    pool, and only if a witness reaches the internal checker.  Under
-    ``--jobs`` one thread pools each task, so no two threads share a key.
+    ``statuses`` is shared across models (see :func:`witness_status_for`).
+    The program is parsed at most once per pool, and only if a witness's
+    lasso view is not yet in ``statuses``.  Every key holds the task id, and
+    under ``--jobs`` one thread pools each task, so no two threads share a
+    key.
     """
     records = oracle.replay_records(run_dir, model_name, task.task_id)
     program_of = functools.cache(lambda: _parse_task_program(task))
@@ -483,12 +498,9 @@ def _task_pool(task, run_dir: Path, model_name: str, config: RunConfig,
         verdict = Verdict.UNK if isinstance(parsed, FormatError) else parsed.verdict
         status = WitnessStatus.ABSENT
         if verdict is Verdict.NT:
-            key = (task.task_id,
-                   hashlib.sha256(repr(parsed.witness).encode()).hexdigest())
-            if key not in statuses:
-                statuses[key] = witness_status_for(
-                    parsed, program_of, task, config.checker, config.validator)
-            status = statuses[key]
+            status = witness_status_for(parsed, program_of, task,
+                                        config.checker, config.validator,
+                                        statuses)
         entries.append(PoolEntry(verdict, status))
     return entries
 
@@ -503,7 +515,7 @@ def build_pools(manifest: CorpusManifest, run_dir: Path, model_name: str,
     Tasks are independent, so witness checking parallelizes; results are
     folded in manifest order to keep every downstream number deterministic.
     Pass the same ``statuses`` dict for every model of a run to check each
-    (task, witness) pair once.
+    distinct (task, lasso view) once in the run.
     """
     statuses = {} if statuses is None else statuses
     if jobs > 1:
@@ -649,7 +661,8 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
     if not model_names:
         _fail(f"no model directories under {run_dir}", 1)
 
-    # each task's program and annotation are parsed once, for every model
+    # each task's program and annotation are parsed once, and each distinct
+    # formula is judged once, for every model
     truths = []
     for task_id, truth_text in sorted(truth_raw.items()):
         # a program that does not parse leaves the annotation to name the
@@ -671,13 +684,13 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
                   f"{exc}", 2)
         if not variables:
             variables = {name: INT for name in precond.variables_of(truth)}
-        truths.append((task_id, truth, variables))
+        truths.append((task_id, truth, variables, {}))
 
     results = {}
     for model_name in model_names:
         per_task = {}
         pass1, pass3 = [], []
-        for task_id, truth, variables in truths:
+        for task_id, truth, variables, judged in truths:
             records = oracle.replay_records(run_dir, model_name, task_id)
             if not records:
                 _fail(f"model {model_name}: no generations for {task_id}", 1)
@@ -685,7 +698,7 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
                            for r in records]
             n = len(generations)
             correct = precond.count_equivalent(generations, truth, variables,
-                                               mode=mode)
+                                               mode, judged)
             p1 = pass_at_k(n, correct, 1)
             p3 = pass_at_k(n, correct, min(3, n))
             per_task[task_id] = {"pass@1": p1, "pass@3": p3}

@@ -58,6 +58,30 @@ class NoLasso:
     reason: str
 
 
+def _way(start: str, goal: str, adjacency: dict[str, set[str]],
+         blocked: set[str]) -> list[str] | None:
+    """The nodes of a simple path start -> goal that enters no node of
+    ``blocked``, goal first and ``start`` last, or None.  A search that fails
+    adds every node it reached to ``blocked``: while ``blocked`` only grows,
+    none of them can reach the goal."""
+    parent: dict[str, str | None] = {start: None}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            way = []
+            while node is not None:
+                way.append(node)
+                node = parent[node]
+            return way
+        for nxt in adjacency.get(node, ()):
+            if nxt not in parent and nxt not in blocked:
+                parent[nxt] = node
+                stack.append(nxt)
+    blocked.update(parent)
+    return None
+
+
 def _lex_path(edges_from: dict[str, list[WitnessEdge]],
               adjacency: dict[str, set[str]], start: str, goal: str,
               allow_empty: bool) -> list[WitnessEdge] | None:
@@ -66,24 +90,30 @@ def _lex_path(edges_from: dict[str, list[WitnessEdge]],
     which makes start == goal a cycle search.
 
     A greedy walk: at each node take the first edge, in id order, after which
-    the goal can still be reached without revisiting the path.  Every edge
-    tried costs one reachability search and nothing is backtracked, so the
-    time is polynomial in the witness and the stack stays flat.  The last
-    candidate is taken untested: if the goal is reachable from the node, it
-    is reachable through that edge; if not, there is no path at all, and the
-    walk ends at a node with no candidates.
+    the goal can still be reached without revisiting the path.  Nothing is
+    backtracked and the stack stays flat.  An edge is tested by a search for
+    a way on to the goal; the way found is kept, and an edge that continues
+    it needs no search.  A failed search blocks every node it reached, so
+    those nodes are never searched again.  The last candidate is taken
+    untested: if the goal is reachable from the node, it is reachable through
+    that edge; if not, there is no path at all, and the walk ends at a node
+    with no candidates.
     """
     if start == goal and allow_empty:
         return []
     path: list[WitnessEdge] = []
-    on_path = set() if start == goal else {start}  # never entered again
+    blocked = set() if start == goal else {start}  # never entered again
+    ahead: list[str] = []  # a known way on to the goal, next node last
     node = start
     while True:
         options = [e for e in edges_from.get(node, ())
-                   if e.target == goal or e.target not in on_path]
+                   if e.target == goal or e.target not in blocked]
         for edge in options[:-1]:
-            if (edge.target == goal
-                    or goal in _reachable({edge.target}, adjacency, on_path)):
+            if edge.target == goal or (ahead and edge.target == ahead[-1]):
+                break
+            way = _way(edge.target, goal, adjacency, blocked)
+            if way is not None:
+                ahead = way
                 break
         else:
             if not options:
@@ -92,15 +122,21 @@ def _lex_path(edges_from: dict[str, list[WitnessEdge]],
         path.append(edge)
         if edge.target == goal:
             return path
+        if ahead and ahead[-1] == edge.target:
+            ahead.pop()
+        else:
+            ahead = []
         node = edge.target
-        on_path.add(node)
+        blocked.add(node)
 
 
 def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
     """Decompose a schema-valid witness into stem + simple cycle.
 
-    The first cyclehead (in node input order) is used; among multiple simple
-    cycles through it the lexicographically smallest edge-id sequence wins.
+    The first cyclehead (in node input order) with a stem and a cycle is
+    used; among multiple simple cycles through it the lexicographically
+    smallest edge-id sequence wins, and likewise among stems.  The time is
+    at most quadratic in the size of the witness.
     """
     cycleheads = w.cycleheads()
     entries = w.entry_nodes()
@@ -114,16 +150,18 @@ def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
     for out in edges_from.values():
         out.sort(key=lambda e: e.id)
 
+    # a walk that fails costs one pass over the witness, one that succeeds
+    # up to a pass per edge taken, so only a head with a stem is searched
+    from_entry = _reachable({entries[0].id}, adjacency)
     for head in cycleheads:
+        if head.id not in from_entry:
+            continue
         cycle = _lex_path(edges_from, adjacency, head.id, head.id,
                           allow_empty=False)
-        if cycle is None:
-            continue
-        stem = _lex_path(edges_from, adjacency, entries[0].id, head.id,
-                         allow_empty=True)
-        if stem is None:
-            continue
-        return LassoPath(tuple(stem), tuple(cycle), head.id)
+        if cycle is not None:
+            stem = _lex_path(edges_from, adjacency, entries[0].id, head.id,
+                             allow_empty=True)
+            return LassoPath(tuple(stem), tuple(cycle), head.id)
     return NoLasso("no cycle through any cyclehead")
 
 
@@ -518,6 +556,15 @@ def _clamp_domain(ctype: CType, domain: tuple[int, int]) -> range:
     if lo > hi:
         lo = hi = ctype.min
     return range(lo, hi + 1)
+
+
+def checker_view(lasso: LassoPath) -> tuple:
+    """All that :func:`check_feasibility` reads of ``lasso`` but edge ids:
+    the line, control and assumption of each stem edge and each cycle edge.
+    An id only names the failing edge of an ``Infeasible``, so lassos with
+    one view get equal results but for the edge an ``Infeasible`` names."""
+    return tuple(tuple((e.line, e.control, e.assumption) for e in part)
+                 for part in (lasso.stem, lasso.cycle))
 
 
 def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,

@@ -531,27 +531,39 @@ class GenerationJudgment(Enum):
 
 
 def judge_generation(text: str, ground_truth: Expr,
-                     variables: dict[str, CType],
-                     mode: str = "brute") -> GenerationJudgment:
+                     variables: dict[str, CType], mode: str = "brute",
+                     judged: dict[Expr, GenerationJudgment] | None = None,
+                     ) -> GenerationJudgment:
+    """How the formula ``text`` compares with ``ground_truth``.
+
+    ``judged`` maps formulas already compared with this ground truth, over
+    these variables and in this mode, to their judgments; a formula found
+    there is not compared again.  Pass one dict per task to judge each
+    distinct parsed formula of the task once.
+    """
     try:
         expr = parse_precondition(text, set(variables))
     except PrecondParseError:
         return GenerationJudgment.UNPARSEABLE
-    result = check_equivalence(expr, ground_truth, variables, mode=mode)
-    if isinstance(result, Equivalent):
-        return GenerationJudgment.EQUIVALENT
-    if isinstance(result, Inequivalent):
-        return GenerationJudgment.INEQUIVALENT
-    return GenerationJudgment.UNDECIDED
+    judged = {} if judged is None else judged
+    if expr not in judged:
+        result = check_equivalence(expr, ground_truth, variables, mode=mode)
+        judged[expr] = {Equivalent: GenerationJudgment.EQUIVALENT,
+                        Inequivalent: GenerationJudgment.INEQUIVALENT,
+                        }.get(type(result), GenerationJudgment.UNDECIDED)
+    return judged[expr]
 
 
 def count_equivalent(generations: list[str], ground_truth: Expr,
-                     variables: dict[str, CType], mode: str = "brute") -> int:
+                     variables: dict[str, CType], mode: str = "brute",
+                     judged: dict[Expr, GenerationJudgment] | None = None,
+                     ) -> int:
     """How many of a task's precondition generations are equivalent to the
     ground truth, each judged once; the ``c`` of :func:`pass_at_k`.
+    ``judged`` is as for :func:`judge_generation`.
 
     Unparseable or undecided generations count as incorrect.
     """
     return sum(1 for g in generations
-               if judge_generation(g, ground_truth, variables, mode)
+               if judge_generation(g, ground_truth, variables, mode, judged)
                is GenerationJudgment.EQUIVALENT)

@@ -225,15 +225,13 @@ class SchemaViolation:
         return f"{self.kind}: {self.detail}"
 
 
-def _reachable(start: set[str], adjacency: dict[str, set[str]],
-               blocked: set[str] = frozenset()) -> set[str]:
-    """The nodes reachable from ``start`` without entering ``blocked``."""
+def _reachable(start: set[str], adjacency: dict[str, set[str]]) -> set[str]:
     seen = set(start)
     stack = list(start)
     while stack:
         node = stack.pop()
         for nxt in adjacency.get(node, ()):
-            if nxt not in seen and nxt not in blocked:
+            if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen

@@ -10,11 +10,14 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from termeval import cli
+from termeval import cli, oracle
 from termeval import corpus as corpus_mod
 from termeval.cli import extract_precondition_answer, load_config, main
-from termeval.cparse import UnsupportedConstruct
-from termeval.lasso import ValidatorConfig
+from termeval.cparse import Program, UnsupportedConstruct
+from termeval.lasso import (
+    LassoPath, ValidatorConfig, checker_view, extract_lasso,
+)
+from termeval.witness import FormatError, Verdict, _as_flag, validate_schema
 
 from conftest import FIXTURES
 
@@ -316,6 +319,36 @@ class TestTaskPool:
             ["valid", "valid", "invalid"]
         assert parses == 1
 
+    def test_surface_variants_are_checked_once(self, tmp_path, monkeypatch):
+        # other node and edge names, source text, loop-head mark and flag
+        # spelling leave what the checker reads as it was
+        data = json.loads(self.VALID)
+        witness = data["witness"]
+        names = {n["id"]: f"q{i}" for i, n in enumerate(witness["nodes"])}
+        for node in witness["nodes"]:
+            node["id"] = names[node["id"]]
+            for flag in ("entry", "cyclehead"):
+                if flag in node:
+                    node[flag] = " TRUE " if _as_flag(node[flag]) else "no"
+        for edge in witness["edges"]:
+            edge["id"] = "e" + edge["id"]
+            edge["source"] = names[edge["source"]]
+            edge["target"] = names[edge["target"]]
+            edge["sourcecode"] = "/* renamed */"
+            edge["enterLoopHead"] = not _as_flag(edge.get("enterLoopHead"))
+        checks = []
+        check_feasibility = cli.check_feasibility
+
+        def counting(*args):
+            checks.append(args)
+            return check_feasibility(*args)
+
+        monkeypatch.setattr(cli, "check_feasibility", counting)
+        pool, parses = self.pools_and_parses(
+            tmp_path, monkeypatch, [self.VALID, json.dumps(data), self.VALID])
+        assert [e.witness_status.value for e in pool] == ["valid"] * 3
+        assert (len(checks), parses) == (1, 1)
+
     def test_external_validator_parses_no_program(self, tmp_path, monkeypatch):
         root = tmp_path / "validator"
         root.mkdir()
@@ -382,25 +415,52 @@ class TestScoreCommand:
 
     def test_each_task_witness_pair_checked_once(self, runner, tmp_path,
                                                  monkeypatch):
-        # the two fixture models share two of their twelve distinct
-        # (task, witness) pairs; each pair is checked for one model only
-        from termeval import cli
-        checked = []
-        status_for = cli.witness_status_for
-
-        def counting(prediction, program_of, task, *args):
-            checked.append((task.task_id, repr(prediction.witness)))
-            return status_for(prediction, program_of, task, *args)
-
-        monkeypatch.setattr(cli, "witness_status_for", counting)
+        # the two fixture models share some lassos; each distinct (task,
+        # lasso view) among the run's replies to a task whose program the
+        # checker can run is checked exactly once
         workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        config = load_config(workspace / "score_config.toml")
+        tasks = [task for task in cli._load_manifest_for(config).tasks
+                 if isinstance(cli._parse_task_program(task), Program)]
+        expected = set()
+        for model in oracle.list_models(run_dir):
+            for task in tasks:
+                for record in oracle.replay_records(run_dir, model,
+                                                    task.task_id):
+                    parsed = record.parsed
+                    if (isinstance(parsed, FormatError)
+                            or parsed.verdict is not Verdict.NT
+                            or parsed.witness is None
+                            or validate_schema(parsed.witness)):
+                        continue
+                    lasso_path = extract_lasso(parsed.witness)
+                    if isinstance(lasso_path, LassoPath):
+                        expected.add((task.task_id, checker_view(lasso_path)))
+
+        programs = {}  # id -> (program, task id); kept, so no id is reused
+        checked = []
+        parse_task_program = cli._parse_task_program
+        check_feasibility = cli.check_feasibility
+
+        def parsing(task):
+            program = parse_task_program(task)
+            programs[id(program)] = (program, task.task_id)
+            return program
+
+        def checking(program, lasso_path, *args):
+            checked.append((programs[id(program)][1], checker_view(lasso_path)))
+            return check_feasibility(program, lasso_path, *args)
+
+        monkeypatch.setattr(cli, "_parse_task_program", parsing)
+        monkeypatch.setattr(cli, "check_feasibility", checking)
         result = runner.invoke(main, [
-            "score", str(workspace / "runs" / "demo"),
-            "-c", str(workspace / "score_config.toml"),
+            "score", str(run_dir), "-c", str(workspace / "score_config.toml"),
             "-o", str(workspace / "report"),
         ])
         assert result.exit_code == 0, result.output
-        assert len(checked) == len(set(checked)) == 12
+        assert len(checked) == len(set(checked))
+        assert set(checked) == expected
 
     def test_default_report_dir_is_not_a_model(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
@@ -694,6 +754,40 @@ class TestPrecondCommand:
         assert task["pass@3"] == pytest.approx(11 / 12)
         # Pass@1 and Pass@3 come from one judgment per generation
         assert sorted(judged) == sorted(answers)
+
+    def test_each_distinct_formula_compared_once(self, runner, tmp_path,
+                                                 monkeypatch):
+        # spellings of one formula parse alike; each distinct parsed formula
+        # of a task is compared once, for both models
+        from termeval import precond
+        compared = []
+        brute_equivalence = precond.brute_equivalence
+
+        def counting(a, b, *args, **kwargs):
+            compared.append(a)
+            return brute_equivalence(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(precond, "brute_equivalence", counting)
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": ["x % 2 == 0", "x > 0", "(x%2)==0",
+                                         "x>0", "((("],
+        })
+        _write_replies(run_dir, "oracle-b", "bitvector-spin/even_spin",
+                       ["x > 0", "x >= 1", "x>0", "(((", "x % 2 == 0"])
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        out = workspace / "precond.json"
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"), "-o", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        assert [payload[m]["per_task"]["bitvector-spin/even_spin"]["pass@1"]
+                for m in ("oracle-a", "oracle-b")] == \
+            [pytest.approx(0.4), pytest.approx(0.2)]
+        assert len(compared) == len(set(compared)) == 3
 
     def test_equivalent_rewriting_accepted(self, runner, tmp_path):
         # syntactically different but equivalent formulations must count

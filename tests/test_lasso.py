@@ -1,21 +1,25 @@
+import copy
 import dataclasses
 import json
+import math
 import signal
 import stat
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from termeval.cli import witness_status_for
+from termeval.corpus import Architecture, Category, TaskSpec
 from termeval.cparse import parse_program
 from termeval.evalcore import WitnessStatus
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, NoLasso,
     ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig,
-    _lex_path, check_feasibility, extract_lasso, run_external_validator,
-    run_program,
+    _lex_path, check_feasibility, checker_view, extract_lasso,
+    run_external_validator, run_program,
 )
 from termeval.witness import (
-    WitnessAutomaton, WitnessEdge, WitnessNode, parse_prediction,
+    WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag, parse_prediction,
     validate_schema, witness_from_json,
 )
 
@@ -45,6 +49,19 @@ def chain_witness(n: int) -> WitnessAutomaton:
              for i in range(n - 1)]
     edges.append(WitnessEdge("F", f"N{n - 1}", f"N{n - 1}", 9, "while"))
     return WitnessAutomaton(tuple(nodes), tuple(edges))
+
+
+def task(name: str) -> TaskSpec:
+    source = load_program(name)
+    return TaskSpec(name[:-2], FIXTURES / "programs" / name, source,
+                    Category.OTHER, "NT", Architecture.BITS32, 1)
+
+
+def status_for(prediction, program_name: str) -> WitnessStatus:
+    """The status ``score`` gives ``prediction`` as a reply to the task
+    whose program is ``program_name``, with nothing resolved before."""
+    return witness_status_for(prediction, lambda: program(program_name),
+                              task(program_name), FAST_CFG, None, {})
 
 
 def within_seconds(seconds: int, fn, *args):
@@ -114,6 +131,28 @@ class TestExtractLasso:
         assert [e.id for e in lasso.stem] == [e.id for e in w.edges[:-1]]
         assert [e.id for e in lasso.cycle] == ["F"]
 
+    def test_comb_time_is_linear_in_the_witness(self):
+        # every stem node also has a larger-id edge to a dead end, so the
+        # first edge at each node needs a test; a fresh search over the rest
+        # of the stem for each made the time quadratic
+        def seconds(n: int) -> float:
+            chain = chain_witness(n)
+            dead_ends = [WitnessNode(f"D{i}") for i in range(n - 1)]
+            teeth = [WitnessEdge(f"X{i:05d}", f"N{i}", f"D{i}", 6, "int i;")
+                     for i in range(n - 1)]
+            w = WitnessAutomaton(chain.nodes + tuple(dead_ends),
+                                 chain.edges + tuple(teeth))
+            best = math.inf
+            for _ in range(2):
+                start = time.perf_counter()
+                lasso = extract_lasso(w)
+                best = min(best, time.perf_counter() - start)
+            assert [e.id for e in lasso.stem] == \
+                [e.id for e in chain.edges[:-1]]
+            return best
+
+        assert seconds(4000) / seconds(1000) < 8
+
     def test_ladder_under_a_cyclehead_without_cycle(self):
         # the first cyclehead tops a ladder of 40 diamonds with no way back;
         # a backtracking search tries all 2**40 paths through it
@@ -158,6 +197,35 @@ class TestExtractLasso:
                     args = (f"N{start}", f"N{goal}", allow_empty)
                     assert _lex_path(edges_from, adjacency, *args) == \
                         lex_dfs_path(edges_from, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from(["", "entry", "head", "entry head"]),
+                 min_size=n, max_size=n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.sampled_from("ABCDEFGHIJ")), max_size=16))))
+    def test_lasso_matches_backtracking(self, graph):
+        # the first cyclehead with both a stem and a cycle, by the
+        # backtracking path search
+        roles, arcs = graph
+        nodes = tuple(WitnessNode(f"N{i}", "entry" in role, "head" in role)
+                      for i, role in enumerate(roles))
+        edges = tuple(WitnessEdge(eid, f"N{a}", f"N{b}", i + 1, "s")
+                      for i, (a, b, eid) in enumerate(arcs))
+        w = WitnessAutomaton(nodes, edges)
+        edges_from: dict[str, list[WitnessEdge]] = {}
+        for edge in sorted(edges, key=lambda e: e.id):
+            edges_from.setdefault(edge.source, []).append(edge)
+        expected = None
+        entries = w.entry_nodes()
+        for head in w.cycleheads() if entries else ():
+            cycle = lex_dfs_path(edges_from, head.id, head.id, False)
+            stem = lex_dfs_path(edges_from, entries[0].id, head.id, True)
+            if cycle is not None and stem is not None:
+                expected = LassoPath(tuple(stem), tuple(cycle), head.id)
+                break
+        lasso = extract_lasso(w)
+        assert (lasso if isinstance(lasso, LassoPath) else None) == expected
 
 
 class TestCheckFeasibility:
@@ -456,9 +524,8 @@ class TestHostileWitnesses:
                       for e in w.edges]}})
         prediction = parse_prediction(reply)
         assert prediction.witness == w
-        status = witness_status_for(prediction, lambda: program("even_spin.c"),
-                                    None, FAST_CFG, None)
-        assert isinstance(status, WitnessStatus)
+        assert isinstance(status_for(prediction, "even_spin.c"),
+                          WitnessStatus)
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -470,10 +537,8 @@ class TestHostileWitnesses:
         reply = (FIXTURES / "witnesses" / witness_name).read_text()
         at %= len(reply)
         reply = reply[:at] + text + reply[at + cut:]
-        status = witness_status_for(parse_prediction(reply),
-                                    lambda: program(program_name), None,
-                                    FAST_CFG, None)
-        assert isinstance(status, WitnessStatus)
+        assert isinstance(status_for(parse_prediction(reply), program_name),
+                          WitnessStatus)
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -486,6 +551,107 @@ class TestHostileWitnesses:
         if isinstance(lasso, LassoPath):
             result = check_feasibility(program(program_name), lasso, FAST_CFG)
             assert isinstance(result, FEASIBILITY_RESULTS)
+
+
+class RecordingEdge:
+    """A witness edge that notes the name of each field read of it, and of
+    each comparison or hash of the whole edge."""
+
+    def __init__(self, edge: WitnessEdge, reads: set[str]):
+        self._edge = edge
+        self._reads = reads
+
+    def __getattr__(self, name):
+        self._reads.add(name)
+        return getattr(self._edge, name)
+
+    def __eq__(self, other):
+        self._reads.add("__eq__")
+        return self is other
+
+    def __hash__(self):
+        self._reads.add("__hash__")
+        return id(self)
+
+
+# spellings that witness_from_json reads as one flag value; ABSENT leaves
+# the key out
+TRUE_FLAGS = [True, "true", "TRUE", " True "]
+FALSE_FLAGS = [False, "false", "no", "", None]
+ABSENT = object()
+NAMES = st.text(alphabet="abN0E19_", min_size=1, max_size=4)
+
+
+class TestCheckerView:
+    """``score`` keeps a checked status under the lasso's checker view, so
+    the view must hold everything the checker's result tier depends on."""
+
+    def test_checker_reads_only_the_view_and_ids(self):
+        seen = set()
+        for program_name in PROGRAMS:
+            p = program(program_name)
+            for witness_name in WITNESSES:
+                lasso = extract_lasso(automaton(witness_name))
+                reads: set[str] = set()
+                recording = LassoPath(
+                    tuple(RecordingEdge(e, reads) for e in lasso.stem),
+                    tuple(RecordingEdge(e, reads) for e in lasso.cycle),
+                    lasso.cyclehead)
+                result = check_feasibility(p, recording, FAST_CFG)
+                assert type(result) is type(
+                    check_feasibility(p, lasso, FAST_CFG))
+                assert reads <= {"line", "control", "assumption", "id"}, \
+                    (program_name, witness_name)
+                seen.add(type(result))
+        assert seen == set(FEASIBILITY_RESULTS)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(PROGRAMS), st.sampled_from(WITNESSES), st.data())
+    def test_surface_changes_keep_view_and_tier(self, program_name,
+                                                witness_name, data):
+        # node names, order-keeping edge names, source text, loop-head marks
+        # and flag spellings are not read by the checker
+        original = load_witness_json(witness_name)["witness"]
+        variant = copy.deepcopy(original)
+        node_ids = sorted({n["id"] for n in variant["nodes"]})
+        names = dict(zip(node_ids, data.draw(st.lists(
+            NAMES, min_size=len(node_ids), max_size=len(node_ids),
+            unique=True))))
+        edge_ids = sorted({e["id"] for e in variant["edges"]})
+        edge_names = dict(zip(edge_ids, sorted(data.draw(st.lists(
+            NAMES, min_size=len(edge_ids), max_size=len(edge_ids),
+            unique=True)))))
+
+        def respell(item: dict, key: str) -> None:
+            spellings = TRUE_FLAGS if _as_flag(item.get(key)) else \
+                FALSE_FLAGS + [ABSENT]
+            item.pop(key, None)
+            spelling = data.draw(st.sampled_from(spellings))
+            if spelling is not ABSENT:
+                item[key] = spelling
+
+        for node in variant["nodes"]:
+            node["id"] = names[node["id"]]
+            respell(node, "entry")
+            respell(node, "cyclehead")
+        for edge in variant["edges"]:
+            edge["id"] = edge_names[edge["id"]]
+            edge["source"] = names[edge["source"]]
+            edge["target"] = names[edge["target"]]
+            edge["sourcecode"] = data.draw(st.text(max_size=12))
+            edge["enterLoopHead"] = data.draw(st.sampled_from(
+                TRUE_FLAGS + FALSE_FLAGS))
+
+        before = witness_from_json(original)
+        after = witness_from_json(variant)
+        assert bool(validate_schema(before)) == bool(validate_schema(after))
+        lasso, renamed = extract_lasso(before), extract_lasso(after)
+        assert isinstance(lasso, LassoPath) and isinstance(renamed, LassoPath)
+        assert checker_view(lasso) == checker_view(renamed)
+        p = program(program_name)
+        assert type(check_feasibility(p, lasso, FAST_CFG)) is \
+            type(check_feasibility(p, renamed, FAST_CFG))
 
 
 class TestExternalValidator:
