@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import re
 import sys
 import tempfile
 import tomllib
@@ -612,17 +611,26 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
 # precond
 
 
-_ANSWER_TAG_RE = re.compile(r"<answer>(.*?)</answer>", re.S)
-
-
 def extract_precondition_answer(raw: str) -> str:
     """The formula is the tagged answer when present, else the last
-    nonempty line."""
-    m = None
-    for m in _ANSWER_TAG_RE.finditer(raw):
-        pass
-    if m is not None:
-        return m.group(1).strip()
+    nonempty line.
+
+    A tagged answer runs from ``<answer>`` to the first ``</answer>`` after
+    it; the last one wins.  The scan stops at the first ``<answer>`` that no
+    ``</answer>`` follows, so it reads the text once, however many tags are
+    left open.
+    """
+    answer = None
+    start = raw.find("<answer>")
+    while start >= 0:
+        start += len("<answer>")
+        end = raw.find("</answer>", start)
+        if end < 0:
+            break
+        answer = raw[start:end]
+        start = raw.find("<answer>", end + len("</answer>"))
+    if answer is not None:
+        return answer.strip()
     lines = [line.strip() for line in raw.splitlines() if line.strip()]
     return lines[-1] if lines else ""
 

@@ -4,7 +4,8 @@ Prompts are assembled from template files shipped as package resources (a
 golden test pins their hashes).  Sampling hits any chat-completions-style
 HTTP endpoint; every raw reply is persisted to the run cache before parsing
 so a crash after network receipt loses nothing.  Cached runs replay without
-network access.
+network access.  ``requests`` is imported only when ``generate`` sends a
+request, so the commands that read cached replies never load it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,13 @@ import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from .corpus import TaskSpec
 from .witness import FormatError, Prediction, parse_prediction
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -144,6 +147,8 @@ def _request_completion(model: ModelConfig, prompt: str, *,
     An endpoint that rejects the temperature field gets the request once more
     without it.
     """
+    import requests
+
     headers = {"Content-Type": "application/json"}
     if model.api_key_env:
         key = os.environ.get(model.api_key_env)
@@ -277,12 +282,12 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
 
     Existing cache files are reused (resumable runs); in replay mode missing
     files are an error instead of a network call.  Raw text always lands on
-    disk before parsing.
+    disk before parsing.  Without a ``session`` from the caller, one is
+    opened just before the first request and closed on return, so a fully
+    cached task opens none.
     """
     run_dir = Path(run_dir)
-    own_session = session is None
-    if own_session:
-        session = requests.Session()
+    own_session = None
     records = []
     try:
         for index in range(n):
@@ -293,6 +298,9 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
             if model.replay:
                 raise FileNotFoundError(
                     f"replay mode but cache record missing: {path}")
+            if session is None:
+                import requests
+                session = own_session = requests.Session()
             started = clock()
             transport_error = None
             try:
@@ -315,8 +323,8 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
             _persist_raw(path, payload)
             records.append(_record_from_payload(payload))
     finally:
-        if own_session:
-            session.close()
+        if own_session is not None:
+            own_session.close()
     return records
 
 

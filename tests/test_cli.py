@@ -1,14 +1,18 @@
 import dataclasses
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from termeval import cli, oracle
 from termeval import corpus as corpus_mod
@@ -36,6 +40,14 @@ def copy_fixture_workspace(tmp_path: Path) -> Path:
 
 
 REPLAY_MODEL = '[[models]]\nname = "m"\nmode = "replay"'
+
+
+def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` run by a fresh interpreter that imports from ``src``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 class TestLoadConfig:
@@ -638,19 +650,69 @@ class TestBenchmarkHooks:
         assert metrics["evalcore.task_draws"] > 0
 
 
+class TestImportBoundary:
+    def test_cached_commands_load_no_http_stack(self, tmp_path):
+        # score, precond and check-witness read only files: none of them
+        # may pull in requests and urllib3
+        workspace = copy_fixture_workspace(tmp_path)
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        config = str(workspace / "score_config.toml")
+        commands = [
+            ["score", str(workspace / "runs" / "demo"), "-c", config,
+             "-o", str(workspace / "report")],
+            ["precond", str(workspace / "runs" / "demo"), str(annotations),
+             "-c", config],
+            ["check-witness", str(FIXTURES / "programs" / "absorb_to_zero.c"),
+             str(FIXTURES / "witnesses" / "absorb_to_zero.json")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from termeval import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        cli.main(argv, standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert not exc.code, (argv, exc.code)\n"
+            "print(json.dumps(sorted({'requests', 'urllib3'} & set(sys.modules))))\n")
+        proc = run_python(script, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def write_replay_config(workspace: Path, pool_size: int) -> Path:
+    """A ``run`` config that replays the fixture run ``demo`` of oracle-a."""
+    config = workspace / "run_config.toml"
+    config.write_text(
+        '[corpus]\nroot = "corpus"\n'
+        f"[eval]\npool_size = {pool_size}\n"
+        '[output]\ndir = "."\n'
+        '[[models]]\nname = "oracle-a"\nmode = "replay"\n')
+    return config
+
+
 class TestRunCommand:
     def test_replay_run_touches_no_network(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
         (workspace / "corpus" / "misc" / "ghost.yml").unlink()
-        config = workspace / "run_config.toml"
-        config.write_text(
-            '[corpus]\nroot = "corpus"\n'
-            "[eval]\npool_size = 3\n"
-            '[output]\ndir = "."\n'
-            '[[models]]\nname = "oracle-a"\nmode = "replay"\n')
+        config = write_replay_config(workspace, pool_size=3)
         result = runner.invoke(main, ["run", "-c", str(config),
                                       "--run-id", "demo"])
         assert result.exit_code == 0, result.output
+
+    def test_replay_run_needs_no_http_client(self, tmp_path):
+        # a replay model opens no HTTP session: the run succeeds where
+        # requests cannot be imported at all
+        workspace = copy_fixture_workspace(tmp_path)
+        (workspace / "corpus" / "misc" / "ghost.yml").unlink()
+        config = write_replay_config(workspace, pool_size=3)
+        script = ("import sys\n"
+                  "sys.modules['requests'] = None\n"
+                  "from termeval import cli\n"
+                  "cli.main(sys.argv[1:])\n")
+        proc = run_python(script, "run", "-c", str(config), "--run-id", "demo")
+        assert proc.returncode == 0, proc.stderr
 
     def test_live_run_against_stub_endpoint(self, runner, tmp_path):
         from test_oracle import StubEndpoint
@@ -683,12 +745,7 @@ class TestRunCommand:
     def test_replay_with_missing_records_fails(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
         (workspace / "corpus" / "misc" / "ghost.yml").unlink()
-        config = workspace / "run_config.toml"
-        config.write_text(
-            '[corpus]\nroot = "corpus"\n'
-            "[eval]\npool_size = 5\n"  # cache only has 3
-            '[output]\ndir = "."\n'
-            '[[models]]\nname = "oracle-a"\nmode = "replay"\n')
+        config = write_replay_config(workspace, pool_size=5)  # cache has 3
         result = runner.invoke(main, ["run", "-c", str(config),
                                       "--run-id", "demo"])
         assert result.exit_code == 1
@@ -921,3 +978,33 @@ class TestPrecondCommand:
         assert extract_precondition_answer(
             "thinking\n\nx > 0 and y < 2\n") == "x > 0 and y < 2"
         assert extract_precondition_answer("") == ""
+
+    @settings(max_examples=500)
+    @given(st.lists(st.sampled_from(
+        ["<answer>", "</answer>", "<answer", "/answer>", "<", ">", "/", " x ",
+         "\n", "y"]), max_size=16).map("".join))
+    def test_answer_extraction_matches_the_regex(self, raw):
+        # the reference: the last non-greedy tag match, else the last line
+        match = None
+        for match in re.finditer(r"<answer>(.*?)</answer>", raw, re.S):
+            pass
+        lines = [line.strip() for line in raw.splitlines() if line.strip()]
+        expected = (match.group(1).strip() if match is not None
+                    else lines[-1] if lines else "")
+        assert extract_precondition_answer(raw) == expected
+
+    def test_answer_extraction_time_is_linear_in_open_tags(self):
+        # a reply of unclosed tags must not rescan the rest of the text
+        # from each of them
+        def seconds(tags: int) -> float:
+            text = "<answer>" * tags
+            best = math.inf
+            for _ in range(2):
+                calls, start = 0, time.perf_counter()
+                while (elapsed := time.perf_counter() - start) < 0.005:
+                    extract_precondition_answer(text)
+                    calls += 1
+                best = min(best, elapsed / calls)
+            return best
+
+        assert seconds(8_000) / seconds(2_000) < 8

@@ -244,6 +244,20 @@ class TestGenerate:
         assert len(server.requests) == requests_after_live
         assert [r.raw_text for r in first] == [r.raw_text for r in second]
 
+    def test_cached_task_opens_no_session(self, stub, tmp_path, monkeypatch):
+        server = stub()
+        model = ModelConfig(name="m", endpoint_url=server.url)
+        generate(model, "p", 3, run_dir=tmp_path, task_id="t", sleep=no_sleep)
+
+        def no_session():
+            raise AssertionError("a fully cached task opened a session")
+
+        monkeypatch.setattr(requests, "Session", no_session)
+        records = generate(model, "p", 3, run_dir=tmp_path, task_id="t",
+                           sleep=no_sleep)
+        assert [r.sample_index for r in records] == [0, 1, 2]
+        assert len(server.requests) == 3
+
     def test_replay_missing_record_errors(self, tmp_path):
         model = ModelConfig(name="m", replay=True)
         with pytest.raises(FileNotFoundError):
