@@ -478,65 +478,40 @@ def _parse_task_program(task) -> Program | UnsupportedConstruct:
         return UnsupportedConstruct(1, "parse error")
 
 
-def _task_pool(task, run_dir: Path, model_name: str, config: RunConfig,
-               statuses: dict[tuple[str, str], WitnessStatus],
-               ) -> list[PoolEntry]:
-    """Score-ready entries for one task's cached generations.
-
-    ``statuses`` is shared across models (see :func:`witness_status_for`).
-    The program is parsed at most once per pool, and only if a witness's
-    lasso view is not yet in ``statuses``.  Every key holds the task id, and
-    under ``--jobs`` one thread pools each task, so no two threads share a
-    key.
-    """
-    records = oracle.replay_records(run_dir, model_name, task.task_id)
-    program_of = functools.cache(lambda: _parse_task_program(task))
-    entries = []
-    for record in records:
-        parsed = record.parsed
-        verdict = Verdict.UNK if isinstance(parsed, FormatError) else parsed.verdict
-        status = WitnessStatus.ABSENT
-        if verdict is Verdict.NT:
-            status = witness_status_for(parsed, program_of, task,
-                                        config.checker, config.validator,
-                                        statuses)
-        entries.append(PoolEntry(verdict, status))
-    return entries
-
-
 def build_pools(manifest: CorpusManifest, run_dir: Path, model_name: str,
-                config: RunConfig, jobs: int = 1,
+                config: RunConfig,
                 statuses: dict[tuple[str, str], WitnessStatus] | None = None,
                 ) -> tuple[dict[str, list[PoolEntry]], ConfusionCounts,
                            list[tuple[str, evalcore.SampleOutcome]]]:
     """Per-task pools plus per-generation confusion counts and outcomes.
 
-    Tasks are independent, so witness checking parallelizes; results are
-    folded in manifest order to keep every downstream number deterministic.
-    Pass the same ``statuses`` dict for every model of a run to check each
-    distinct (task, lasso view) once in the run.
+    Tasks are pooled one after another in manifest order.  Pass the same
+    ``statuses`` dict for every model of a run to check each distinct (task,
+    lasso view) once in the run (see :func:`witness_status_for`).  A task's
+    program is parsed at most once per pool, and only if a witness's lasso
+    view is not yet in ``statuses``.
     """
     statuses = {} if statuses is None else statuses
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entry_lists = list(pool.map(
-                lambda task: _task_pool(task, run_dir, model_name, config,
-                                        statuses),
-                manifest.tasks))
-    else:
-        entry_lists = [_task_pool(task, run_dir, model_name, config, statuses)
-                       for task in manifest.tasks]
-
     pools: dict[str, list[PoolEntry]] = {}
     confusion = ConfusionCounts()
     generation_outcomes: list[tuple[str, evalcore.SampleOutcome]] = []
-    for task, entries in zip(manifest.tasks, entry_lists):
+    for task in manifest.tasks:
         expected = Verdict.T if task.expected_verdict == "T" else Verdict.NT
-        for entry in entries:
-            outcome = classify_sample(expected, entry.verdict,
-                                      entry.witness_status)
+        program_of = functools.cache(functools.partial(_parse_task_program, task))
+        entries = []
+        for record in oracle.replay_records(run_dir, model_name, task.task_id):
+            parsed = record.parsed
+            verdict = (Verdict.UNK if isinstance(parsed, FormatError)
+                       else parsed.verdict)
+            status = WitnessStatus.ABSENT
+            if verdict is Verdict.NT:
+                status = witness_status_for(parsed, program_of, task,
+                                            config.checker, config.validator,
+                                            statuses)
+            outcome = classify_sample(expected, verdict, status)
             confusion.add(expected, outcome)
             generation_outcomes.append((task.task_id, outcome))
+            entries.append(PoolEntry(verdict, status))
         pools[task.task_id] = entries
     return pools, confusion, generation_outcomes
 
@@ -547,9 +522,7 @@ def build_pools(manifest: CorpusManifest, run_dir: Path, model_name: str,
               type=click.Path(path_type=Path, exists=True))
 @click.option("-o", "--out", type=click.Path(path_type=Path),
               help="Report directory (default: alongside the run).")
-@click.option("--jobs", default=1, show_default=True,
-              help="Parallel witness checks across tasks.")
-def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
+def score(run_dir: Path, config_path: Path, out: Path | None):
     """Score a cached run: bootstrap, consensus, F1, witness metrics, bins."""
     config = load_config(config_path)
     manifest = _load_manifest_for(config)
@@ -562,20 +535,17 @@ def score(run_dir: Path, config_path: Path, out: Path | None, jobs: int):
     binning = (corpus_mod.assign_length_bins(manifest)
                if len(manifest.tasks) >= 3 else None)
 
-    out_dir = out if out is not None else run_dir / "report"
-    # the default report directory lies inside the run: it is not a model
-    model_names = [m for m in oracle.list_models(run_dir)
-                   if (run_dir / m).resolve() != out_dir.resolve()]
+    model_names = oracle.list_models(run_dir)
     if not model_names:
         _fail(f"no model directories under {run_dir}", 1)
+    out_dir = out if out is not None else run_dir / "report"
     out_dir.mkdir(parents=True, exist_ok=True)
 
     reports = []
     statuses: dict[tuple[str, str], WitnessStatus] = {}
     for model_name in model_names:
         pools, confusion, generation_outcomes = build_pools(
-            manifest, run_dir, model_name, config, jobs=max(jobs, 1),
-            statuses=statuses)
+            manifest, run_dir, model_name, config, statuses=statuses)
         incomplete = [t for t, pool in sorted(pools.items())
                       if len(pool) != config.eval.pool_size]
         if incomplete:

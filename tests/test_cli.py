@@ -396,20 +396,28 @@ class TestScoreCommand:
     def test_byte_identical_reruns(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
         outputs = []
-        # the parallel path must produce the same bytes as the serial one
-        for label, jobs in (("first", "1"), ("second", "1"), ("parallel", "4")):
+        for label in ("first", "second"):
             out = workspace / f"report_{label}"
             result = runner.invoke(main, [
                 "score", str(workspace / "runs" / "demo"),
                 "-c", str(workspace / "score_config.toml"), "-o", str(out),
-                "--jobs", jobs,
             ])
             assert result.exit_code == 0, result.output
             outputs.append({
                 name: (out / name).read_bytes()
                 for name in ("report.json", "report.txt", "per_run_scores.csv")
             })
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
+
+    def test_jobs_is_not_an_option(self, runner, tmp_path):
+        # score runs its tasks in one thread; only run takes --jobs
+        workspace = copy_fixture_workspace(tmp_path)
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"), "--jobs", "2",
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--jobs" in result.output
 
     def test_reports_match_golden_files(self, runner, tmp_path):
         # produced before the bootstrap was made table-driven; a change in
@@ -486,6 +494,37 @@ class TestScoreCommand:
             report = json.loads((run_dir / "report" / "report.json").read_text())
             assert [m["model"] for m in report["models"]] == \
                 ["oracle-a", "oracle-b"]
+
+    def test_default_report_dir_is_not_read_by_a_later_score(self, runner,
+                                                             tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        config = str(workspace / "score_config.toml")
+        result = runner.invoke(main, ["score", str(run_dir), "-c", config])
+        assert result.exit_code == 0, result.output
+        other = workspace / "other"
+        result = runner.invoke(main, ["score", str(run_dir), "-c", config,
+                                      "-o", str(other)])
+        assert result.exit_code == 0, result.output
+        assert (other / "report.json").read_bytes() == \
+            (run_dir / "report" / "report.json").read_bytes()
+
+    def test_default_report_dir_is_not_read_by_precond(self, runner,
+                                                       tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        config = str(workspace / "score_config.toml")
+        result = runner.invoke(main, ["score", str(run_dir), "-c", config])
+        assert result.exit_code == 0, result.output
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        out = workspace / "passk.json"
+        result = runner.invoke(main, ["precond", str(run_dir),
+                                      str(annotations), "-c", config,
+                                      "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        assert sorted(json.loads(out.read_text())) == ["oracle-a", "oracle-b"]
 
     def test_corrupt_cache_records_score_unknown(self, runner, tmp_path,
                                                  monkeypatch):
