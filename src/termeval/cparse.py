@@ -13,7 +13,8 @@ All arithmetic is two's-complement at the declared width with wraparound;
 
 from __future__ import annotations
 
-import operator
+import contextlib
+import functools
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -428,9 +429,7 @@ class _Parser:
 
     def _at_type(self) -> bool:
         tok = self.peek()
-        if tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS:
-            return True
-        return tok.kind == "keyword" and tok.text == "bool"
+        return tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS
 
     def parse_type(self) -> CType | None:
         """Parse a type specifier; returns None for void."""
@@ -571,7 +570,7 @@ class _Parser:
                     expr = self.parse_expression()
                 self.expect(";")
                 return [Return(expr, tok.line)]
-            if tok.text in _TYPE_KEYWORDS or tok.text == "bool":
+            if tok.text in _TYPE_KEYWORDS:
                 return self._parse_decl()
             raise _Unsupported(tok.line, tok.text)
         if tok.kind == "ident":
@@ -935,195 +934,182 @@ def expr_depth(expr: Expr) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: each expression compiles once into closures over an environment
+# Evaluation: each expression shape compiles once into generated Python
 
 
-class _Code(NamedTuple):
-    fn: Callable[[dict[str, int]], int]
+def _div(x: int, y: int, rem: bool = False) -> int:
+    """C's truncated quotient, not yet wrapped, or with ``rem`` its remainder."""
+    if y == 0:
+        raise EvalUndefined("division by zero")
+    q = abs(x) // abs(y) if (x < 0) == (y < 0) else -(abs(x) // abs(y))
+    return x - q * y if rem else q
+
+
+def _count(y: int, width: int) -> int:
+    """A shift count, checked against the shifted operand's width."""
+    if y < 0 or y >= width:
+        raise EvalUndefined(f"shift by {y} on {width}-bit value")
+    return y
+
+
+_ARITH = {"+", "-", "*", "&", "|", "^"}
+_COMPARE = {"<", "<=", ">", ">=", "==", "!="}
+# A node's text nests at most eight parentheses deeper than its operands'
+# texts, so hoisting each text that holds this many into a function of its
+# own keeps any expression inside Python's limit of 200 nested parentheses.
+_HOIST_PARENS = 150
+_SCAN = """\
+    def scan(_values, {outer}):
+        _defined = False
+        for {last} in _values:
+            try:
+                if {left} != {right}:
+                    return {last}, _defined
+            except EvalUndefined:
+                continue
+            _defined = True
+        return None, _defined
+    return scan
+"""
+
+
+@functools.lru_cache(maxsize=256)
+def _factory(source: str):
+    """The ``_make`` function that ``source`` defines."""
+    namespace: dict = {}
+    exec(source, globals(), namespace)  # the helpers above
+    return namespace["_make"]
+
+
+class _Src(NamedTuple):
+    text: str | None  # a Python expression; None for a constant
     ctype: CType
-    exact: bool  # every value of fn lies in ctype's range
-    const: int | None  # the value, when it does not depend on the environment
+    exact: bool  # every value lies in ctype's range
+    const: int | None  # the value, when it does not depend on the variables
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "&": operator.and_, "|": operator.or_, "^": operator.xor}
-# ``c op x`` is ``x flip(op) c``
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+class _Gen:
+    """The source of a factory ``_make(_c0, _c1, ...)`` that returns a
+    function of the expressions written into it.
 
+    Only fixed operator text, generated identifiers (``env``, ``_c<i>``,
+    ``_v<i>``, ``_h<i>`` and the helpers) and integer type masks ever reach
+    the source: literal values and variable names are the factory's
+    arguments.  So nothing from the C text becomes Python code, and
+    expressions that differ only in their literals and names share one
+    source, compiled once.  Variables are read as ``env[name]``, or, given
+    ``slots``, from the local that ``slots`` names for each.
+    """
 
-def _masks(t: CType) -> tuple[int, int]:
-    return 1 << (t.width - 1), (1 << t.width) - 1
+    def __init__(self, types: dict[str, CType],
+                 slots: dict[str, str] | None = None):
+        self.types, self.slots = types, slots
+        self.args = "env" if slots is None else ", ".join(slots.values())
+        self.lits, self.defs = [], []  # _make's arguments, hoisted functions
 
+    def make(self, body: str):
+        """Call the ``_make`` that ends in ``body`` with its arguments."""
+        params = ", ".join(f"_c{i}" for i in range(len(self.lits)))
+        source = f"def _make({params}):\n{''.join(self.defs)}{body}"
+        return _factory(source)(*self.lits)
 
-def _coerce(code: _Code, t: CType) -> Callable[[dict[str, int]], int]:
-    """A function giving ``code``'s value converted to ``t``."""
-    if code.const is not None:
-        value = wrap(code.const, t)
-        return lambda env: value
-    fn = code.fn
-    if code.exact and t.min <= code.ctype.min and code.ctype.max <= t.max:
-        return fn
-    half, mask = _masks(t)
-    if t.signed:
-        return lambda env: ((fn(env) + half) & mask) - half
-    return lambda env: fn(env) & mask
+    def arg(self, value: int | str) -> str:
+        self.lits.append(value)
+        return f"_c{len(self.lits) - 1}"
 
+    def text(self, src: _Src) -> str:
+        return src.text if src.const is None else self.arg(src.const)
 
-def _wrapping(op, lf, rf, t: CType) -> Callable[[dict[str, int]], int]:
-    """``wrap(op(lf(env), rf(env)), t)``: the operands need no conversion
-    first, because + - * & | ^ commute with reduction modulo 2**width."""
-    half, mask = _masks(t)
-    if t.signed:
-        if op is operator.add:
-            return lambda env: ((lf(env) + rf(env) + half) & mask) - half
-        if op is operator.sub:
-            return lambda env: ((lf(env) - rf(env) + half) & mask) - half
-        return lambda env: ((op(lf(env), rf(env)) + half) & mask) - half
-    return lambda env: op(lf(env), rf(env)) & mask
+    def read(self, name: str) -> str:
+        if self.slots is None:
+            return f"env[{self.arg(name)}]"
+        # a name without a slot raises KeyError, as an unbound one in env does
+        return self.slots.get(name) or f"{{}}[{self.arg(name)}]"
 
+    @staticmethod
+    def wrap(text: str, t: CType) -> str:
+        """``wrap(text, t)``: + - * & | ^ ~ commute with reduction modulo
+        2**width, so their operands need no conversion first."""
+        half, mask = 1 << (t.width - 1), (1 << t.width) - 1
+        if t.signed:
+            return f"((({text} + {half}) & {mask}) - {half})"
+        return f"({text} & {mask})"
 
-def _unary(op: str, operand: _Code) -> _Code:
-    t = promote(operand.ctype)
-    half, mask = _masks(t)
-    f = operand.fn
-    if op == "!":
-        if operand.exact:  # promotion only widens, so the value needs no wrap
-            return _Code(lambda env: 0 if f(env) else 1, INT, True, None)
-        return _Code(lambda env: 0 if f(env) & mask else 1, INT, True, None)
-    if op == "-":
-        fn = ((lambda env: ((half - f(env)) & mask) - half) if t.signed
-              else (lambda env: -f(env) & mask))
-    elif op == "~":
-        fn = ((lambda env: ((~f(env) + half) & mask) - half) if t.signed
-              else (lambda env: ~f(env) & mask))
-    else:
-        raise ValueError(f"bad unary op {op}")
-    return _Code(fn, t, True, None)
+    def coerce(self, src: _Src, t: CType) -> _Src:
+        """``src``'s value converted to ``t``."""
+        if src.const is not None:
+            return _Src(None, t, True, wrap(src.const, t))
+        if src.exact and t.min <= src.ctype.min and src.ctype.max <= t.max:
+            return src._replace(ctype=t)
+        return _Src(self.wrap(src.text, t), t, True, None)
 
+    def unary(self, op: str, operand: _Src) -> _Src:
+        t, f = promote(operand.ctype), self.text(operand)
+        if op == "!":  # promotion only widens, so an exact value needs no wrap
+            test = f if operand.exact else f"{f} & {(1 << t.width) - 1}"
+            return _Src(f"(0 if {test} else 1)", INT, True, None)
+        if op not in ("-", "~"):
+            raise ValueError(f"bad unary op {op}")
+        return _Src(self.wrap(f"{op}{f}", t), t, True, None)
 
-def _binary(op: str, left: _Code, right: _Code) -> _Code:
-    lf, rf = left.fn, right.fn
-    if op == "&&":
-        return _Code(lambda env: 1 if lf(env) and rf(env) else 0, INT, True, None)
-    if op == "||":
-        return _Code(lambda env: 1 if lf(env) or rf(env) else 0, INT, True, None)
-    if op in ("<<", ">>"):
-        t = promote(left.ctype)
-        half, mask = _masks(t)
-        width, a, b = t.width, _coerce(left, t), _coerce(right, promote(right.ctype))
-
-        def shift(env: dict[str, int]) -> int:
-            x, y = a(env), b(env)
-            if y < 0 or y >= width:
-                raise EvalUndefined(f"shift by {y} on {width}-bit value")
-            if op == ">>":
-                return x >> y
-            return (((x << y) + half) & mask) - half if t.signed else (x << y) & mask
-        return _Code(shift, t, True, None)
-    t = usual_arithmetic_type(left.ctype, right.ctype)
-    if op in _ARITH:
-        return _Code(_wrapping(_ARITH[op], lf, rf, t), t, True, None)
-    a, b = _coerce(left, t), _coerce(right, t)
-    c = None if right.const is None else b({})
-    if op in _FLIP:
-        if c is not None:
-            return _Code(_compare_with(op, a, c), INT, True, None)
-        if left.const is not None:
-            # both operands were converted to t, so swapping them is exact
-            return _Code(_compare_with(_FLIP[op], b, a({})), INT, True, None)
-        return _Code(_compare(op, a, b), INT, True, None)
-    if op in ("/", "%"):
-        return _Code(_divide(op, a, b, c, t), t, True, None)
-    raise ValueError(f"bad binary op {op}")
-
-
-def _compare_with(op: str, a, c: int) -> Callable[[dict[str, int]], int]:
-    """``a(env) op c`` as 1 or 0, for a constant right operand."""
-    if op == "<":
-        return lambda env: 1 if a(env) < c else 0
-    if op == "<=":
-        return lambda env: 1 if a(env) <= c else 0
-    if op == ">":
-        return lambda env: 1 if a(env) > c else 0
-    if op == ">=":
-        return lambda env: 1 if a(env) >= c else 0
-    if op == "==":
-        return lambda env: 1 if a(env) == c else 0
-    return lambda env: 1 if a(env) != c else 0
-
-
-def _compare(op: str, a, b) -> Callable[[dict[str, int]], int]:
-    """``a(env) op b(env)`` as 1 or 0."""
-    if op == "<":
-        return lambda env: 1 if a(env) < b(env) else 0
-    if op == "<=":
-        return lambda env: 1 if a(env) <= b(env) else 0
-    if op == ">":
-        return lambda env: 1 if a(env) > b(env) else 0
-    if op == ">=":
-        return lambda env: 1 if a(env) >= b(env) else 0
-    if op == "==":
-        return lambda env: 1 if a(env) == b(env) else 0
-    return lambda env: 1 if a(env) != b(env) else 0
-
-
-def _divide(op: str, a, b, c: int | None,
-            t: CType) -> Callable[[dict[str, int]], int]:
-    """C's truncated ``/`` or ``%`` of operands already converted to ``t``;
-    ``c`` is the divisor when it is a constant."""
-    if c is not None and c > 0:
-        # the common case: no zero check, and a quotient that cannot overflow
-        if not t.signed:
-            return ((lambda env: a(env) // c) if op == "/"
-                    else (lambda env: a(env) % c))
-        if op == "/":
-            return lambda env: x // c if (x := a(env)) >= 0 else -(-x // c)
-        return lambda env: x % c if (x := a(env)) >= 0 else -(-x % c)
-    half, mask = _masks(t)
-    signed = t.signed
-
-    def divide(env: dict[str, int]) -> int:
-        x, y = a(env), b(env)
-        if y == 0:
-            raise EvalUndefined("division by zero")
+    def binary(self, op: str, left: _Src, right: _Src) -> _Src:
+        if op in ("&&", "||"):
+            word = "and" if op == "&&" else "or"
+            return _Src(f"(1 if {self.text(left)} {word} {self.text(right)} "
+                        "else 0)", INT, True, None)
+        if op in ("<<", ">>"):
+            t = promote(left.ctype)
+            x = self.text(self.coerce(left, t))
+            y = self.text(self.coerce(right, promote(right.ctype)))
+            shifted = f"({x} {op} _count({y}, {t.width}))"
+            return _Src(shifted if op == ">>" else self.wrap(shifted, t),
+                        t, True, None)
+        t = usual_arithmetic_type(left.ctype, right.ctype)
+        if op in _ARITH:
+            text = f"({self.text(left)} {op} {self.text(right)})"
+            return _Src(self.wrap(text, t), t, True, None)
+        x, y = self.text(self.coerce(left, t)), self.text(self.coerce(right, t))
+        if op in _COMPARE:
+            return _Src(f"(1 if {x} {op} {y} else 0)", INT, True, None)
+        if op == "/":  # a signed quotient overflows at MIN / -1
+            quotient = f"_div({x}, {y})"
+            return _Src(self.wrap(quotient, t) if t.signed else quotient,
+                        t, True, None)
         if op == "%":
-            r = abs(x) % abs(y)  # the sign follows the dividend
-            return -r if x < 0 else r
-        q = abs(x) // abs(y)
-        if not signed:
-            return q
-        # a signed quotient overflows at MIN / -1
-        return (((q if (x < 0) == (y < 0) else -q) + half) & mask) - half
-    return divide
+            return _Src(f"_div({x}, {y}, True)", t, True, None)
+        raise ValueError(f"bad binary op {op}")
 
-
-def _compile(expr: Expr, types: dict[str, CType]) -> _Code:
-    if isinstance(expr, IntLit):
-        value, t = expr.value, expr.ctype
-        return _Code(lambda env: value, t, t.min <= value <= t.max, value)
-    if isinstance(expr, Var):
-        # a declared variable holds a value of its type; any other may hold
-        # any int, such as an undeclared one assigned from a wider nondet call
-        declared = types.get(expr.name)
-        return _Code(operator.itemgetter(expr.name), declared or INT,
-                     declared is not None, None)
-    if isinstance(expr, Unary):
-        operand = _compile(expr.operand, types)
-        code = _unary(expr.op, operand)
-        consts = operand.const is not None
-    elif isinstance(expr, Binary):
-        left, right = _compile(expr.left, types), _compile(expr.right, types)
-        code = _binary(expr.op, left, right)
-        consts = left.const is not None and right.const is not None
-    else:
-        raise TypeError(f"not an expression: {expr!r}")
-    if consts:
-        try:
-            value = code.fn({})
-        except EvalUndefined:
-            return code  # undefined each time it is evaluated
-        return _Code(lambda env: value, code.ctype, True, value)
-    return code
+    def node(self, expr: Expr) -> _Src:
+        if isinstance(expr, IntLit):
+            t = expr.ctype
+            return _Src(None, t, t.min <= expr.value <= t.max, expr.value)
+        if isinstance(expr, Var):
+            # a declared variable holds a value of its type; any other may
+            # hold any int, such as one assigned from a wider nondet call
+            declared = self.types.get(expr.name)
+            return _Src(self.read(expr.name), declared or INT,
+                        declared is not None, None)
+        if isinstance(expr, Unary):
+            build, operands = _Gen.unary, [self.node(expr.operand)]
+        elif isinstance(expr, Binary):
+            build = _Gen.binary
+            operands = [self.node(expr.left), self.node(expr.right)]
+        else:
+            raise TypeError(f"not an expression: {expr!r}")
+        if all(o.const is not None for o in operands):
+            scratch = _Gen(self.types)
+            src = build(scratch, expr.op, *operands)
+            # folded unless undefined, and then undefined at each evaluation
+            with contextlib.suppress(EvalUndefined):
+                value = scratch.make(f"    return {src.text}\n")
+                return _Src(None, src.ctype, True, value)
+        src = build(self, expr.op, *operands)
+        if src.text.count("(") < _HOIST_PARENS:
+            return src
+        name = f"_h{len(self.defs)}"
+        self.defs.append(
+            f"    def {name}({self.args}):\n        return {src.text}\n")
+        return src._replace(text=f"{name}({self.args})")
 
 
 def compile_expr(expr: Expr, types: dict[str, CType],
@@ -1138,13 +1124,33 @@ def compile_expr(expr: Expr, types: dict[str, CType],
     program run does; its value is read without a wrap.  A name missing
     from ``types`` may hold any int, and is read wrapped to ``int``.  With
     ``into`` the value is converted to that type, as an assignment does.
-    ``fn`` raises :class:`EvalUndefined` on division by zero or an invalid
-    shift and ``KeyError`` on an unbound variable.
+    ``fn`` is generated Python that reads ``env[name]`` where C reads the
+    name, so ``&&`` and ``||`` read only what C evaluates.  It raises
+    :class:`EvalUndefined` on division by zero or an invalid shift and
+    ``KeyError`` on an unbound variable.
     """
-    code = _compile(expr, types)
-    if into is None:
-        return code.fn, code.ctype
-    return _coerce(code, into), into
+    gen = _Gen(types)
+    src = gen.node(expr) if into is None else gen.coerce(gen.node(expr), into)
+    return gen.make(f"    return lambda env: {gen.text(src)}\n"), src.ctype
+
+
+def compile_scan(a: Expr, b: Expr, names: list[str],
+                 types: dict[str, CType]) -> Callable[..., tuple]:
+    """Compile a search for an assignment on which ``a`` and ``b`` differ.
+
+    ``scan(values, *outer)`` binds ``names[:-1]`` to ``outer`` and runs
+    ``names[-1]`` over ``values`` in order.  It returns ``(v, defined)`` at
+    the first ``v`` where the two values differ and ``(None, defined)`` when
+    there is none.  An assignment on which either side raises
+    :class:`EvalUndefined` is skipped, and ``defined`` says whether some
+    assignment was not.  Variables are read as by :func:`compile_expr`.
+    """
+    slots = {name: f"_v{i}" for i, name in enumerate(names)}
+    gen = _Gen(types, slots)
+    left, right = gen.text(gen.node(a)), gen.text(gen.node(b))
+    *outer, last = slots.values()
+    return gen.make(_SCAN.format(outer=", ".join(outer), last=last,
+                                 left=left, right=right))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Edges whose line holds no executable statement (declarations, braces, blank
 lines) are skipped during matching.
 
 Each check compiles once: ``main`` is lowered to a flat instruction list
-whose expressions, and the witness's assumptions, are closures from
+whose expressions, and the witness's assumptions, are functions generated by
 :func:`cparse.compile_expr` with every conversion and wrap resolved; every
 enumerated assignment then runs that list in one loop.
 

@@ -339,11 +339,13 @@ def replay_records(run_dir: Path | str, model_name: str,
 
 
 def list_models(run_dir: Path | str) -> list[str]:
-    """The models cached under ``run_dir``: its directories that hold at
-    least one subdirectory, as ``<model>/<task_id>/<i>.json`` does.  A report
-    directory, which holds only files, is not a model."""
+    """The models cached under ``run_dir``: its directories below which a
+    record file ``<i>.json`` lies, as in ``<model>/<task_id>/<i>.json``.
+    The search stops at the first record, and a report directory, even one
+    nested in the run, holds none."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         return []
-    return sorted(p.name for p in run_dir.iterdir()
-                  if p.is_dir() and any(c.is_dir() for c in p.iterdir()))
+    return sorted(p.name for p in run_dir.iterdir() if p.is_dir() and any(
+        re.fullmatch(r"[0-9]+\.json", f) for _, _, files in os.walk(p)
+        for f in files))

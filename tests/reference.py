@@ -3,8 +3,9 @@
 None of this is reached from the ``termeval`` CLI: each is the plain,
 direct statement of a rule whose production form is optimised or folded
 into another function (consensus and F1 inside ``evalcore.bootstrap_eval``,
-the backtracking lasso path search behind ``lasso.extract_lasso``), or a
-tool that only tests need (one-shot evaluation of a C expression, a C
+the backtracking lasso path search behind ``lasso.extract_lasso``, C
+expressions compiled into closures instead of generated code, and the
+brute-force loop over them), or a tool that only tests need (a C
 pretty-printer for round trips, a GraphML reader for the emitter's round
 trip, the prompt templates' hashes).
 """
@@ -12,16 +13,24 @@ trip, the prompt templates' hashes).
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
+import operator
 import random
 import xml.etree.ElementTree as ET
+from collections.abc import Callable
+from typing import NamedTuple
 
 from termeval.cparse import (
-    NONDET_TYPES, Assign, Binary, Block, CType, Decl, Expr, For, If, IntLit,
-    NondetAssign, Program, Return, Stmt, Unary, Var, While, compile_expr,
-    iter_statements,
+    INT, NONDET_TYPES, Assign, Binary, Block, CType, Decl, EvalUndefined, Expr,
+    For, If, IntLit, NondetAssign, Program, Return, Stmt, Unary, Var, While,
+    iter_statements, promote, usual_arithmetic_type, wrap,
 )
 from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sample
 from termeval.oracle import _read_template
+from termeval.precond import (
+    EquivUnknown, Equivalent, Inequivalent, _domain_values,
+)
 from termeval.witness import Verdict, WitnessAutomaton, WitnessEdge, WitnessNode
 
 
@@ -82,11 +91,10 @@ def eval_expr(expr: Expr, env: dict[str, int],
               types: dict[str, CType]) -> tuple[int, CType]:
     """Evaluate ``expr`` once under C semantics; returns (value, type).
 
-    The program compiles each expression once with
-    :func:`cparse.compile_expr` and calls the result many times; this
-    compiles and calls it once.
+    The program compiles each expression with :func:`cparse.compile_expr`;
+    this uses the reference compiler below, which builds closures instead.
     """
-    fn, ctype = compile_expr(expr, types)
+    fn, ctype = closure_compile(expr, types)
     return fn(env), ctype
 
 
@@ -208,6 +216,264 @@ def strip_alpha(program: Program):
         name: tuple(stmt_key(s) for s in fn.body)
         for name, fn in program.functions.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# C expressions: a closure compiler, and the brute-force loop over it
+#
+# ``cparse.compile_expr`` generates Python source per expression shape.  Here
+# each node is instead a closure over its operands' closures, with the same
+# conversions, constant folding and errors.
+
+
+class _Code(NamedTuple):
+    fn: Callable[[dict[str, int]], int]
+    ctype: CType
+    exact: bool  # every value of fn lies in ctype's range
+    const: int | None  # the value, when it does not depend on the environment
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "&": operator.and_, "|": operator.or_, "^": operator.xor}
+# ``c op x`` is ``x flip(op) c``
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+
+
+def _masks(t: CType) -> tuple[int, int]:
+    return 1 << (t.width - 1), (1 << t.width) - 1
+
+
+def _coerce(code: _Code, t: CType) -> Callable[[dict[str, int]], int]:
+    """A function giving ``code``'s value converted to ``t``."""
+    if code.const is not None:
+        value = wrap(code.const, t)
+        return lambda env: value
+    fn = code.fn
+    if code.exact and t.min <= code.ctype.min and code.ctype.max <= t.max:
+        return fn
+    half, mask = _masks(t)
+    if t.signed:
+        return lambda env: ((fn(env) + half) & mask) - half
+    return lambda env: fn(env) & mask
+
+
+def _wrapping(op, lf, rf, t: CType) -> Callable[[dict[str, int]], int]:
+    """``wrap(op(lf(env), rf(env)), t)``: the operands need no conversion
+    first, because + - * & | ^ commute with reduction modulo 2**width."""
+    half, mask = _masks(t)
+    if t.signed:
+        if op is operator.add:
+            return lambda env: ((lf(env) + rf(env) + half) & mask) - half
+        if op is operator.sub:
+            return lambda env: ((lf(env) - rf(env) + half) & mask) - half
+        return lambda env: ((op(lf(env), rf(env)) + half) & mask) - half
+    return lambda env: op(lf(env), rf(env)) & mask
+
+
+def _unary(op: str, operand: _Code) -> _Code:
+    t = promote(operand.ctype)
+    half, mask = _masks(t)
+    f = operand.fn
+    if op == "!":
+        if operand.exact:  # promotion only widens, so the value needs no wrap
+            return _Code(lambda env: 0 if f(env) else 1, INT, True, None)
+        return _Code(lambda env: 0 if f(env) & mask else 1, INT, True, None)
+    if op == "-":
+        fn = ((lambda env: ((half - f(env)) & mask) - half) if t.signed
+              else (lambda env: -f(env) & mask))
+    elif op == "~":
+        fn = ((lambda env: ((~f(env) + half) & mask) - half) if t.signed
+              else (lambda env: ~f(env) & mask))
+    else:
+        raise ValueError(f"bad unary op {op}")
+    return _Code(fn, t, True, None)
+
+
+def _binary(op: str, left: _Code, right: _Code) -> _Code:
+    lf, rf = left.fn, right.fn
+    if op == "&&":
+        return _Code(lambda env: 1 if lf(env) and rf(env) else 0, INT, True, None)
+    if op == "||":
+        return _Code(lambda env: 1 if lf(env) or rf(env) else 0, INT, True, None)
+    if op in ("<<", ">>"):
+        t = promote(left.ctype)
+        half, mask = _masks(t)
+        width, a, b = t.width, _coerce(left, t), _coerce(right, promote(right.ctype))
+
+        def shift(env: dict[str, int]) -> int:
+            x, y = a(env), b(env)
+            if y < 0 or y >= width:
+                raise EvalUndefined(f"shift by {y} on {width}-bit value")
+            if op == ">>":
+                return x >> y
+            return (((x << y) + half) & mask) - half if t.signed else (x << y) & mask
+        return _Code(shift, t, True, None)
+    t = usual_arithmetic_type(left.ctype, right.ctype)
+    if op in _ARITH:
+        return _Code(_wrapping(_ARITH[op], lf, rf, t), t, True, None)
+    a, b = _coerce(left, t), _coerce(right, t)
+    c = None if right.const is None else b({})
+    if op in _FLIP:
+        if c is not None:
+            return _Code(_compare_with(op, a, c), INT, True, None)
+        if left.const is not None:
+            # both operands were converted to t, so swapping them is exact
+            return _Code(_compare_with(_FLIP[op], b, a({})), INT, True, None)
+        return _Code(_compare(op, a, b), INT, True, None)
+    if op in ("/", "%"):
+        return _Code(_divide(op, a, b, c, t), t, True, None)
+    raise ValueError(f"bad binary op {op}")
+
+
+def _compare_with(op: str, a, c: int) -> Callable[[dict[str, int]], int]:
+    """``a(env) op c`` as 1 or 0, for a constant right operand."""
+    if op == "<":
+        return lambda env: 1 if a(env) < c else 0
+    if op == "<=":
+        return lambda env: 1 if a(env) <= c else 0
+    if op == ">":
+        return lambda env: 1 if a(env) > c else 0
+    if op == ">=":
+        return lambda env: 1 if a(env) >= c else 0
+    if op == "==":
+        return lambda env: 1 if a(env) == c else 0
+    return lambda env: 1 if a(env) != c else 0
+
+
+def _compare(op: str, a, b) -> Callable[[dict[str, int]], int]:
+    """``a(env) op b(env)`` as 1 or 0."""
+    if op == "<":
+        return lambda env: 1 if a(env) < b(env) else 0
+    if op == "<=":
+        return lambda env: 1 if a(env) <= b(env) else 0
+    if op == ">":
+        return lambda env: 1 if a(env) > b(env) else 0
+    if op == ">=":
+        return lambda env: 1 if a(env) >= b(env) else 0
+    if op == "==":
+        return lambda env: 1 if a(env) == b(env) else 0
+    return lambda env: 1 if a(env) != b(env) else 0
+
+
+def _divide(op: str, a, b, c: int | None,
+            t: CType) -> Callable[[dict[str, int]], int]:
+    """C's truncated ``/`` or ``%`` of operands already converted to ``t``;
+    ``c`` is the divisor when it is a constant."""
+    if c is not None and c > 0:
+        # the common case: no zero check, and a quotient that cannot overflow
+        if not t.signed:
+            return ((lambda env: a(env) // c) if op == "/"
+                    else (lambda env: a(env) % c))
+        if op == "/":
+            return lambda env: x // c if (x := a(env)) >= 0 else -(-x // c)
+        return lambda env: x % c if (x := a(env)) >= 0 else -(-x % c)
+    half, mask = _masks(t)
+    signed = t.signed
+
+    def divide(env: dict[str, int]) -> int:
+        x, y = a(env), b(env)
+        if y == 0:
+            raise EvalUndefined("division by zero")
+        if op == "%":
+            r = abs(x) % abs(y)  # the sign follows the dividend
+            return -r if x < 0 else r
+        q = abs(x) // abs(y)
+        if not signed:
+            return q
+        # a signed quotient overflows at MIN / -1
+        return (((q if (x < 0) == (y < 0) else -q) + half) & mask) - half
+    return divide
+
+
+def _compile(expr: Expr, types: dict[str, CType]) -> _Code:
+    if isinstance(expr, IntLit):
+        value, t = expr.value, expr.ctype
+        return _Code(lambda env: value, t, t.min <= value <= t.max, value)
+    if isinstance(expr, Var):
+        # a declared variable holds a value of its type; any other may hold
+        # any int, such as an undeclared one assigned from a wider nondet call
+        declared = types.get(expr.name)
+        return _Code(operator.itemgetter(expr.name), declared or INT,
+                     declared is not None, None)
+    if isinstance(expr, Unary):
+        operand = _compile(expr.operand, types)
+        code = _unary(expr.op, operand)
+        consts = operand.const is not None
+    elif isinstance(expr, Binary):
+        left, right = _compile(expr.left, types), _compile(expr.right, types)
+        code = _binary(expr.op, left, right)
+        consts = left.const is not None and right.const is not None
+    else:
+        raise TypeError(f"not an expression: {expr!r}")
+    if consts:
+        try:
+            value = code.fn({})
+        except EvalUndefined:
+            return code  # undefined each time it is evaluated
+        return _Code(lambda env: value, code.ctype, True, value)
+    return code
+
+
+def closure_compile(expr: Expr, types: dict[str, CType],
+                    into: CType | None = None,
+                    ) -> tuple[Callable[[dict[str, int]], int], CType]:
+    """Compile ``expr`` once into ``(fn, ctype)``: ``fn(env)`` evaluates it
+    under C semantics, and ``ctype`` is its type.
+
+    Variables take their type from ``types`` (``int`` when missing), and
+    every conversion and wrap is worked out here, not at each call.  A name
+    in ``types`` must hold a value in its type's range, as every store of a
+    program run does; its value is read without a wrap.  A name missing
+    from ``types`` may hold any int, and is read wrapped to ``int``.  With
+    ``into`` the value is converted to that type, as an assignment does.
+    ``fn`` raises :class:`EvalUndefined` on division by zero or an invalid
+    shift and ``KeyError`` on an unbound variable.
+    """
+    code = _compile(expr, types)
+    if into is None:
+        return code.fn, code.ctype
+    return _coerce(code, into), into
+
+
+def brute_loop(a: Expr, b: Expr, variables: dict[str, CType],
+               box: tuple[int, int], budget: int):
+    """``precond.brute_equivalence`` with ``budget`` assignments, as one
+    Python loop over closures that updates one environment in place."""
+    names = sorted(variables)
+    domains = [_domain_values(variables[n], box) for n in names]
+    fa, _ = closure_compile(a, variables)
+    fb, _ = closure_compile(b, variables)
+    if not names:
+        try:
+            same = fa({}) == fb({})
+        except EvalUndefined:
+            return EquivUnknown("degenerate: undefined arithmetic")
+        return Equivalent() if same else Inequivalent({})
+    env = dict.fromkeys(names, 0)
+    *outer, last = names
+    left = budget
+    defined = False
+    for prefix in itertools.product(*domains[:-1]):
+        if left <= 0:
+            break
+        env.update(zip(outer, prefix))
+        values = domains[-1][:left]
+        left -= len(values)
+        for value in values:
+            env[last] = value
+            try:
+                if fa(env) != fb(env):
+                    return Inequivalent(dict(env))
+            except EvalUndefined:
+                continue
+            defined = True
+    total = math.prod(map(len, domains))
+    if total > budget:
+        return EquivUnknown(f"budget: {budget} of {total} "
+                            "assignments evaluated without a counterexample")
+    if not defined:
+        return EquivUnknown("degenerate: every assignment hit undefined arithmetic")
+    return Equivalent()
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,24 @@ class TestScoreCommand:
         assert (other / "report.json").read_bytes() == \
             (run_dir / "report" / "report.json").read_bytes()
 
+    def test_nested_report_dir_is_not_a_model(self, runner, tmp_path):
+        # a report written two levels down leaves `reports/`, which holds a
+        # subdirectory but no record file
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        config = str(workspace / "score_config.toml")
+        nested = run_dir / "reports" / "july"
+        result = runner.invoke(main, ["score", str(run_dir), "-c", config,
+                                      "-o", str(nested)])
+        assert result.exit_code == 0, result.output
+        assert oracle.list_models(run_dir) == ["oracle-a", "oracle-b"]
+        other = workspace / "other"
+        result = runner.invoke(main, ["score", str(run_dir), "-c", config,
+                                      "-o", str(other)])
+        assert result.exit_code == 0, result.output
+        assert (other / "report.json").read_bytes() == \
+            (nested / "report.json").read_bytes()
+
     def test_default_report_dir_is_not_read_by_precond(self, runner,
                                                        tmp_path):
         workspace = copy_fixture_workspace(tmp_path)

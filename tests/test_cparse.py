@@ -2,18 +2,23 @@ import math
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from termeval import cparse
+from termeval import cparse, precond
 from termeval.cparse import (
     Assign, Binary, CParseError, EvalUndefined, If, IntLit, NondetAssign,
-    Program, UnsupportedConstruct, Var, While, parse_expression,
+    Program, Unary, UnsupportedConstruct, Var, While, parse_expression,
     parse_program, INT, UINT, wrap,
 )
 from termeval.lasso import run_program
 
-from conftest import load_program
-from reference import eval_expr, pretty_print, resolve_line, strip_alpha
+from conftest import (
+    C_TYPES, c_chains, c_expressions, int_values, load_program,
+)
+from reference import (
+    brute_loop, closure_compile, eval_expr, pretty_print, resolve_line,
+    strip_alpha,
+)
 
 
 def collect(program, kind):
@@ -265,6 +270,127 @@ class TestCompiledExpressions:
         chain = " + ".join(["x"] * 300)
         with pytest.raises(CParseError, match="deeper than"):
             parse_program(f"int main() {{ int x = 1; x = {chain}; return 0; }}")
+
+
+NAMES = ["a", "b", "c", "d"]
+# generated identifiers, helper names, and names Python itself resolves
+HOSTILE_NAMES = ["env", "_c0", "_v0", "_v1", "_h0", "_values", "_defined",
+                 "_make", "scan", "_div", "_count", "EvalUndefined",
+                 "__import__", "__builtins__"]
+
+
+def outcomes(compile_, expr, types, into, envs):
+    """The type of ``expr`` compiled with ``compile_``, and per environment
+    its value or the error it raises."""
+    fn, ctype = compile_(expr, types, into)
+    results = []
+    for env in envs:
+        try:
+            results.append(fn(env))
+        except (EvalUndefined, KeyError) as exc:
+            results.append((type(exc), str(exc)))
+    return ctype, results
+
+
+@st.composite
+def typed_envs(draw, names):
+    """Declared types for some of ``names``, and environments in which a
+    declared name holds a value of its type, an undeclared one any int, and
+    a name may be unbound."""
+    types = draw(st.dictionaries(st.sampled_from(names), st.sampled_from(C_TYPES)))
+    envs = []
+    for _ in range(3):
+        env = {}
+        for name in names:
+            if draw(st.integers(0, 9)) > 0:
+                env[name] = draw(int_values(types.get(name)))
+        envs.append(env)
+    return types, envs
+
+
+class TestGeneratedCode:
+    """``compile_expr`` and ``compile_scan`` against the closure compiler
+    and brute-force loop in tests/reference.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(c_expressions(NAMES), typed_envs(NAMES),
+           st.none() | st.sampled_from(C_TYPES))
+    def test_matches_the_closure_compiler(self, expr, typed, into):
+        types, envs = typed
+        assert outcomes(cparse.compile_expr, expr, types, into, envs) == \
+            outcomes(closure_compile, expr, types, into, envs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(c_chains(NAMES), typed_envs(NAMES),
+           st.none() | st.sampled_from(C_TYPES))
+    def test_deep_chains_match_the_closure_compiler(self, expr, typed, into):
+        types, envs = typed
+        assert outcomes(cparse.compile_expr, expr, types, into, envs) == \
+            outcomes(closure_compile, expr, types, into, envs)
+
+    def test_not_of_an_undeclared_name_wraps_it_first(self):
+        # an undeclared name may hold any int; read as int, 2**32 is 0
+        for compile_ in (cparse.compile_expr, closure_compile):
+            fn, _ = compile_(Unary("!", Var("x")), {})
+            assert [fn({"x": v}) for v in (2**32, 2**32 + 1, 0)] == [1, 0, 1]
+
+    @pytest.mark.parametrize("name", HOSTILE_NAMES)
+    def test_generated_names_read_like_any_other(self, name):
+        other = "x"
+        types = {name: INT, other: cparse.CHAR}
+        text = f"{name} * 3 - {other} < {name} / ({other} + 2) || !{name}"
+        expr = parse_expression(text)
+        envs = [{name: v, other: w} for v in (-7, 0, 5) for w in (-2, 0, 9)]
+        assert outcomes(cparse.compile_expr, expr, types, None, envs) == \
+            outcomes(closure_compile, expr, types, None, envs)
+        # the scan read mode: each name is a local, whatever it is called
+        box = (-6, 6)
+        for other_text in (f"{name} * 3 - {other} <= {name} / ({other} + 2)",
+                           f"{other} == {other} && !({name} * 3 - {other} >= "
+                           f"{name} / ({other} + 2)) || !{name}"):
+            b = parse_expression(other_text)
+            assert precond.brute_equivalence(expr, b, types, box) == \
+                brute_loop(expr, b, types, box, precond.MAX_BRUTE_ASSIGNMENTS)
+
+    @pytest.mark.parametrize("op", ["+", "<<", "/", "&&"])
+    @pytest.mark.parametrize("declared", [False, True])
+    def test_deepest_chains_compile(self, op, declared):
+        types = {"x": cparse.CHAR, "y": cparse.CHAR} if declared else {}
+        chains = [Var("x"), Var("x")]
+        for _ in range(cparse.MAX_EXPR_DEPTH - 1):
+            chains = [Binary(op, chains[0], Var("y")),
+                      Binary(op, Var("y"), chains[1])]
+        xy, box = {"x": INT, "y": INT}, (-2, 2)
+        for chain in chains:
+            assert cparse.expr_depth(chain) == cparse.MAX_EXPR_DEPTH
+            envs = [{"x": 3, "y": 1}, {"x": -1, "y": 0}]
+            assert outcomes(cparse.compile_expr, chain, types, None, envs) == \
+                outcomes(closure_compile, chain, types, None, envs)
+            assert precond.brute_equivalence(chain, Var("x"), xy, box) == \
+                brute_loop(chain, Var("x"), xy, box,
+                           precond.MAX_BRUTE_ASSIGNMENTS)
+
+    def test_literals_and_names_are_arguments_of_one_compiled_shape(self):
+        cparse.compile_expr(parse_expression("x * 1234567 < 7654321"), {})
+        before = cparse._factory.cache_info()
+        fn, _ = cparse.compile_expr(parse_expression("y * 7 < 8"), {})
+        after = cparse._factory.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert fn({"y": 1}) == 1 and fn({"y": 2}) == 0
+        assert not set(fn.__code__.co_consts) & {7, 8, "y"}
+        assert {cell.cell_contents for cell in fn.__closure__} == {7, 8, "y"}
+
+    def test_shape_cache_is_bounded(self):
+        bound = cparse._factory.cache_info().maxsize
+        assert bound + 20 <= 2**10
+        for i in range(bound + 20):
+            # bit k of i picks the operator at level k: a distinct shape each
+            expr, ones = Var("x"), [i >> k & 1 for k in range(10)]
+            for one in ones:
+                expr = Binary("-" if one else "+", expr, IntLit(1))
+            fn, _ = cparse.compile_expr(expr, {})
+            assert fn({"x": 0}) == 10 - 2 * sum(ones)
+        assert cparse._factory.cache_info().currsize == bound
 
 
 class TestSemantics:

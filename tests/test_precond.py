@@ -1,6 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from termeval import cparse, precond
 from termeval.cparse import (
@@ -14,8 +16,8 @@ from termeval.precond import (
     judge_generation, parse_precondition, smt_equivalence, variables_of,
 )
 
-from conftest import FIXTURES
-from reference import eval_expr, format_expr
+from conftest import C_TYPES, FIXTURES, c_expressions
+from reference import brute_loop, eval_expr, format_expr
 
 IVAR = {"i": INT}
 XY = {"x": INT, "y": INT}
@@ -290,6 +292,31 @@ class TestBudget:
             Inequivalent({}))
         assert brute_equivalence(parse_precondition("1 / 0 == 0"), a, {}) == (
             EquivUnknown("degenerate: undefined arithmetic"))
+
+
+@st.composite
+def brute_cases(draw):
+    """Two formulas over 0-3 variables of any type, where the second is
+    often the first or its double negation, with a box and a budget."""
+    names = draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
+    variables = {name: draw(st.sampled_from(C_TYPES)) for name in names}
+    a = draw(c_expressions(names, max_leaves=8))
+    b = draw(st.sampled_from([a, Unary("!", Unary("!", a))])
+             | c_expressions(names, max_leaves=8))
+    box, budget = draw(st.sampled_from(
+        [((-128, 127), n) for n in (1, 259, 260, 261)]
+        + [((-3, 3), n) for n in (1, 259, 260, 261, MAX_BRUTE_ASSIGNMENTS)]))
+    return a, b, variables, box, budget
+
+
+class TestAgainstReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(brute_cases())
+    def test_matches_the_reference_loop(self, case):
+        a, b, variables, box, budget = case
+        with mock.patch.object(precond, "MAX_BRUTE_ASSIGNMENTS", budget):
+            assert brute_equivalence(a, b, variables, box) == \
+                brute_loop(a, b, variables, box, budget)
 
 
 class TestHostileFormulas:
