@@ -429,7 +429,9 @@ class _Parser:
 
     def _at_type(self) -> bool:
         tok = self.peek()
-        return tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS
+        if tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS:
+            return True
+        return tok.kind == "keyword" and tok.text == "bool"
 
     def parse_type(self) -> CType | None:
         """Parse a type specifier; returns None for void."""
@@ -570,7 +572,7 @@ class _Parser:
                     expr = self.parse_expression()
                 self.expect(";")
                 return [Return(expr, tok.line)]
-            if tok.text in _TYPE_KEYWORDS:
+            if tok.text in _TYPE_KEYWORDS or tok.text == "bool":
                 return self._parse_decl()
             raise _Unsupported(tok.line, tok.text)
         if tok.kind == "ident":
@@ -989,17 +991,14 @@ class _Src(NamedTuple):
 
 
 class _Gen:
-    """The source of a factory ``_make(_c0, _c1, ...)`` that returns a
-    function of the expressions written into it.
-
-    Only fixed operator text, generated identifiers (``env``, ``_c<i>``,
-    ``_v<i>``, ``_h<i>`` and the helpers) and integer type masks ever reach
-    the source: literal values and variable names are the factory's
-    arguments.  So nothing from the C text becomes Python code, and
-    expressions that differ only in their literals and names share one
-    source, compiled once.  Variables are read as ``env[name]``, or, given
-    ``slots``, from the local that ``slots`` names for each.
-    """
+    """The source of a factory ``_make(_c0, _c1, ...)`` of a function of the
+    expressions written into it.  Only fixed operator text, generated
+    identifiers (``env``, ``_c<i>``, ``_v<i>``, ``_h<i>``, the helpers) and
+    integer type masks ever reach the source; literal values and variable
+    names are ``_make``'s arguments.  So no C text becomes Python code, and
+    expressions that differ only in literals and names share one compiled
+    source.  Variables are read as ``env[name]``, or, given ``slots``, from
+    the local that ``slots`` names for each."""
 
     def __init__(self, types: dict[str, CType],
                  slots: dict[str, str] | None = None):
@@ -1115,8 +1114,8 @@ class _Gen:
 def compile_expr(expr: Expr, types: dict[str, CType],
                  into: CType | None = None,
                  ) -> tuple[Callable[[dict[str, int]], int], CType]:
-    """Compile ``expr`` once into ``(fn, ctype)``: ``fn(env)`` evaluates it
-    under C semantics, and ``ctype`` is its type.
+    """Compile ``expr`` once into ``(fn, ctype)``: ``fn(env)``, generated
+    Python, evaluates it under C semantics, and ``ctype`` is its type.
 
     Variables take their type from ``types`` (``int`` when missing), and
     every conversion and wrap is worked out here, not at each call.  A name
@@ -1124,11 +1123,9 @@ def compile_expr(expr: Expr, types: dict[str, CType],
     program run does; its value is read without a wrap.  A name missing
     from ``types`` may hold any int, and is read wrapped to ``int``.  With
     ``into`` the value is converted to that type, as an assignment does.
-    ``fn`` is generated Python that reads ``env[name]`` where C reads the
-    name, so ``&&`` and ``||`` read only what C evaluates.  It raises
-    :class:`EvalUndefined` on division by zero or an invalid shift and
-    ``KeyError`` on an unbound variable.
-    """
+    ``fn`` reads ``env[name]`` where C reads the name, so ``&&`` and ``||``
+    read only what C evaluates; it raises :class:`EvalUndefined` on division
+    by zero or an invalid shift and ``KeyError`` on an unbound variable."""
     gen = _Gen(types)
     src = gen.node(expr) if into is None else gen.coerce(gen.node(expr), into)
     return gen.make(f"    return lambda env: {gen.text(src)}\n"), src.ctype
@@ -1143,8 +1140,7 @@ def compile_scan(a: Expr, b: Expr, names: list[str],
     the first ``v`` where the two values differ and ``(None, defined)`` when
     there is none.  An assignment on which either side raises
     :class:`EvalUndefined` is skipped, and ``defined`` says whether some
-    assignment was not.  Variables are read as by :func:`compile_expr`.
-    """
+    assignment was not.  Variables are read as by :func:`compile_expr`."""
     slots = {name: f"_v{i}" for i, name in enumerate(names)}
     gen = _Gen(types, slots)
     left, right = gen.text(gen.node(a)), gen.text(gen.node(b))

@@ -340,12 +340,16 @@ def replay_records(run_dir: Path | str, model_name: str,
 
 def list_models(run_dir: Path | str) -> list[str]:
     """The models cached under ``run_dir``: its directories below which a
-    record file ``<i>.json`` lies, as in ``<model>/<task_id>/<i>.json``.
-    The search stops at the first record, and a report directory, even one
-    nested in the run, holds none."""
+    record ``<i>.json`` (``<model>/<task_id>/<i>.json``) or the ``.json.tmp``
+    of an interrupted write lies; a report directory holds neither.  The
+    search stops at the first record and raises on an unreadable directory."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         return []
     return sorted(p.name for p in run_dir.iterdir() if p.is_dir() and any(
-        re.fullmatch(r"[0-9]+\.json", f) for _, _, files in os.walk(p)
-        for f in files))
+        re.fullmatch(r"[0-9]+\.json(\.tmp)?", f)
+        for _, _, files in os.walk(p, onerror=_raise) for f in files))
+
+
+def _raise(error: OSError):
+    raise error

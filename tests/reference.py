@@ -24,7 +24,7 @@ from typing import NamedTuple
 from termeval.cparse import (
     INT, NONDET_TYPES, Assign, Binary, Block, CType, Decl, EvalUndefined, Expr,
     For, If, IntLit, NondetAssign, Program, Return, Stmt, Unary, Var, While,
-    iter_statements, promote, usual_arithmetic_type, wrap,
+    compile_expr, iter_statements, promote, usual_arithmetic_type, wrap,
 )
 from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sample
 from termeval.oracle import _read_template
@@ -91,11 +91,24 @@ def eval_expr(expr: Expr, env: dict[str, int],
               types: dict[str, CType]) -> tuple[int, CType]:
     """Evaluate ``expr`` once under C semantics; returns (value, type).
 
-    The program compiles each expression with :func:`cparse.compile_expr`;
-    this uses the reference compiler below, which builds closures instead.
+    Both the program's :func:`cparse.compile_expr` and the reference
+    compiler below, which builds closures instead, evaluate it.  They must
+    agree on the value and type, or raise the same :class:`EvalUndefined`
+    or ``KeyError``, so every test that calls this checks both.
     """
-    fn, ctype = closure_compile(expr, types)
-    return fn(env), ctype
+    outcomes = []
+    for compile_ in (compile_expr, closure_compile):
+        try:
+            fn, ctype = compile_(expr, types)
+            outcomes.append((fn(env), ctype))
+        except (EvalUndefined, KeyError) as e:
+            outcomes.append(e)
+    got, ref = outcomes
+    if isinstance(got, Exception):
+        assert (type(got), str(got)) == (type(ref), str(ref)), (got, ref)
+        raise got
+    assert got == ref, (got, ref)
+    return got
 
 
 def format_expr(expr: Expr) -> str:

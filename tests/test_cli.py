@@ -527,6 +527,33 @@ class TestScoreCommand:
         assert (other / "report.json").read_bytes() == \
             (nested / "report.json").read_bytes()
 
+    def test_interrupted_first_write_is_an_incomplete_pool(self, runner,
+                                                           tmp_path):
+        # a model whose only record is the .tmp of an interrupted write
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "demo"
+        task_dir = run_dir / "oracle-c" / "bitvector-spin" / "even_spin"
+        task_dir.mkdir(parents=True)
+        (task_dir / "0.json.tmp").write_text("{")
+        assert oracle.list_models(run_dir) == \
+            ["oracle-a", "oracle-b", "oracle-c"]
+        result = runner.invoke(main, [
+            "score", str(run_dir), "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code != 0
+        assert "oracle-c: incomplete pools" in result.output
+
+    def test_unreadable_model_dir_raises(self, tmp_path, monkeypatch):
+        workspace = copy_fixture_workspace(tmp_path)
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "scandir", denied)
+        with pytest.raises(PermissionError):
+            oracle.list_models(workspace / "runs" / "demo")
+
     def test_default_report_dir_is_not_read_by_precond(self, runner,
                                                        tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
