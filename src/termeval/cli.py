@@ -66,6 +66,14 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
+def _read_text(what: str, path: Path) -> str:
+    """The UTF-8 text of ``path``; exits 2 when it cannot be read as such."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(f"cannot read {what} {path}: {exc}")
+
+
 def load_config(path: Path | str) -> RunConfig:
     """The run config in the TOML file ``path``; a file that cannot be read,
     parsed or used raises :class:`ConfigError`."""
@@ -333,7 +341,7 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
                   clock: str, do_validate: bool, config_path: Path | None,
                   architecture: str):
     """Validate a witness JSON against a program and check feasibility."""
-    raw = witness_path.read_text(encoding="utf-8")
+    raw = _read_text("witness", witness_path)
     parsed = parse_prediction(raw)
     if isinstance(parsed, FormatError):
         click.echo(f"format error: {parsed.message}")
@@ -350,7 +358,7 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
         sys.exit(1)
     click.echo("schema: ok")
 
-    source = program_path.read_text(encoding="utf-8")
+    source = _read_text("program", program_path)
     try:
         program = parse_program(source)
     except CParseError as exc:

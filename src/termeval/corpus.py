@@ -207,8 +207,9 @@ def load_manifest(
 ) -> ManifestLoad:
     """Ingest every termination task under ``root``.
 
-    Per-task problems (missing source, unreadable YAML, an
-    ``expected_verdict`` that is not a boolean) are collected in the report;
+    Per-task problems (a missing source or one that is not UTF-8,
+    unreadable YAML, an ``expected_verdict`` that is not a boolean) are
+    collected in the report;
     an unreadable root raises :class:`IngestError`.  A task's token count is
     its ``sidecar`` entry, else :func:`heuristic_token_count` of its source.
     """
@@ -265,6 +266,9 @@ def load_manifest(
             source = source_path.read_text(encoding="utf-8")
         except OSError as exc:
             report.errors.append((task_id, f"missing source file: {exc}"))
+            continue
+        except UnicodeDecodeError as exc:
+            report.errors.append((task_id, f"source file is not UTF-8: {exc}"))
             continue
 
         count = (sidecar[task_id] if sidecar and task_id in sidecar

@@ -1042,19 +1042,27 @@ class _Gen:
             return src._replace(ctype=t)
         return _Src(self.wrap(src.text, t), t, True, None)
 
+    def truth(self, src: _Src) -> str:
+        """A Python expression that is true when ``src`` is nonzero as its
+        promoted type.  Promotion only widens, so an exact value needs no
+        wrap."""
+        text = self.text(src)
+        if src.exact:
+            return text
+        return f"{text} & {(1 << promote(src.ctype).width) - 1}"
+
     def unary(self, op: str, operand: _Src) -> _Src:
-        t, f = promote(operand.ctype), self.text(operand)
-        if op == "!":  # promotion only widens, so an exact value needs no wrap
-            test = f if operand.exact else f"{f} & {(1 << t.width) - 1}"
-            return _Src(f"(0 if {test} else 1)", INT, True, None)
+        if op == "!":
+            return _Src(f"(0 if {self.truth(operand)} else 1)", INT, True, None)
         if op not in ("-", "~"):
             raise ValueError(f"bad unary op {op}")
-        return _Src(self.wrap(f"{op}{f}", t), t, True, None)
+        t = promote(operand.ctype)
+        return _Src(self.wrap(f"{op}{self.text(operand)}", t), t, True, None)
 
     def binary(self, op: str, left: _Src, right: _Src) -> _Src:
         if op in ("&&", "||"):
             word = "and" if op == "&&" else "or"
-            return _Src(f"(1 if {self.text(left)} {word} {self.text(right)} "
+            return _Src(f"(1 if {self.truth(left)} {word} {self.truth(right)} "
                         "else 0)", INT, True, None)
         if op in ("<<", ">>"):
             t = promote(left.ctype)

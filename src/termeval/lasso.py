@@ -7,7 +7,8 @@ the program while tracking the lasso.  The automaton is an observer: a
 program step either matches the pending edge (line and control agree, the
 assumption holds afterward) and advances it, or the automaton stutters.
 Edges whose line holds no executable statement (declarations, braces, blank
-lines) are skipped during matching.
+lines) are dropped once per check, before any run; a cycle with no edge left
+proves nothing, however often it is passed.
 
 Each check compiles once: ``main`` is lowered to a flat instruction list
 whose expressions, and the witness's assumptions, are functions generated by
@@ -334,10 +335,6 @@ def _executable_lines(program: Program) -> set[str | int]:
     return lines
 
 
-def _edge_matchable(edge: WitnessEdge, executable_lines: set) -> bool:
-    return edge.line is not None and edge.line in executable_lines
-
-
 def _compile_assumption(text: str | None, types: dict[str, CType]):
     """An edge's assumption as a test of the state after a step: None when
     the edge has none, and a test that never holds when it does not parse."""
@@ -350,9 +347,9 @@ def _compile_assumption(text: str | None, types: dict[str, CType]):
 
 
 def _expectations(edges, types: dict[str, CType]) -> list[tuple]:
-    """Per edge: its line, its control, the branch that control wants, and
-    its compiled assumption."""
-    return [(e.line, e.control, e.control == "condition-true",
+    """Per edge: its id, its line, its control, the branch that control
+    wants, and its compiled assumption."""
+    return [(e.id, e.line, e.control, e.control == "condition-true",
              _compile_assumption(e.assumption, types)) for e in edges]
 
 
@@ -362,114 +359,29 @@ _BOUNDED = "bounded"
 _EDGE_FAIL = "edge_fail"     # ended or stalled while an edge was being refused
 _BUDGET = "budget"           # stalled or ran out of steps without a refusal
 _UNDEFINED = "undefined"     # evaluation hit undefined behaviour
-_NO_PROGRESS = "no_progress"
+_NO_PROGRESS = "no_progress"  # stem matched, but no cycle edge can match
+
+_NO_ANSWER = "budget exhausted before a conclusive answer"
 
 
-@dataclass
-class _RunOutcome:
-    kind: str
-    edge_id: str | None = None
-    cycles: int = 0
-    state: MachineState | None = None
-    steps: int = 0
-
-
-class _Periodic(Exception):
-    def __init__(self, state: MachineState):
-        self.state = state
-
-
-class _CycleTarget(Exception):
-    pass
-
-
-class _DegenerateCycle(Exception):
-    pass
-
-
-class _PendingTracker:
-    """Walks stem + cycle, auto-skipping edges whose line holds nothing
-    executable and accounting for completed cycles."""
-
-    def __init__(self, lasso: LassoPath, cfg: CheckerConfig,
-                 matchable: list[bool], expected: list[tuple]):
-        self.sequence = list(lasso.stem) + list(lasso.cycle)
-        self.stem_len = len(lasso.stem)
-        self.cfg = cfg
-        self.matchable = matchable  # per edge of the sequence
-        self.expected = expected  # per edge, from _expectations
-        self.pos = 0
-        self.cycles = 0
-        self.accepted_in_cycle = 0
-        self.last_accept_line = 0
-        self.last_accept_uid = 0
-        self.seen_states: dict[tuple, int] = {}
-        self._settle(None)
-
-    @property
-    def pending(self) -> WitnessEdge:
-        return self.sequence[self.pos]
-
-    def nondet_seen(self):
-        self.seen_states.clear()  # repetition evidence no longer deterministic
-
-    def accept(self, line: int, uid: int, env: dict[str, int]):
-        """Pending edge matched the step; advance past it and any skippable
-        successors.  Raises on a proof, target reached, or degenerate cycle."""
-        self.accepted_in_cycle += 1
-        self.last_accept_line = line
-        self.last_accept_uid = uid
-        self._step(env)
-        self._settle(env)
-
-    def _step(self, env):
-        self.pos += 1
-        if self.pos == len(self.sequence):
-            self._complete(env)
-            self.pos = self.stem_len
-
-    def _complete(self, env):
-        if self.accepted_in_cycle == 0:
-            # the entire cycle was skipped: the witness cannot constrain
-            # execution, so looping here proves nothing
-            raise _DegenerateCycle
-        self.cycles += 1
-        self.accepted_in_cycle = 0
-        snapshot = tuple(sorted(env.items()))
-        key = (self.last_accept_uid, snapshot)
-        if key in self.seen_states:
-            raise _Periodic(MachineState(self.last_accept_line, snapshot))
-        self.seen_states[key] = self.cycles
-        if self.cycles >= self.cfg.bounded_cycle_target:
-            raise _CycleTarget
-
-    def _settle(self, env):
-        guard = 0
-        while not self.matchable[self.pos]:
-            self._step(env if env is not None else {})
-            guard += 1
-            if guard > len(self.sequence) + 1:
-                raise _DegenerateCycle
-
-
-def _execute(code: list[tuple], assignment: dict[str, int],
-             tracker: _PendingTracker | None, max_steps: int,
-             stall_steps: int) -> _RunOutcome:
-    """Run the program from its start and offer each step to ``tracker``.
+def _execute(code: list[tuple], assignment: dict[str, int], edges: list[tuple],
+             stem_len: int, cfg: CheckerConfig) -> tuple:
+    """Run the program from its start and walk the lasso ``edges``, as
+    :func:`_expectations` gives them, whose cycle starts at ``stem_len``.
 
     A step matches the pending edge when its line agrees, its branch agrees
     with the edge's control, and the edge's assumption holds after it.
-    Without a tracker no step matches, and the run ends after ``max_steps``.
+    Matching the last edge completes a cycle, and the cycle starts again.
+    Returns ``(kind, pending edge id, cycles, state, steps)``, where
+    ``state`` is the repeated machine state of a proof.  With no edges no
+    step matches, and the run ends after ``cfg.max_steps``.
     """
     env: dict[str, int] = {}
-    steps = since_advance = refusals = 0
-    line_wanted, control, want, assumption = (
-        tracker.expected[tracker.pos] if tracker is not None else (None,) * 4)
-
-    def ended(kind: str) -> _RunOutcome:
-        if tracker is None:
-            return _RunOutcome(kind, steps=steps)
-        return _RunOutcome(kind, tracker.pending.id, tracker.cycles, steps=steps)
+    steps = since_advance = refusals = cycles = pos = 0
+    seen: set[tuple] = set()  # (instruction, env) at each completed cycle
+    max_steps, stall_steps = cfg.max_steps, cfg.stall_steps
+    edge_id, line_wanted, control, want, assumption = (
+        edges[0] if edges else (None,) * 5)
 
     pc = 0
     try:
@@ -488,8 +400,7 @@ def _execute(code: list[tuple], assignment: dict[str, int],
                 continue
             elif op == NONDET:
                 env[a] = b(assignment)
-                if tracker is not None:
-                    tracker.nondet_seen()
+                seen.clear()  # a repeat is no longer deterministic evidence
             elif op == RETURN:
                 if a is not None:
                     a(env)
@@ -501,7 +412,7 @@ def _execute(code: list[tuple], assignment: dict[str, int],
                 continue
             else:
                 # the program ended while the automaton still expected edges
-                return ended(_EDGE_FAIL)
+                return _EDGE_FAIL, edge_id, cycles, None, steps
             steps += 1
             since_advance += 1
 
@@ -511,41 +422,32 @@ def _execute(code: list[tuple], assignment: dict[str, int],
                     holds = assumption is None or assumption(env) != 0
                 except (EvalUndefined, KeyError):
                     holds = False
-                if holds:
-                    try:
-                        tracker.accept(line, here, env)
-                    except _Periodic as proof:
-                        return _RunOutcome(_PROVEN, None, tracker.cycles,
-                                           proof.state, steps)
-                    except _CycleTarget:
-                        return _RunOutcome(_BOUNDED, None, tracker.cycles,
-                                           steps=steps)
-                    except _DegenerateCycle:
-                        return _RunOutcome(_NO_PROGRESS, None, tracker.cycles,
-                                           steps=steps)
-                    line_wanted, control, want, assumption = (
-                        tracker.expected[tracker.pos])
-                    since_advance = refusals = 0
-                else:
+                if not holds:
                     refusals += 1
+                else:
+                    pos += 1
+                    if pos == len(edges):
+                        if pos == stem_len:  # no cycle edge can match a step
+                            return _NO_PROGRESS, None, cycles, None, steps
+                        cycles += 1
+                        key = (here, tuple(sorted(env.items())))
+                        if key in seen:
+                            return (_PROVEN, None, cycles,
+                                    MachineState(line, key[1]), steps)
+                        if cycles >= cfg.bounded_cycle_target:
+                            return _BOUNDED, None, cycles, None, steps
+                        seen.add(key)
+                        pos = stem_len
+                    edge_id, line_wanted, control, want, assumption = edges[pos]
+                    since_advance = refusals = 0
 
             if op == RETURN:
-                return ended(_EDGE_FAIL)
+                return _EDGE_FAIL, edge_id, cycles, None, steps
             if since_advance > stall_steps or steps >= max_steps:
-                return ended(_EDGE_FAIL if refusals else _BUDGET)
+                kind = _EDGE_FAIL if refusals else _BUDGET
+                return kind, edge_id, cycles, None, steps
     except (EvalUndefined, KeyError):
-        return ended(_UNDEFINED)
-
-
-def _simulate_assignment(code: list[tuple], lasso: LassoPath,
-                         assignment: dict[str, int], cfg: CheckerConfig,
-                         matchable: list[bool],
-                         expected: list[tuple]) -> _RunOutcome:
-    try:
-        tracker = _PendingTracker(lasso, cfg, matchable, expected)
-    except _DegenerateCycle:  # no edge of the cycle can match a step
-        return _RunOutcome(_NO_PROGRESS)
-    return _execute(code, assignment, tracker, cfg.max_steps, cfg.stall_steps)
+        return _UNDEFINED, edge_id, cycles, None, steps
 
 
 def _clamp_domain(ctype: CType, domain: tuple[int, int]) -> range:
@@ -583,13 +485,16 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     if not lasso.cycle:
         return Unknown("lasso has no cycle")
 
-    sites = p.nondet_vars
+    # an edge whose line holds no executable statement matches no step
     executable_lines = _executable_lines(p)
-    edges = (*lasso.stem, *lasso.cycle)
-    matchable = [_edge_matchable(e, executable_lines) for e in edges]
-    expected = _expectations(edges, p.types)
+    stem, cycle = ([e for e in part if e.line in executable_lines]
+                   for part in (lasso.stem, lasso.cycle))
+    if not stem and not cycle:
+        return Unknown(_NO_ANSWER)
+    edges = _expectations(stem + cycle, p.types)
     code = _lower(p)
 
+    sites = p.nondet_vars
     domains = [_clamp_domain(site.ctype, cfg.nondet_domain) for site in sites]
     truncated = math.prod(map(len, domains)) > cfg.max_assignments
     keys = [_site_key(site.name, site.line) for site in sites]
@@ -600,22 +505,23 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     first_failed_edge: str | None = None
     saw_budget = False
     for assignment in (dict(zip(keys, v)) for v in values):
-        outcome = _simulate_assignment(code, lasso, assignment, cfg,
-                                       matchable, expected)
-        if outcome.kind == _PROVEN:
-            return ProvenInfinite(outcome.state, assignment)
-        if outcome.kind == _BOUNDED and best_bounded is None:
-            best_bounded = BoundedEvidence(outcome.cycles, assignment)
-        elif outcome.kind == _EDGE_FAIL:
+        kind, edge_id, cycles, state, _ = _execute(
+            code, assignment, edges, len(stem), cfg)
+        if kind == _PROVEN:
+            return ProvenInfinite(state, assignment)
+        if kind == _BOUNDED:
+            if best_bounded is None:
+                best_bounded = BoundedEvidence(cycles, assignment)
+        elif kind == _EDGE_FAIL:
             if first_failed_edge is None:
-                first_failed_edge = outcome.edge_id
-        elif outcome.kind in (_BUDGET, _UNDEFINED, _NO_PROGRESS):
+                first_failed_edge = edge_id
+        else:
             saw_budget = True
 
     if best_bounded is not None:
         return best_bounded
     if saw_budget or truncated:
-        return Unknown("budget exhausted before a conclusive answer")
+        return Unknown(_NO_ANSWER)
     if first_failed_edge is not None:
         return Infeasible(first_failed_edge)
     return Unknown("no nondet assignments produced evidence")
@@ -631,12 +537,14 @@ def run_program(program: Program, assignment: dict[str, int],
     """
     # at least one step is taken before the budget is looked at
     max_steps = max(max_steps, 1)
-    outcome = _execute(_lower(program), assignment, None, max_steps, max_steps)
-    if outcome.kind == _UNDEFINED:
-        return "undefined", outcome.steps
-    if outcome.steps >= max_steps:
-        return "running", outcome.steps
-    return "terminated", outcome.steps
+    kind, _, _, _, steps = _execute(
+        _lower(program), assignment, [], 0,
+        CheckerConfig(max_steps=max_steps, stall_steps=max_steps))
+    if kind == _UNDEFINED:
+        return "undefined", steps
+    if steps >= max_steps:
+        return "running", steps
+    return "terminated", steps
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,9 @@ def record_path(run_dir: Path, model_name: str, task_id: str,
     return Path(run_dir) / model_name / task_id / f"{sample_index}.json"
 
 
+_RECORD_NAME = re.compile(r"[0-9]+\.json")  # the name record_path gives
+
+
 def _persist_raw(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".json.tmp")
@@ -256,10 +259,6 @@ def _record_from_payload(payload: object) -> GenerationRecord:
     )
 
 
-def _sample_index(path: Path) -> int:
-    return int(path.stem) if path.stem.isdigit() else 0
-
-
 def _load_record(path: Path, model_name: str, task_id: str) -> GenerationRecord:
     """The record cached at ``path``.  A file that cannot be read or decoded,
     or holds an ill-typed record, becomes a ``cache:`` format error with no
@@ -268,7 +267,7 @@ def _load_record(path: Path, model_name: str, task_id: str) -> GenerationRecord:
         return _record_from_payload(json.loads(path.read_text(encoding="utf-8")))
     except (OSError, ValueError, RecursionError) as exc:
         return GenerationRecord(
-            task_id=task_id, model=model_name, sample_index=_sample_index(path),
+            task_id=task_id, model=model_name, sample_index=int(path.stem),
             prompt_hash="", raw_text="",
             parsed=FormatError(f"cache: {path.name}: {exc}", ""),
             latency=0.0, timestamp=0.0)
@@ -330,12 +329,14 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
 
 def replay_records(run_dir: Path | str, model_name: str,
                    task_id: str) -> list[GenerationRecord]:
-    """Load every cached record for (model, task), ordered by sample index."""
+    """Load every cached record ``<i>.json`` for (model, task), ordered by
+    sample index; other files in the task's directory are not records."""
     task_dir = Path(run_dir) / model_name / task_id
     if not task_dir.is_dir():
         return []
+    paths = [p for p in task_dir.iterdir() if _RECORD_NAME.fullmatch(p.name)]
     return [_load_record(path, model_name, task_id)
-            for path in sorted(task_dir.glob("*.json"), key=_sample_index)]
+            for path in sorted(paths, key=lambda p: int(p.stem))]
 
 
 def list_models(run_dir: Path | str) -> list[str]:
@@ -347,7 +348,7 @@ def list_models(run_dir: Path | str) -> list[str]:
     if not run_dir.is_dir():
         return []
     return sorted(p.name for p in run_dir.iterdir() if p.is_dir() and any(
-        re.fullmatch(r"[0-9]+\.json(\.tmp)?", f)
+        _RECORD_NAME.fullmatch(f.removesuffix(".tmp"))
         for _, _, files in os.walk(p, onerror=_raise) for f in files))
 
 

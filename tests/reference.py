@@ -4,8 +4,9 @@ None of this is reached from the ``termeval`` CLI: each is the plain,
 direct statement of a rule whose production form is optimised or folded
 into another function (consensus and F1 inside ``evalcore.bootstrap_eval``,
 the backtracking lasso path search behind ``lasso.extract_lasso``, C
-expressions compiled into closures instead of generated code, and the
-brute-force loop over them), or a tool that only tests need (a C
+expressions compiled into closures instead of generated code, the
+brute-force loop over them, and the feasibility checker's pending-edge
+tracker), or a tool that only tests need (a C
 pretty-printer for round trips, a GraphML reader for the emitter's round
 trip, the prompt templates' hashes).
 """
@@ -19,14 +20,22 @@ import operator
 import random
 import xml.etree.ElementTree as ET
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from termeval.cparse import (
     INT, NONDET_TYPES, Assign, Binary, Block, CType, Decl, EvalUndefined, Expr,
-    For, If, IntLit, NondetAssign, Program, Return, Stmt, Unary, Var, While,
-    compile_expr, iter_statements, promote, usual_arithmetic_type, wrap,
+    For, If, IntLit, NondetAssign, Program, Return, Stmt, Unary,
+    UnsupportedConstruct, Var, While, compile_expr, iter_statements, promote,
+    usual_arithmetic_type, wrap,
 )
 from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sample
+from termeval.lasso import (
+    ASSIGN, COND, DECL, JUMP, NONDET, RETURN, SET, BoundedEvidence,
+    CheckerConfig, FeasibilityResult, Infeasible, LassoPath, MachineState,
+    ProvenInfinite, Unknown, _clamp_domain, _compile_assumption,
+    _executable_lines, _lower, _site_key,
+)
 from termeval.oracle import _read_template
 from termeval.precond import (
     EquivUnknown, Equivalent, Inequivalent, _domain_values,
@@ -283,14 +292,23 @@ def _wrapping(op, lf, rf, t: CType) -> Callable[[dict[str, int]], int]:
     return lambda env: op(lf(env), rf(env)) & mask
 
 
+def _truth(code: _Code) -> Callable[[dict[str, int]], int]:
+    """A function that is nonzero when ``code``'s value is nonzero as its
+    promoted type.  Promotion only widens, so an exact value needs no wrap."""
+    f = code.fn
+    if code.exact:
+        return f
+    mask = _masks(promote(code.ctype))[1]
+    return lambda env: f(env) & mask
+
+
 def _unary(op: str, operand: _Code) -> _Code:
     t = promote(operand.ctype)
     half, mask = _masks(t)
     f = operand.fn
     if op == "!":
-        if operand.exact:  # promotion only widens, so the value needs no wrap
-            return _Code(lambda env: 0 if f(env) else 1, INT, True, None)
-        return _Code(lambda env: 0 if f(env) & mask else 1, INT, True, None)
+        test = _truth(operand)
+        return _Code(lambda env: 0 if test(env) else 1, INT, True, None)
     if op == "-":
         fn = ((lambda env: ((half - f(env)) & mask) - half) if t.signed
               else (lambda env: -f(env) & mask))
@@ -305,9 +323,11 @@ def _unary(op: str, operand: _Code) -> _Code:
 def _binary(op: str, left: _Code, right: _Code) -> _Code:
     lf, rf = left.fn, right.fn
     if op == "&&":
-        return _Code(lambda env: 1 if lf(env) and rf(env) else 0, INT, True, None)
+        lt, rt = _truth(left), _truth(right)
+        return _Code(lambda env: 1 if lt(env) and rt(env) else 0, INT, True, None)
     if op == "||":
-        return _Code(lambda env: 1 if lf(env) or rf(env) else 0, INT, True, None)
+        lt, rt = _truth(left), _truth(right)
+        return _Code(lambda env: 1 if lt(env) or rt(env) else 0, INT, True, None)
     if op in ("<<", ">>"):
         t = promote(left.ctype)
         half, mask = _masks(t)
@@ -566,6 +586,276 @@ def lex_dfs_path(edges_from: dict[str, list[WitnessEdge]], start: str,
     if dfs(start, {start}, path):
         return path
     return None
+
+
+# ---------------------------------------------------------------------------
+# Feasibility checking: the pending-edge tracker
+
+
+def _edge_matchable(edge: WitnessEdge, executable_lines: set) -> bool:
+    return edge.line is not None and edge.line in executable_lines
+
+
+def _expectations(edges, types: dict[str, CType]) -> list[tuple]:
+    """Per edge: its line, its control, the branch that control wants, and
+    its compiled assumption."""
+    return [(e.line, e.control, e.control == "condition-true",
+             _compile_assumption(e.assumption, types)) for e in edges]
+
+
+# per-assignment outcomes
+_PROVEN = "proven"
+_BOUNDED = "bounded"
+_EDGE_FAIL = "edge_fail"     # ended or stalled while an edge was being refused
+_BUDGET = "budget"           # stalled or ran out of steps without a refusal
+_UNDEFINED = "undefined"     # evaluation hit undefined behaviour
+_NO_PROGRESS = "no_progress"
+
+
+@dataclass
+class _RunOutcome:
+    kind: str
+    edge_id: str | None = None
+    cycles: int = 0
+    state: MachineState | None = None
+    steps: int = 0
+
+
+class _Periodic(Exception):
+    def __init__(self, state: MachineState):
+        self.state = state
+
+
+class _CycleTarget(Exception):
+    pass
+
+
+class _DegenerateCycle(Exception):
+    pass
+
+
+class _PendingTracker:
+    """Walks stem + cycle, auto-skipping edges whose line holds nothing
+    executable and accounting for completed cycles."""
+
+    def __init__(self, lasso: LassoPath, cfg: CheckerConfig,
+                 matchable: list[bool], expected: list[tuple]):
+        self.sequence = list(lasso.stem) + list(lasso.cycle)
+        self.stem_len = len(lasso.stem)
+        self.cfg = cfg
+        self.matchable = matchable  # per edge of the sequence
+        self.expected = expected  # per edge, from _expectations
+        self.pos = 0
+        self.cycles = 0
+        self.accepted_in_cycle = 0
+        self.last_accept_line = 0
+        self.last_accept_uid = 0
+        self.seen_states: dict[tuple, int] = {}
+        self._settle(None)
+
+    @property
+    def pending(self) -> WitnessEdge:
+        return self.sequence[self.pos]
+
+    def nondet_seen(self):
+        self.seen_states.clear()  # repetition evidence no longer deterministic
+
+    def accept(self, line: int, uid: int, env: dict[str, int]):
+        """Pending edge matched the step; advance past it and any skippable
+        successors.  Raises on a proof, target reached, or degenerate cycle."""
+        self.accepted_in_cycle += 1
+        self.last_accept_line = line
+        self.last_accept_uid = uid
+        self._step(env)
+        self._settle(env)
+
+    def _step(self, env):
+        self.pos += 1
+        if self.pos == len(self.sequence):
+            self._complete(env)
+            self.pos = self.stem_len
+
+    def _complete(self, env):
+        if self.accepted_in_cycle == 0:
+            # the entire cycle was skipped: the witness cannot constrain
+            # execution, so looping here proves nothing
+            raise _DegenerateCycle
+        self.cycles += 1
+        self.accepted_in_cycle = 0
+        snapshot = tuple(sorted(env.items()))
+        key = (self.last_accept_uid, snapshot)
+        if key in self.seen_states:
+            raise _Periodic(MachineState(self.last_accept_line, snapshot))
+        self.seen_states[key] = self.cycles
+        if self.cycles >= self.cfg.bounded_cycle_target:
+            raise _CycleTarget
+
+    def _settle(self, env):
+        guard = 0
+        while not self.matchable[self.pos]:
+            self._step(env if env is not None else {})
+            guard += 1
+            if guard > len(self.sequence) + 1:
+                raise _DegenerateCycle
+
+
+def _execute(code: list[tuple], assignment: dict[str, int],
+             tracker: _PendingTracker | None, max_steps: int,
+             stall_steps: int) -> _RunOutcome:
+    """Run the program from its start and offer each step to ``tracker``.
+
+    A step matches the pending edge when its line agrees, its branch agrees
+    with the edge's control, and the edge's assumption holds after it.
+    Without a tracker no step matches, and the run ends after ``max_steps``.
+    """
+    env: dict[str, int] = {}
+    steps = since_advance = refusals = 0
+    line_wanted, control, want, assumption = (
+        tracker.expected[tracker.pos] if tracker is not None else (None,) * 4)
+
+    def ended(kind: str) -> _RunOutcome:
+        if tracker is None:
+            return _RunOutcome(kind, steps=steps)
+        return _RunOutcome(kind, tracker.pending.id, tracker.cycles, steps=steps)
+
+    pc = 0
+    try:
+        while True:
+            here = pc
+            op, line, a, b = code[here]
+            pc = here + 1
+            if op == COND:
+                branch = a(env) != 0
+                if not branch:
+                    pc = b
+            elif op == ASSIGN:
+                env[a] = b(env)
+            elif op == JUMP:
+                pc = a
+                continue
+            elif op == NONDET:
+                env[a] = b(assignment)
+                if tracker is not None:
+                    tracker.nondet_seen()
+            elif op == RETURN:
+                if a is not None:
+                    a(env)
+            elif op == SET:
+                env[a] = b(env)
+                continue
+            elif op == DECL:
+                env.setdefault(a, 0)
+                continue
+            else:
+                # the program ended while the automaton still expected edges
+                return ended(_EDGE_FAIL)
+            steps += 1
+            since_advance += 1
+
+            if line == line_wanted and (
+                    control is None or (op == COND and branch is want)):
+                try:
+                    holds = assumption is None or assumption(env) != 0
+                except (EvalUndefined, KeyError):
+                    holds = False
+                if holds:
+                    try:
+                        tracker.accept(line, here, env)
+                    except _Periodic as proof:
+                        return _RunOutcome(_PROVEN, None, tracker.cycles,
+                                           proof.state, steps)
+                    except _CycleTarget:
+                        return _RunOutcome(_BOUNDED, None, tracker.cycles,
+                                           steps=steps)
+                    except _DegenerateCycle:
+                        return _RunOutcome(_NO_PROGRESS, None, tracker.cycles,
+                                           steps=steps)
+                    line_wanted, control, want, assumption = (
+                        tracker.expected[tracker.pos])
+                    since_advance = refusals = 0
+                else:
+                    refusals += 1
+
+            if op == RETURN:
+                return ended(_EDGE_FAIL)
+            if since_advance > stall_steps or steps >= max_steps:
+                return ended(_EDGE_FAIL if refusals else _BUDGET)
+    except (EvalUndefined, KeyError):
+        return ended(_UNDEFINED)
+
+
+def _simulate_assignment(code: list[tuple], lasso: LassoPath,
+                         assignment: dict[str, int], cfg: CheckerConfig,
+                         matchable: list[bool],
+                         expected: list[tuple]) -> _RunOutcome:
+    try:
+        tracker = _PendingTracker(lasso, cfg, matchable, expected)
+    except _DegenerateCycle:  # no edge of the cycle can match a step
+        return _RunOutcome(_NO_PROGRESS)
+    return _execute(code, assignment, tracker, cfg.max_steps, cfg.stall_steps)
+
+
+def tracker_check_feasibility(p: Program | UnsupportedConstruct,
+                              lasso: LassoPath,
+                              cfg: CheckerConfig | None = None
+                              ) -> FeasibilityResult:
+    """``lasso.check_feasibility`` with a :class:`_PendingTracker` per
+    assignment, which copies stem + cycle and skips the edges on lines
+    without an executable statement as it meets them.
+
+    It differs from the production checker on one kind of lasso: a matched
+    stem and a cycle with no edge on an executable line.  Here that run
+    completes one cycle when the stem is matched, so a ``bounded_cycle_target``
+    of 1 gives ``BoundedEvidence``; the production checker gives ``Unknown``.
+
+    Assignments fix one value per nondet call site (reused on every
+    execution of that site) and are enumerated in ascending order.  Result
+    precedence across assignments: ProvenInfinite > BoundedEvidence >
+    Infeasible > Unknown, where Infeasible additionally requires that the
+    whole domain was enumerated and every assignment failed edge consistency.
+    """
+    cfg = cfg or CheckerConfig()
+    if isinstance(p, UnsupportedConstruct):
+        return Unknown(f"unsupported: {p}")
+    if not lasso.cycle:
+        return Unknown("lasso has no cycle")
+
+    sites = p.nondet_vars
+    executable_lines = _executable_lines(p)
+    edges = (*lasso.stem, *lasso.cycle)
+    matchable = [_edge_matchable(e, executable_lines) for e in edges]
+    expected = _expectations(edges, p.types)
+    code = _lower(p)
+
+    domains = [_clamp_domain(site.ctype, cfg.nondet_domain) for site in sites]
+    truncated = math.prod(map(len, domains)) > cfg.max_assignments
+    keys = [_site_key(site.name, site.line) for site in sites]
+    # the last site varies fastest
+    values = itertools.islice(itertools.product(*domains), cfg.max_assignments)
+
+    best_bounded: BoundedEvidence | None = None
+    first_failed_edge: str | None = None
+    saw_budget = False
+    for assignment in (dict(zip(keys, v)) for v in values):
+        outcome = _simulate_assignment(code, lasso, assignment, cfg,
+                                       matchable, expected)
+        if outcome.kind == _PROVEN:
+            return ProvenInfinite(outcome.state, assignment)
+        if outcome.kind == _BOUNDED and best_bounded is None:
+            best_bounded = BoundedEvidence(outcome.cycles, assignment)
+        elif outcome.kind == _EDGE_FAIL:
+            if first_failed_edge is None:
+                first_failed_edge = outcome.edge_id
+        elif outcome.kind in (_BUDGET, _UNDEFINED, _NO_PROGRESS):
+            saw_budget = True
+
+    if best_bounded is not None:
+        return best_bounded
+    if saw_budget or truncated:
+        return Unknown("budget exhausted before a conclusive answer")
+    if first_failed_edge is not None:
+        return Infeasible(first_failed_edge)
+    return Unknown("no nondet assignments produced evidence")
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,18 @@ class TestIngestCommand:
         result = runner.invoke(main, ["ingest", str(tmp_path / "missing")])
         assert result.exit_code == 2
 
+    def test_source_not_utf8_is_a_task_error(self, runner, tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
+        source.write_bytes(b"/* caf\xe9 */\n" + source.read_bytes())
+        result = runner.invoke(main, ["ingest", str(workspace / "corpus")])
+        assert result.exit_code == 1, result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert "warning: bitvector-spin/even_spin: source file is not " \
+            "UTF-8" in result.output
+        assert "labels: T=1 NT=4" in result.output
+
 
 class TestCheckWitnessCommand:
     def test_feasible_witness_exit_0(self, runner):
@@ -239,6 +251,19 @@ class TestCheckWitnessCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "external validator: validated" in result.output
+
+    @pytest.mark.parametrize("which", ["program", "witness"])
+    def test_file_not_utf8_exit_2(self, runner, tmp_path, which):
+        paths = {"program": FIXTURES / "programs" / "even_spin.c",
+                 "witness": FIXTURES / "witnesses" / "even_spin.json"}
+        bad = tmp_path / paths[which].name
+        bad.write_bytes(paths[which].read_bytes().replace(b"x", b"\xe9", 1))
+        paths[which] = bad
+        result = runner.invoke(main, ["check-witness", str(paths["program"]),
+                                      str(paths["witness"])])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot read {which} {bad}" in result.output
 
     def test_infeasible_exit_1(self, runner, tmp_path):
         data = json.loads(
@@ -392,6 +417,23 @@ class TestScoreCommand:
         assert csv_text.splitlines()[0] == "model,mode,run,score"
         # 2 models x 2 modes x 25 runs
         assert len(csv_text.splitlines()) == 1 + 2 * 2 * 25
+
+    def test_source_not_utf8_is_left_out_with_a_warning(self, runner,
+                                                         tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
+        source.write_bytes(b"/* caf\xe9 */\n" + source.read_bytes())
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "warning: bitvector-spin/even_spin: source file is not " \
+            "UTF-8" in result.output
+        report = json.loads((workspace / "report" / "report.json").read_text())
+        assert {m["model"] for m in report["models"]} == {"oracle-a",
+                                                          "oracle-b"}
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         workspace = copy_fixture_workspace(tmp_path)
@@ -707,10 +749,10 @@ class TestScoreCommand:
 
 
 class TestBenchmarkHooks:
-    def test_score_runs_under_the_span_tracer(self, tmp_path):
-        # the benchmark wraps cli and evalcore functions by name and reads
-        # their arguments; this fails when one of them is renamed or moved
-        workspace = copy_fixture_workspace(tmp_path)
+    """The benchmark wraps cli, evalcore and precond functions by name and
+    reads their arguments; these fail when one of them is renamed or moved."""
+
+    def traced_metrics(self, *argv: str) -> dict[str, float]:
         root = Path(__file__).resolve().parent.parent
         script = (
             "import json, sys\n"
@@ -722,16 +764,34 @@ class TestBenchmarkHooks:
             "print(json.dumps(spans.layer_metrics(tracer)))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(root / "src"), str(root / "bench")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "score",
-             str(workspace / "runs" / "demo"),
-             "-c", str(workspace / "score_config.toml"),
-             "-o", str(workspace / "report")],
-            capture_output=True, text=True, timeout=300, env=env)
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, timeout=300,
+                              env=env)
         assert proc.returncode == 0, proc.stderr
-        metrics = json.loads(proc.stdout.splitlines()[-1])
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_score_runs_under_the_span_tracer(self, tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        metrics = self.traced_metrics(
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"))
         assert metrics["evalcore.bootstrap_single_s"] > 0
         assert metrics["evalcore.task_draws"] > 0
+
+    def test_precond_runs_under_the_span_tracer(self, tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        run_dir = workspace / "runs" / "domains"
+        _write_replies(run_dir, "oracle-a", "bitvector-spin/even_spin",
+                       ["x % 2 == 0", "x > 0", "((("])
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        metrics = self.traced_metrics(
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"), "--mode", "brute")
+        assert metrics["precond.judge_generation_calls"] > 0
+        assert metrics["precond.brute_equivalence_s"] > 0
 
 
 class TestImportBoundary:
@@ -865,6 +925,25 @@ class TestPrecondCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "Pass@1 1.000" in result.output
+
+    def test_stray_json_file_is_not_a_generation(self, runner, tmp_path):
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": ["x % 2 == 0", "x > 0"],
+        })
+        task_dir = run_dir / "oracle-a" / "bitvector-spin" / "even_spin"
+        (task_dir / "notes.json").write_text('{"note": "looked at by hand"}')
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        out = workspace / "precond.json"
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"), "-o", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(out.read_text())
+        task = payload["oracle-a"]["per_task"]["bitvector-spin/even_spin"]
+        assert task["pass@1"] == pytest.approx(0.5)
 
     def test_half_correct_pass3(self, runner, tmp_path, monkeypatch):
         from termeval import precond

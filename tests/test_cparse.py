@@ -266,6 +266,20 @@ class TestCompiledExpressions:
         assert run_program(program, {"x@3": 5}, 1000)[0] == "terminated"
         assert run_program(program, {"x@3": 4294967295}, 1000)[0] == "running"
 
+    def test_and_reads_an_undeclared_name_wrapped(self):
+        # read as int, 2**32 is 0 for `&&` as for `==` and `!`
+        for cond in ("x && x == 0", "!!x && x == 0"):
+            program = parse_program(
+                "extern long __VERIFIER_nondet_long(void);\n"
+                "int main() {\n"
+                "  x = __VERIFIER_nondet_long();\n"
+                f"  while ({cond}) {{ }}\n"
+                "  return 0;\n"
+                "}\n")
+            assert program.types == {}
+            state, _ = run_program(program, {"x@3": 2**32}, 1000)
+            assert state == "terminated", cond
+
     def test_deep_chain_in_program_is_parse_error(self):
         chain = " + ".join(["x"] * 300)
         with pytest.raises(CParseError, match="deeper than"):
@@ -333,6 +347,24 @@ class TestGeneratedCode:
         for compile_ in (cparse.compile_expr, closure_compile):
             fn, _ = compile_(Unary("!", Var("x")), {})
             assert [fn({"x": v}) for v in (2**32, 2**32 + 1, 0)] == [1, 0, 1]
+
+    def test_and_or_of_an_undeclared_name_wrap_it_first(self):
+        cases = {"x && 1": [0, 1, 0], "1 && x": [0, 1, 0],
+                 "x || 0": [0, 1, 0], "0 || !x": [1, 0, 1],
+                 "x && y": [0, 1, 0], "y || x": [1, 1, 1]}
+        for text, want in cases.items():
+            for compile_ in (cparse.compile_expr, closure_compile):
+                fn, _ = compile_(parse_expression(text), {"y": cparse.LONG})
+                assert [fn({"x": v, "y": 1}) for v in (2**32, 2**32 + 1, 0)] \
+                    == want, (text, compile_)
+
+    def test_and_or_wrap_only_an_inexact_operand(self):
+        # a declared operand is read as it is: no mask reaches the code
+        expr = parse_expression("x && y || x")
+        declared, _ = cparse.compile_expr(expr, {"x": INT, "y": cparse.CHAR})
+        undeclared, _ = cparse.compile_expr(expr, {"y": cparse.CHAR})
+        assert 2**32 - 1 not in declared.__code__.co_consts
+        assert 2**32 - 1 in undeclared.__code__.co_consts
 
     @pytest.mark.parametrize("name", HOSTILE_NAMES)
     def test_generated_names_read_like_any_other(self, name):

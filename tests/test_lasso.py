@@ -15,8 +15,8 @@ from termeval.evalcore import WitnessStatus
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, NoLasso,
     ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig,
-    _lex_path, check_feasibility, checker_view, extract_lasso,
-    run_external_validator, run_program,
+    _executable_lines, _lex_path, check_feasibility, checker_view,
+    extract_lasso, run_external_validator, run_program,
 )
 from termeval.witness import (
     WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag, parse_prediction,
@@ -24,7 +24,7 @@ from termeval.witness import (
 )
 
 from conftest import FIXTURES, load_program, load_witness_json
-from reference import lex_dfs_path
+from reference import lex_dfs_path, tracker_check_feasibility
 
 FAST_CFG = CheckerConfig(nondet_domain=(-16, 16), bounded_cycle_target=200,
                          stall_steps=500, max_steps=50_000)
@@ -436,6 +436,23 @@ int main() {
         # segment samples nondet, so only the bounded tier may be claimed
         assert isinstance(result, BoundedEvidence)
 
+    def test_cycle_without_executable_edge_proves_nothing(self):
+        # the stem matches `int x = 0;`, but the cycle's only edge is on the
+        # loop's closing brace: no step can match it, at any cycle target
+        prog = parse_program("int main() {\n  int x = 0;\n  while (1) {\n"
+                             "    x = x + 1;\n  }\n  return 0;\n}")
+        lasso = LassoPath(
+            (WitnessEdge("E0", "N0", "N1", 2, "int x = 0;"),),
+            (WitnessEdge("E1", "N1", "N1", 5, "}"),), "N1")
+        for target in (1, 2, 100):
+            cfg = CheckerConfig(bounded_cycle_target=target)
+            assert check_feasibility(prog, lasso, cfg) == \
+                Unknown("budget exhausted before a conclusive answer")
+        # the pending-edge tracker counted the stem's match as a cycle
+        assert tracker_check_feasibility(
+            prog, lasso, CheckerConfig(bounded_cycle_target=1)) == \
+            BoundedEvidence(1, {})
+
     def test_deterministic_result(self):
         prog = program("even_spin.c")
         lasso = extract_lasso(automaton("even_spin.json"))
@@ -553,6 +570,74 @@ class TestHostileWitnesses:
         if isinstance(lasso, LassoPath):
             result = check_feasibility(program(program_name), lasso, FAST_CFG)
             assert isinstance(result, FEASIBILITY_RESULTS)
+
+
+CONTROLS = [None, "condition-true", "condition-false"]
+ASSUMPTIONS = [None, "i == 0", "i < 0", "i == -5", "x % 2 == 0", "x < 0",
+               "y > 0", "y == ~x", "j == 3", "x / 0 == 1", "(("]
+CHECKER_CONFIGS = st.builds(
+    CheckerConfig,
+    nondet_domain=st.sampled_from([(-2, 2), (-6, 6)]),
+    max_assignments=st.sampled_from([4, 4096]),
+    max_steps=st.sampled_from([1, 7, 60, 300]),
+    bounded_cycle_target=st.sampled_from([1, 2, 100]),
+    stall_steps=st.sampled_from([1, 4, 30, 300]))
+
+
+@st.composite
+def edited_lasso(draw) -> LassoPath:
+    """A fixture witness's lasso with some edges moved to other lines (on
+    statements or off them) or given other controls and assumptions."""
+    lasso = extract_lasso(automaton(draw(st.sampled_from(WITNESSES))))
+
+    def edit(edge: WitnessEdge) -> WitnessEdge:
+        return dataclasses.replace(
+            edge,
+            line=draw(st.one_of(st.just(edge.line), st.integers(0, 26))),
+            control=draw(st.one_of(st.just(edge.control),
+                                   st.sampled_from(CONTROLS))),
+            assumption=draw(st.one_of(st.just(edge.assumption),
+                                      st.sampled_from(ASSUMPTIONS))))
+
+    return LassoPath(tuple(map(edit, lasso.stem)),
+                     tuple(map(edit, lasso.cycle)), lasso.cyclehead)
+
+
+# beside the fixtures: a nondet call inside the loop, two statements on one
+# line, and a main that ends without a return
+NONDET_LOOP = parse_program("""extern int __VERIFIER_nondet_int(void);
+int main() {
+   int x, y;
+   x = __VERIFIER_nondet_int();
+   y = 0;
+   while (x > 0) {
+      if (y > 2) { y = 0; } else { y = y + 1; }
+      x = __VERIFIER_nondet_int(); y = y + 0;
+   }
+}
+""")
+CHECKED_PROGRAMS = {name: program(name) for name in PROGRAMS}
+CHECKED_PROGRAMS["nondet loop"] = NONDET_LOOP
+
+
+class TestAgainstTrackerChecker:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(sorted(CHECKED_PROGRAMS)), edited_lasso(),
+           CHECKER_CONFIGS)
+    def test_matches_the_pending_edge_tracker(self, program_name, lasso, cfg):
+        p = CHECKED_PROGRAMS[program_name]
+        expected = tracker_check_feasibility(p, lasso, cfg)
+        result = check_feasibility(p, lasso, cfg)
+        if isinstance(expected, BoundedEvidence) and not any(
+                e.line in _executable_lines(p) for e in lasso.cycle):
+            # the tracker counted a matched stem as one pass of a cycle
+            # that no step can match
+            assert cfg.bounded_cycle_target == 1
+            assert result == Unknown("budget exhausted before a conclusive "
+                                     "answer")
+        else:
+            assert result == expected
 
 
 class RecordingEdge:

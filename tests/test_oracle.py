@@ -374,6 +374,20 @@ class TestCorruptCache:
         assert (records[1].task_id, records[1].model) == ("t", "m")
         assert records[1].raw_text == ""
 
+    def test_only_numbered_json_files_are_records(self, tmp_path):
+        task_dir = record_path(tmp_path, "m", "t", 0).parent
+        task_dir.mkdir(parents=True)
+        for index in (10, 2, 0):
+            record_path(tmp_path, "m", "t", index).write_text(json.dumps(
+                {"task_id": "t", "model": "m", "sample_index": index,
+                 "raw_text": '{"verdict": true}'}))
+        for stray in ("notes.json", "3.json.tmp", "4.JSON", "5a.json",
+                      "\u00b2.json", "-1.json"):
+            (task_dir / stray).write_text("{}")
+        records = replay_records(tmp_path, "m", "t")
+        assert [r.sample_index for r in records] == [0, 2, 10]
+        assert all(r.parsed.verdict is Verdict.T for r in records)
+
     def test_generate_keeps_a_bad_cached_record(self, tmp_path):
         path = record_path(tmp_path, "m", "t", 0)
         path.parent.mkdir(parents=True)
