@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import sys
-import tempfile
 import tomllib
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ from .lasso import (
     checker_view, extract_lasso, run_external_validator,
 )
 from .witness import (
-    FormatError, Prediction, ProducerMeta, Verdict, emit_graphml,
+    FormatError, Prediction, Verdict, emit_graphml,
     parse_prediction, validate_schema,
 )
 
@@ -123,8 +122,7 @@ def _config_from(data: dict, base: Path) -> RunConfig:
         v = data["validator"]
         validator = ValidatorConfig(
             validator_root=rel(v["root"]),
-            architecture=str(v.get("architecture", "32bit")),
-            property_path=str(v.get("property", "../properties/termination.prp")),
+            property_path=rel(v.get("property", "../properties/termination.prp")),
             timeout=float(v.get("timeout", 60.0)),
         )
 
@@ -336,11 +334,15 @@ def _describe_feasibility(result) -> str:
 @click.option("-c", "--config", "config_path",
               type=click.Path(path_type=Path, exists=True))
 @click.option("--architecture", default="32bit",
-              type=click.Choice(["32bit", "64bit"]))
+              type=click.Choice(["32bit", "64bit"]),
+              help="Stated in the GraphML and told to the validator.")
 def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
                   clock: str, do_validate: bool, config_path: Path | None,
                   architecture: str):
     """Validate a witness JSON against a program and check feasibility."""
+    config = load_config(config_path) if config_path is not None else None
+    if do_validate and (config is None or config.validator is None):
+        _fail("--validate needs -c config with a [validator] table", 2)
     raw = _read_text("witness", witness_path)
     parsed = parse_prediction(raw)
     if isinstance(parsed, FormatError):
@@ -358,15 +360,11 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
         sys.exit(1)
     click.echo("schema: ok")
 
-    source = _read_text("program", program_path)
     try:
-        program = parse_program(source)
+        program = parse_program(_read_text("program", program_path))
     except CParseError as exc:
         click.echo(f"program does not parse: {exc}")
         sys.exit(1)
-    checker_cfg = CheckerConfig()
-    if config_path is not None:
-        checker_cfg = load_config(config_path).checker
 
     lasso_path = extract_lasso(parsed.witness)
     if isinstance(lasso_path, lasso.NoLasso):
@@ -375,47 +373,22 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
     click.echo(f"lasso: stem {[e.id for e in lasso_path.stem]} "
                f"cycle {[e.id for e in lasso_path.cycle]}")
 
-    result = check_feasibility(program, lasso_path, checker_cfg)
+    result = check_feasibility(program, lasso_path,
+                               config.checker if config else CheckerConfig())
     click.echo(_describe_feasibility(result))
 
     exit_code = 0 if isinstance(result, (ProvenInfinite, BoundedEvidence)) else 1
-
-    graphml_path = emit
-    scratch = None
-    if do_validate and graphml_path is None:
-        scratch = tempfile.TemporaryDirectory(prefix="termeval-witness-")
-        graphml_path = Path(scratch.name) / "witness.graphml"
-    try:
-        if graphml_path is not None:
-            arch = (corpus_mod.Architecture.BITS64 if architecture == "64bit"
-                    else corpus_mod.Architecture.BITS32)
-            task = corpus_mod.TaskSpec(
-                task_id=program_path.stem, source_path=program_path,
-                source=source,
-                category=Category.OTHER, expected_verdict="NT",
-                architecture=arch,
-                token_count=corpus_mod.heuristic_token_count(source))
-            graphml_path.parent.mkdir(parents=True, exist_ok=True)
-            graphml_path.write_text(
-                emit_graphml(parsed.witness, task,
-                             ProducerMeta(creationtime=clock)),
-                encoding="utf-8")
-            if emit is not None:
-                click.echo(f"GraphML written to {emit}")
-
-        if do_validate:
-            if config_path is None:
-                _fail("--validate needs -c config with a [validator] table", 2)
-            vcfg = load_config(config_path).validator
-            if vcfg is None:
-                _fail("config has no [validator] table", 2)
-            vresult = run_external_validator(program_path, graphml_path, vcfg)
-            click.echo(f"external validator: {vresult.status.value}")
-            if vresult.status is not ValidationStatus.VALIDATED:
-                exit_code = 1
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
+    if emit is not None:
+        emit.parent.mkdir(parents=True, exist_ok=True)
+        emit.write_text(emit_graphml(parsed.witness, program_path, architecture,
+                                     creationtime=clock), encoding="utf-8")
+        click.echo(f"GraphML written to {emit}")
+    if do_validate:
+        vresult = run_external_validator(parsed.witness, program_path,
+                                         architecture, config.validator)
+        click.echo(f"external validator: {vresult.status.value}")
+        if vresult.status is not ValidationStatus.VALIDATED:
+            exit_code = 1
     sys.exit(exit_code)
 
 
@@ -454,12 +427,9 @@ def witness_status_for(prediction: Prediction | FormatError,
     if validator_cfg is not None:
         key = (task.task_id, _digest(witness))
         if key not in statuses:
-            graphml = emit_graphml(witness, task, ProducerMeta())
-            with tempfile.TemporaryDirectory(prefix="termeval-validate-") as tmp:
-                target = Path(tmp) / "witness.graphml"
-                target.write_text(graphml, encoding="utf-8")
-                result = run_external_validator(task.source_path, target,
-                                                validator_cfg)
+            result = run_external_validator(witness, task.source_path,
+                                            task.architecture.value,
+                                            validator_cfg)
             statuses[key] = (WitnessStatus.VALID
                              if result.status is ValidationStatus.VALIDATED
                              else WitnessStatus.INVALID)

@@ -391,6 +391,9 @@ MAX_EXPR_NESTING = 32
 # Left-associative chains parse in a loop but compile recursively, one frame
 # per tree level; expressions deeper than this are rejected.
 MAX_EXPR_DEPTH = 256
+# Statements nest by recursion (parse, scope check, lowering), so the parser
+# stops here; the innermost may still hold an expression at MAX_EXPR_NESTING.
+MAX_STMT_NESTING = 64
 
 _COMPOUND_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
                  "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>"}
@@ -402,6 +405,7 @@ class _Parser:
         self.pos = 0
         self.nondet_sites: list[NondetSite] = []
         self.nesting = 0
+        self.stmt_nesting = 0
 
     # -- token helpers
 
@@ -453,16 +457,15 @@ class _Parser:
             return BOOL
         unsigned = "unsigned" in words
         words = [w for w in words if w not in ("signed", "unsigned")]
-        base = "int" if not words else words[-1]
-        if words.count("long") >= 1:
-            base = "long"
+        # the size word names the base type wherever it stands (`short int`)
+        base = next((w for w in ("char", "short", "long") if w in words), "int")
         table = {
             "char": (UCHAR if unsigned else CHAR),
             "short": (USHORT if unsigned else SHORT),
             "int": (UINT if unsigned else INT),
             "long": (ULONG if unsigned else LONG),
         }
-        if base not in table:
+        if not set(words) <= set(table):
             raise CParseError(f"unsupported type {' '.join(words)}", self.peek().line)
         return table[base]
 
@@ -550,6 +553,15 @@ class _Parser:
         return None
 
     def parse_statement(self) -> list[Stmt]:
+        self.stmt_nesting += 1
+        if self.stmt_nesting > MAX_STMT_NESTING:
+            raise CParseError(f"statements nested deeper than "
+                              f"{MAX_STMT_NESTING} levels", self.peek().line)
+        stmts = self._parse_statement()
+        self.stmt_nesting -= 1
+        return stmts
+
+    def _parse_statement(self) -> list[Stmt]:
         tok = self.peek()
         if tok.text == "{":
             line = self.next().line

@@ -21,8 +21,9 @@ repeating segment; ``BoundedEvidence`` reports a configured number of
 completed cycles without a proof.  ``Infeasible`` is only claimed when every
 enumerated assignment conclusively failed edge consistency.
 
-The authoritative external validator is driven as a child process; its
-verdict overrides the internal tiers when configured.
+The authoritative external validator is driven as a child process on the
+witness emitted as GraphML; its verdict overrides the internal tiers when
+configured.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import itertools
 import math
 import re
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,7 +42,7 @@ from .cparse import (
     Assign, Block, CType, Decl, EvalUndefined, For, If, NondetAssign, Program,
     Return, UnsupportedConstruct, While, wrap,
 )
-from .witness import WitnessAutomaton, WitnessEdge, _reachable
+from .witness import WitnessAutomaton, WitnessEdge, _reachable, emit_graphml
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +562,7 @@ class ValidationStatus(Enum):
 @dataclass(frozen=True)
 class ValidatorConfig:
     validator_root: Path
-    architecture: str = "32bit"
-    property_path: str = "../properties/termination.prp"
+    property_path: Path = Path("../properties/termination.prp")
     timeout: float = 60.0
 
 
@@ -570,42 +571,43 @@ class ValidationResult:
     status: ValidationStatus
     output: str = ""
 
-    def __bool__(self) -> bool:
-        return self.status is ValidationStatus.VALIDATED
-
 
 _FALSE_RE = re.compile(r"\bFALSE\b")
 _TRUE_RE = re.compile(r"\bTRUE\b")
 
 
-def run_external_validator(program_path: Path | str, graphml_path: Path | str,
+def run_external_validator(witness: WitnessAutomaton, program_path: Path | str,
+                           architecture: str,
                            cfg: ValidatorConfig) -> ValidationResult:
-    """Drive the external witness validator on an emitted GraphML file.
+    """Drive the external witness validator on ``witness`` for the program
+    at ``program_path``, emitted as GraphML into a temporary directory.
 
-    The tool printing FALSE means a matching infinite path exists (witness
-    validated); TRUE means the witness was rejected.  Everything else,
-    including timeouts and missing executables, is a tool error.
+    The tool is told the ``architecture`` ("32bit" or "64bit") that the
+    GraphML states.  Its printing FALSE means a matching infinite path exists
+    (witness validated); TRUE means the witness was rejected.  Everything
+    else, including timeouts and missing executables, is a tool error.
     """
-    executable = Path(cfg.validator_root) / "Ultimate.py"
-    cmd = [
-        str(executable),
-        "--architecture", cfg.architecture,
-        "--spec", str(cfg.property_path),
-        "--file", str(program_path),
-        "--validate", str(graphml_path),
-    ]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=cfg.timeout)
-    except FileNotFoundError:
-        return ValidationResult(ValidationStatus.TOOL_ERROR,
-                                f"validator executable not found: {executable}")
-    except subprocess.TimeoutExpired as exc:
-        partial = (exc.stdout or b"")
-        if isinstance(partial, bytes):
-            partial = partial.decode("utf-8", "replace")
-        return ValidationResult(ValidationStatus.TOOL_ERROR,
-                                f"timeout after {cfg.timeout}s\n{partial}")
+    executable = Path(cfg.validator_root).absolute() / "Ultimate.py"
+    with tempfile.TemporaryDirectory(prefix="termeval-validate-") as tmp:
+        graphml = Path(tmp) / "witness.graphml"
+        graphml.write_text(emit_graphml(witness, program_path, architecture),
+                           encoding="utf-8")
+        try:
+            proc = subprocess.run(
+                [str(executable), "--architecture", architecture,
+                 "--spec", str(cfg.property_path), "--file", str(program_path),
+                 "--validate", str(graphml)],
+                capture_output=True, text=True, timeout=cfg.timeout)
+        except FileNotFoundError:
+            return ValidationResult(
+                ValidationStatus.TOOL_ERROR,
+                f"validator executable not found: {executable}")
+        except subprocess.TimeoutExpired as exc:
+            partial = (exc.stdout or b"")
+            if isinstance(partial, bytes):
+                partial = partial.decode("utf-8", "replace")
+            return ValidationResult(ValidationStatus.TOOL_ERROR,
+                                    f"timeout after {cfg.timeout}s\n{partial}")
     output = proc.stdout + proc.stderr
     if _FALSE_RE.search(proc.stdout):
         return ValidationResult(ValidationStatus.VALIDATED, output)

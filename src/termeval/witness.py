@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-log = logging.getLogger(__name__)
+from pathlib import Path
 
 
 class Verdict(Enum):
@@ -185,7 +183,7 @@ def parse_prediction(raw: str) -> Prediction | FormatError:
     The final well-formed JSON object in the text is the answer (reasoning
     models emit prose first).  A missing object or a missing/ill-typed
     ``verdict`` key is a :class:`FormatError`.  A witness on a non-NT verdict
-    is ignored with a warning.
+    is ignored.
     """
     last = None
     for _, obj in _iter_json_objects(raw):
@@ -201,14 +199,11 @@ def parse_prediction(raw: str) -> Prediction | FormatError:
 
     witness = None
     witness_error = None
-    if "witness" in last:
-        if verdict is not Verdict.NT:
-            log.warning("witness attached to %s verdict; ignoring", verdict.value)
-        else:
-            try:
-                witness = witness_from_json(last["witness"])
-            except ValueError as exc:
-                witness_error = str(exc)
+    if "witness" in last and verdict is Verdict.NT:
+        try:
+            witness = witness_from_json(last["witness"])
+        except ValueError as exc:
+            witness_error = str(exc)
     return Prediction(verdict, witness, raw, witness_error)
 
 
@@ -312,32 +307,19 @@ def validate_schema(w: WitnessAutomaton) -> list[SchemaViolation]:
 # GraphML emission
 
 
-@dataclass(frozen=True)
-class ProducerMeta:
-    producer: str = "termeval"
-    specification: str = "CHECK( init(main()), LTL(F end) )"
-    creationtime: str = "1970-01-01T00:00:00Z"
-
-
-# (key id, attr.name, attr.type, for, default) in emission order
-_GRAPHML_KEYS = [
-    ("witness-type", "witness-type", "string", "graph", None),
-    ("sourcecodelang", "sourcecodelang", "string", "graph", None),
-    ("producer", "producer", "string", "graph", None),
-    ("specification", "specification", "string", "graph", None),
-    ("programfile", "programfile", "string", "graph", None),
-    ("programhash", "programhash", "string", "graph", None),
-    ("architecture", "architecture", "string", "graph", None),
-    ("creationtime", "creationtime", "string", "graph", None),
-    ("entry", "entry", "boolean", "node", "false"),
-    ("cyclehead", "cyclehead", "boolean", "node", "false"),
-    ("startline", "startline", "int", "edge", None),
-    ("sourcecode", "sourcecode", "string", "edge", None),
-    ("control", "control", "string", "edge", None),
-    ("assumption", "assumption", "string", "edge", None),
-    ("enterLoopHead", "enterLoopHead", "boolean", "edge", "false"),
-    ("enterFunction", "enterFunction", "string", "edge", None),
-    ("returnFromFunction", "returnFromFunction", "string", "edge", None),
+# the node and edge keys as (key, attr.type, for), in emission order, after
+# the graph's string keys; each key is its own attr.name, and a boolean key
+# defaults to false
+_ELEMENT_KEYS = [
+    ("entry", "boolean", "node"),
+    ("cyclehead", "boolean", "node"),
+    ("startline", "int", "edge"),
+    ("sourcecode", "string", "edge"),
+    ("control", "string", "edge"),
+    ("assumption", "string", "edge"),
+    ("enterLoopHead", "boolean", "edge"),
+    ("enterFunction", "string", "edge"),
+    ("returnFromFunction", "string", "edge"),
 ]
 
 
@@ -350,75 +332,75 @@ def program_hash(source_bytes: bytes) -> str:
     return hashlib.sha256(source_bytes).hexdigest()
 
 
-def emit_graphml(w: WitnessAutomaton, task, meta: ProducerMeta) -> str:
-    """Emit a violation-witness GraphML document.
+def _element(out: list[str], tag: str, attrs: dict[str, str],
+             data: list[tuple[str, str]]) -> None:
+    """Append a node or edge with one ``<data>`` line per (key, value)."""
+    head = f"    <{tag} " + " ".join(
+        f'{name}="{_xml_escape(value)}"' for name, value in attrs.items())
+    if not data:
+        out.append(head + "/>")
+        return
+    out.append(head + ">")
+    out.extend(f'      <data key="{key}">{_xml_escape(value)}</data>'
+               for key, value in data)
+    out.append(f"    </{tag}>")
 
-    ``task`` supplies ``source_path`` and ``architecture``; the program hash
-    is the SHA-256 of the source bytes.  Output is byte-stable for fixed
-    inputs: key declarations, then nodes in input order, then edges in input
-    order.  The witness must already satisfy :func:`validate_schema`.
+
+def emit_graphml(w: WitnessAutomaton, source_path: Path | str,
+                 architecture: str, *,
+                 creationtime: str = "1970-01-01T00:00:00Z") -> str:
+    """Emit a violation-witness GraphML document for the program at
+    ``source_path`` on ``architecture`` ("32bit" or "64bit").
+
+    The program hash is the SHA-256 of the source bytes.  Output is
+    byte-stable for fixed inputs: key declarations, then nodes in input
+    order, then edges in input order.  The witness must already satisfy
+    :func:`validate_schema`.
     """
     violations = validate_schema(w)
     if violations:
         raise ValueError(f"cannot emit invalid witness: {violations[0]}")
 
-    source_bytes = task.source_path.read_bytes()
+    source_path = Path(source_path)
     graph_data = [
         ("witness-type", "violation_witness"),
         ("sourcecodelang", "C"),
-        ("producer", meta.producer),
-        ("specification", meta.specification),
-        ("programfile", str(task.source_path)),
-        ("programhash", program_hash(source_bytes)),
-        ("architecture", task.architecture.value),
-        ("creationtime", meta.creationtime),
+        ("producer", "termeval"),
+        ("specification", "CHECK( init(main()), LTL(F end) )"),
+        ("programfile", str(source_path)),
+        ("programhash", program_hash(source_path.read_bytes())),
+        ("architecture", architecture),
+        ("creationtime", creationtime),
     ]
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append('<graphml xmlns="http://graphml.graphdrawing.org/xmlns" '
                'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">')
-    for key_id, attr_name, attr_type, target, default in _GRAPHML_KEYS:
-        decl = (f'  <key id="{key_id}" attr.name="{attr_name}" '
+    graph_keys = [(key, "string", "graph") for key, _ in graph_data]
+    for key, attr_type, target in graph_keys + _ELEMENT_KEYS:
+        decl = (f'  <key id="{key}" attr.name="{key}" '
                 f'attr.type="{attr_type}" for="{target}"')
-        if default is None:
-            out.append(decl + "/>")
-        else:
-            out.append(decl + f"><default>{default}</default></key>")
+        out.append(decl + ("><default>false</default></key>"
+                           if attr_type == "boolean" else "/>"))
     out.append('  <graph edgedefault="directed">')
     for key, value in graph_data:
         out.append(f'    <data key="{key}">{_xml_escape(value)}</data>')
     for node in w.nodes:
-        data = []
-        if node.entry:
-            data.append('      <data key="entry">true</data>')
-        if node.cyclehead:
-            data.append('      <data key="cyclehead">true</data>')
-        if data:
-            out.append(f'    <node id="{_xml_escape(node.id)}">')
-            out.extend(data)
-            out.append("    </node>")
-        else:
-            out.append(f'    <node id="{_xml_escape(node.id)}"/>')
+        flags = (("entry", node.entry), ("cyclehead", node.cyclehead))
+        _element(out, "node", {"id": node.id},
+                 [(key, "true") for key, on in flags if on])
     for edge in w.edges:
-        out.append(f'    <edge id="{_xml_escape(edge.id)}" '
-                   f'source="{_xml_escape(edge.source)}" '
-                   f'target="{_xml_escape(edge.target)}">')
-        out.append(f'      <data key="startline">{edge.line}</data>')
-        out.append(f'      <data key="sourcecode">{_xml_escape(edge.sourcecode)}</data>')
-        if edge.control:
-            out.append(f'      <data key="control">{_xml_escape(edge.control)}</data>')
-        if edge.assumption:
-            out.append('      <data key="assumption">'
-                       f'{_xml_escape(edge.assumption)}</data>')
-        if edge.enter_loop_head:
-            out.append('      <data key="enterLoopHead">true</data>')
-        if edge.enter_function:
-            out.append('      <data key="enterFunction">'
-                       f'{_xml_escape(edge.enter_function)}</data>')
-        if edge.return_from:
-            out.append('      <data key="returnFromFunction">'
-                       f'{_xml_escape(edge.return_from)}</data>')
-        out.append("    </edge>")
+        # startline and sourcecode always; the rest only when set
+        optional = (("control", edge.control),
+                    ("assumption", edge.assumption),
+                    ("enterLoopHead", "true" if edge.enter_loop_head else ""),
+                    ("enterFunction", edge.enter_function),
+                    ("returnFromFunction", edge.return_from))
+        _element(out, "edge",
+                 {"id": edge.id, "source": edge.source, "target": edge.target},
+                 [("startline", str(edge.line)),
+                  ("sourcecode", edge.sourcecode),
+                  *((key, value) for key, value in optional if value)])
     out.append("  </graph>")
     out.append("</graphml>")
     return "\n".join(out) + "\n"

@@ -557,23 +557,12 @@ def test_criterion_11_external_validator(tmp_path):
               "(set TERMEVAL_UAUTOMIZER_ROOT to an UAutomizer install)")
         pytest.skip("external validator not installed")
     with Criterion(11, "emitted GraphML validates externally", budget=300.0):
-        from termeval.corpus import (Architecture, Category, TaskSpec,
-                                     heuristic_token_count)
-        from termeval.witness import ProducerMeta, emit_graphml
-
         program_path = FIXTURES / "programs" / "absorb_to_zero.c"
-        source = program_path.read_text()
-        task = TaskSpec("absorb_to_zero", program_path, source,
-                        Category.OTHER, "NT", Architecture.BITS32,
-                        heuristic_token_count(source))
         automaton = witness_from_json(
             load_witness_json("absorb_to_zero.json")["witness"])
-        graphml_path = tmp_path / "witness.graphml"
-        graphml_path.write_text(emit_graphml(automaton, task, ProducerMeta()))
         property_path = tmp_path / "termination.prp"
         property_path.write_text("CHECK( init(main()), LTL(F end) )\n")
         cfg = ValidatorConfig(validator_root=Path(root),
-                              property_path=str(property_path),
-                              timeout=280.0)
-        result = run_external_validator(program_path, graphml_path, cfg)
+                              property_path=property_path, timeout=280.0)
+        result = run_external_validator(automaton, program_path, "32bit", cfg)
         assert result.status is ValidationStatus.VALIDATED, result.output

@@ -512,6 +512,9 @@ NARROW_LOOPS = {
     "short": "short s = n;\n  while (s > 0) {{ s = s + {k}00; }}",
     "unsigned short":
         "unsigned short u = n;\n  while (u > 1000) {{ u = u + {k}00; }}",
+    "short int": "short int s = n;\n  while (s > 0) {{ s = s + {k}00; }}",
+    "unsigned short int":
+        "unsigned short int u = n;\n  while (u > 1000) {{ u = u + {k}00; }}",
     "unsigned int":
         "unsigned int u = n;\n  while (u > 2147483647u) {{ u = u + {k}; }}",
     "unsigned int shift": "unsigned int u = n;\n  while (u >= 3) {{ u = u << {k}; }}",

@@ -50,6 +50,34 @@ def run_python(script: str, *args: str) -> subprocess.CompletedProcess:
                           env=dict(os.environ, PYTHONPATH=str(src)))
 
 
+def deep_program(form: str, levels: int = 1000) -> str:
+    """A program whose statements nest ``levels`` deep, as blocks or as a
+    chain of ifs."""
+    opening, closing = {"block": ("{ ", "} "), "if": ("if (x) ", "")}[form]
+    return ("int main() {\n  int x;\n  x = __VERIFIER_nondet_int();\n  "
+            + opening * levels + "x = 0; " + closing * levels
+            + "\n  return 0;\n}\n")
+
+
+def fake_validator(root: Path) -> Path:
+    """An executable ``root/Ultimate.py`` that appends to ``root/calls.log``
+    the architecture it is told, the one stated in the GraphML it validates
+    and its property path, then validates the witness if that property file
+    exists.  Returns the log's path."""
+    root.mkdir(parents=True, exist_ok=True)
+    log = root / "calls.log"
+    script = root / "Ultimate.py"
+    # called as: --architecture A --spec P --file C --validate G
+    script.write_text(
+        "#!/bin/sh\n"
+        "stated=$(sed -n 's|.*<data key=\"architecture\">\\(.*\\)</data>|\\1|p'"
+        ' "$8")\n'
+        f'echo "$2 $stated $4" >> "{log}"\n'
+        "test -f \"$4\" && echo 'RESULT: FALSE(TERM)'\n")
+    script.chmod(0o755)
+    return log
+
+
 class TestLoadConfig:
     def test_fixture_config(self):
         config = load_config(FIXTURES / "score_config.toml")
@@ -251,6 +279,76 @@ class TestCheckWitnessCommand:
         ])
         assert result.exit_code == 0, result.output
         assert "external validator: validated" in result.output
+
+    def test_validator_is_told_the_architecture_the_graphml_states(
+            self, runner, tmp_path):
+        log = fake_validator(tmp_path / "validator")
+        config = tmp_path / "c.toml"
+        config.write_text(f'[validator]\nroot = "validator"\n'
+                          f'property = "{FIXTURES / "corpus" / "properties"}'
+                          '/termination.prp"\n')
+        result = runner.invoke(main, [
+            "check-witness",
+            str(FIXTURES / "programs" / "absorb_to_zero.c"),
+            str(FIXTURES / "witnesses" / "absorb_to_zero.json"),
+            "--architecture", "64bit", "--validate", "-c", str(config),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "external validator: validated" in result.output
+        told, stated, _ = log.read_text().split()
+        assert (told, stated) == ("64bit", "64bit")
+
+    @pytest.mark.parametrize("cwd", ["conf", "."])
+    def test_validator_paths_resolve_from_the_config(self, runner, tmp_path,
+                                                     monkeypatch, cwd):
+        # root "." next to a config named by a relative path is the config's
+        # directory, not a name to look up on PATH; the property file is
+        # found from the config too, wherever the command runs
+        log = fake_validator(tmp_path / "conf")
+        prop = tmp_path / "conf" / "props" / "termination.prp"
+        prop.parent.mkdir()
+        prop.write_text("CHECK( init(main()), LTL(F end) )\n")
+        (tmp_path / "conf" / "c.toml").write_text(
+            '[validator]\nroot = "."\nproperty = "props/termination.prp"\n')
+        monkeypatch.chdir(tmp_path / cwd)
+        config = Path("c.toml") if cwd == "conf" else Path("conf") / "c.toml"
+        result = runner.invoke(main, [
+            "check-witness",
+            str(FIXTURES / "programs" / "absorb_to_zero.c"),
+            str(FIXTURES / "witnesses" / "absorb_to_zero.json"),
+            "--validate", "-c", str(config),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "external validator: validated" in result.output
+        assert Path(log.read_text().split()[2]).resolve() == prop.resolve()
+
+    @pytest.mark.parametrize("config_text", [None, '[checker]\nmax_steps = 10\n'],
+                             ids=["no-config", "no-validator-table"])
+    def test_validate_without_validator_fails_before_any_work(
+            self, runner, tmp_path, config_text):
+        args = ["check-witness", str(FIXTURES / "programs" / "even_spin.c"),
+                str(tmp_path / "missing.json"), "--validate"]
+        (tmp_path / "missing.json").write_text("not even json")
+        if config_text is not None:
+            (tmp_path / "c.toml").write_text(config_text)
+            args += ["-c", str(tmp_path / "c.toml")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output == \
+            "error: --validate needs -c config with a [validator] table\n"
+
+    @pytest.mark.parametrize("form", ["block", "if"])
+    def test_deeply_nested_program_exit_1(self, runner, tmp_path, form):
+        program = tmp_path / "deep.c"
+        program.write_text(deep_program(form))
+        result = runner.invoke(main, [
+            "check-witness", str(program),
+            str(FIXTURES / "witnesses" / "even_spin.json"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert "program does not parse: line 4: statements nested deeper " \
+            "than" in result.output
+        assert isinstance(result.exception, SystemExit)
 
     @pytest.mark.parametrize("which", ["program", "witness"])
     def test_file_not_utf8_exit_2(self, runner, tmp_path, which):
@@ -686,6 +784,53 @@ class TestScoreCommand:
         assert by_model["oracle-a"]["witness"]["validity"] == \
             pytest.approx(9 / 11)
 
+    def test_validator_is_told_each_task_architecture(self, runner, tmp_path):
+        # even_spin is an LP64 task here; the others stay ILP32
+        workspace = copy_fixture_workspace(tmp_path)
+        spec = workspace / "corpus" / "bitvector-spin" / "even_spin.yml"
+        spec.write_text(spec.read_text().replace("ILP32", "LP64"))
+        log = fake_validator(workspace / "validator")
+        config = workspace / "score_config.toml"
+        config.write_text(config.read_text() + '\n[validator]\nroot = "validator"'
+                          '\nproperty = "corpus/properties/termination.prp"\n')
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(config), "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        calls = [line.split()[:2] for line in log.read_text().splitlines()]
+        assert {tuple(call) for call in calls} == \
+            {("32bit", "32bit"), ("64bit", "64bit")}
+
+    @pytest.mark.parametrize("form", ["block", "if"])
+    def test_deeply_nested_program_is_unsupported(self, runner, tmp_path, form):
+        workspace = copy_fixture_workspace(tmp_path)
+        source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
+        source.write_text(deep_program(form))
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(workspace / "score_config.toml"),
+            "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert result.exception is None
+        assert (workspace / "report" / "report.json").exists()
+
+    def test_witness_on_a_true_reply_is_ignored_silently(self, tmp_path):
+        workspace = copy_fixture_workspace(tmp_path)
+        record = (workspace / "runs" / "demo" / "oracle-a" / "control-loops"
+                  / "count_to_ten" / "0.json")
+        payload = json.loads(record.read_text())
+        payload["raw_text"] = '{"verdict": true, "witness": null}'
+        record.write_text(json.dumps(payload))
+        proc = run_python("from termeval.cli import main; main()", "score",
+                          str(workspace / "runs" / "demo"),
+                          "-c", str(workspace / "score_config.toml"),
+                          "-o", str(workspace / "report"))
+        assert proc.returncode == 0, proc.stderr
+        assert "witness attached" not in proc.stderr
+        assert "ignoring" not in proc.stderr
+
     def test_single_mode_mean_matches_hand_computation(self, runner, tmp_path):
         # hand-derived per-sample points for the bundled oracle-a records
         # (witness statuses per the internal checker):
@@ -1032,6 +1177,23 @@ class TestPrecondCommand:
         })
         source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
         source.write_text(source.read_text() + "/* unterminated\n")
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps(
+            {"bitvector-spin/even_spin": "x % 2 == 0"}))
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert "Pass@1 0.750" in result.output
+
+    @pytest.mark.parametrize("form", ["block", "if"])
+    def test_deeply_nested_program_is_unsupported(self, runner, tmp_path, form):
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            "bitvector-spin/even_spin": ["x % 2 == 0"] * 3 + ["x > 0"],
+        })
+        source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
+        source.write_text(deep_program(form))
         annotations = workspace / "annotations.json"
         annotations.write_text(json.dumps(
             {"bitvector-spin/even_spin": "x % 2 == 0"}))

@@ -119,6 +119,21 @@ class TestParsePrograms:
         assert set(program.functions) == {"helper", "main"}
         assert program.entry == "main"
 
+    @pytest.mark.parametrize("spelling, ctype", [
+        ("short", cparse.SHORT), ("short int", cparse.SHORT),
+        ("int short", cparse.SHORT), ("signed short int", cparse.SHORT),
+        ("unsigned short int", cparse.USHORT),
+        ("short unsigned int", cparse.USHORT),
+        ("signed char", cparse.CHAR), ("unsigned char", cparse.UCHAR),
+        ("unsigned", UINT), ("signed", INT), ("long int", cparse.LONG),
+        ("long long int", cparse.LONG),
+        ("unsigned long int", cparse.ULONG),
+    ])
+    def test_integer_type_spellings(self, spelling, ctype):
+        # the size word names the type wherever it stands
+        program = parse_program(f"int main() {{ {spelling} v = 0; return 0; }}")
+        assert program.types == {"v": ctype}
+
     def test_for_loop_with_increment(self):
         program = parse_program(load_program("count_to_ten.c"))
         assert isinstance(program, Program)
@@ -284,6 +299,41 @@ class TestCompiledExpressions:
         chain = " + ".join(["x"] * 300)
         with pytest.raises(CParseError, match="deeper than"):
             parse_program(f"int main() {{ int x = 1; x = {chain}; return 0; }}")
+
+
+class TestStatementNesting:
+    # the opening of one level, and what closes it after the inner level
+    FORMS = {
+        "block": ("{ ", "} "),
+        "if": ("if (x) ", ""),
+        "if block": ("if (x) { ", "} "),
+        "while": ("while (x) { ", "} "),
+        "for": ("for (; x; ) { ", "} "),
+    }
+
+    def nested(self, form: str, levels: int, inner: str) -> str:
+        """``main`` whose innermost statement ``inner`` is ``levels`` deep,
+        counting ``main``'s own body as the first level."""
+        opening, closing = self.FORMS[form]
+        return ("int main() { int x = __VERIFIER_nondet_int(); "
+                + opening * (levels - 1) + inner + closing * (levels - 1)
+                + "return 0; }")
+
+    @pytest.mark.parametrize("levels", [cparse.MAX_STMT_NESTING + 1, 1000])
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_too_deep_is_parse_error(self, form, levels):
+        with pytest.raises(CParseError, match="nested deeper than"):
+            parse_program(self.nested(form, levels, "x = 0;"))
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_deepest_statement_holds_the_deepest_expression(self, form):
+        depth = cparse.MAX_EXPR_NESTING
+        inner = "x = " + "(" * depth + "x - x" + ")" * depth + ";"
+        program = parse_program(
+            self.nested(form, cparse.MAX_STMT_NESTING, inner))
+        assert isinstance(program, Program)
+        assert program.types == {"x": INT}
+        assert run_program(program, {"x@1": 5}, 10_000)[0] == "terminated"
 
 
 NAMES = ["a", "b", "c", "d"]

@@ -5,6 +5,7 @@ import math
 import signal
 import stat
 import time
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,8 +20,8 @@ from termeval.lasso import (
     extract_lasso, run_external_validator, run_program,
 )
 from termeval.witness import (
-    WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag, parse_prediction,
-    validate_schema, witness_from_json,
+    WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag, emit_graphml,
+    parse_prediction, validate_schema, witness_from_json,
 )
 
 from conftest import FIXTURES, load_program, load_witness_json
@@ -742,6 +743,8 @@ class TestCheckerView:
 
 
 class TestExternalValidator:
+    EVEN_SPIN = FIXTURES / "programs" / "even_spin.c"
+
     def _fake_validator(self, tmp_path, stdout: str, exit_code: int = 0):
         root = tmp_path / "validator"
         root.mkdir()
@@ -753,54 +756,49 @@ class TestExternalValidator:
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         return root
 
-    def test_false_means_validated(self, tmp_path, fixtures_dir):
+    def validate(self, root, architecture="32bit", **cfg):
+        return run_external_validator(
+            automaton("even_spin.json"), self.EVEN_SPIN, architecture,
+            ValidatorConfig(validator_root=root, **cfg))
+
+    def test_false_means_validated(self, tmp_path):
         root = self._fake_validator(tmp_path, "RESULT: FALSE(TERM)")
-        cfg = ValidatorConfig(validator_root=root)
-        result = run_external_validator(
-            fixtures_dir / "programs" / "even_spin.c",
-            fixtures_dir / "golden" / "even_spin.graphml", cfg)
-        assert result.status is ValidationStatus.VALIDATED
-        assert bool(result)
+        assert self.validate(root).status is ValidationStatus.VALIDATED
 
-    def test_true_means_rejected(self, tmp_path, fixtures_dir):
+    def test_true_means_rejected(self, tmp_path):
         root = self._fake_validator(tmp_path, "RESULT: TRUE")
-        cfg = ValidatorConfig(validator_root=root)
-        result = run_external_validator(
-            fixtures_dir / "programs" / "even_spin.c",
-            fixtures_dir / "golden" / "even_spin.graphml", cfg)
-        assert result.status is ValidationStatus.REJECTED
+        assert self.validate(root).status is ValidationStatus.REJECTED
 
-    def test_no_verdict_is_tool_error(self, tmp_path, fixtures_dir):
+    def test_no_verdict_is_tool_error(self, tmp_path):
         root = self._fake_validator(tmp_path, "something went wrong", 3)
-        cfg = ValidatorConfig(validator_root=root)
-        result = run_external_validator(
-            fixtures_dir / "programs" / "even_spin.c",
-            fixtures_dir / "golden" / "even_spin.graphml", cfg)
-        assert result.status is ValidationStatus.TOOL_ERROR
+        assert self.validate(root).status is ValidationStatus.TOOL_ERROR
 
     def test_missing_executable(self, tmp_path):
-        cfg = ValidatorConfig(validator_root=tmp_path / "nowhere")
-        result = run_external_validator("p.c", "w.graphml", cfg)
+        result = self.validate(tmp_path / "nowhere")
         assert result.status is ValidationStatus.TOOL_ERROR
+        assert "validator executable not found" in result.output
 
-    def test_exact_argument_order(self, tmp_path, fixtures_dir):
+    def test_exact_argument_order(self, tmp_path):
+        # the tool is told the architecture that the GraphML it reads states
         root = tmp_path / "validator"
         root.mkdir()
         script = root / "Ultimate.py"
         capture = tmp_path / "args.txt"
         script.write_text("#!/bin/sh\n"
                           f"echo \"$@\" > {capture}\n"
+                          f"cp \"$8\" {tmp_path / 'seen.graphml'}\n"
                           "echo FALSE\n")
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
-        cfg = ValidatorConfig(validator_root=root, architecture="32bit",
-                              property_path="../properties/termination.prp")
-        program_path = fixtures_dir / "programs" / "even_spin.c"
-        graphml = fixtures_dir / "golden" / "even_spin.graphml"
-        run_external_validator(program_path, graphml, cfg)
+        self.validate(root, "64bit",
+                      property_path="../properties/termination.prp")
         recorded = capture.read_text().split()
+        graphml = recorded[-1]
         assert recorded == [
-            "--architecture", "32bit",
+            "--architecture", "64bit",
             "--spec", "../properties/termination.prp",
-            "--file", str(program_path),
-            "--validate", str(graphml),
+            "--file", str(self.EVEN_SPIN),
+            "--validate", graphml,
         ]
+        assert (tmp_path / "seen.graphml").read_text() == emit_graphml(
+            automaton("even_spin.json"), self.EVEN_SPIN, "64bit")
+        assert not Path(graphml).exists()

@@ -3,9 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from termeval.corpus import Architecture, Category, TaskSpec
 from termeval.witness import (
-    FormatError, Prediction, ProducerMeta, Verdict, WitnessAutomaton,
+    FormatError, Prediction, Verdict, WitnessAutomaton,
     WitnessEdge, WitnessNode, emit_graphml, parse_prediction,
     _iter_json_objects, program_hash, validate_schema, witness_from_json,
 )
@@ -248,21 +247,16 @@ class TestValidateSchema:
         assert validate_schema(renamed) == validate_schema(automaton)
 
 
-def make_task(tmp_path, name="even_spin.c") -> TaskSpec:
-    source = (FIXTURES / "programs" / name).read_text()
+def program_copy(tmp_path, name="even_spin.c"):
     path = tmp_path / name
-    path.write_text(source)
-    return TaskSpec(
-        task_id=name[:-2], source_path=path,
-        source=source, category=Category.OTHER,
-        expected_verdict="NT", architecture=Architecture.BITS32,
-        token_count=1)
+    path.write_text((FIXTURES / "programs" / name).read_text())
+    return path
 
 
 class TestGraphML:
     def test_cyclehead_marker_present(self, tmp_path):
         automaton = fixture_automaton("even_spin.json")
-        text = emit_graphml(automaton, make_task(tmp_path), ProducerMeta())
+        text = emit_graphml(automaton, program_copy(tmp_path), "32bit")
         assert '<data key="witness-type">violation_witness</data>' in text
         assert '<data key="cyclehead">true</data>' in text
         assert '<data key="entry">true</data>' in text
@@ -270,7 +264,7 @@ class TestGraphML:
 
     def test_empty_optional_fields_omitted(self, tmp_path):
         automaton = fixture_automaton("even_spin.json")
-        text = emit_graphml(automaton, make_task(tmp_path), ProducerMeta())
+        text = emit_graphml(automaton, program_copy(tmp_path), "32bit")
         # E0 carries no control/assumption: exactly two assumption elements
         # would be wrong; only E2 has one
         assert text.count('<data key="assumption">') == 1
@@ -278,23 +272,23 @@ class TestGraphML:
 
     def test_deterministic_bytes(self, tmp_path):
         automaton = fixture_automaton("even_spin.json")
-        task = make_task(tmp_path)
-        meta = ProducerMeta(creationtime="2025-01-01T00:00:00Z")
-        assert emit_graphml(automaton, task, meta) == \
-            emit_graphml(automaton, task, meta)
+        path = program_copy(tmp_path)
+        emitted = [emit_graphml(automaton, path, "32bit",
+                                creationtime="2025-01-01T00:00:00Z")
+                   for _ in range(2)]
+        assert emitted[0] == emitted[1]
 
     def test_program_hash_is_sha256(self, tmp_path):
-        task = make_task(tmp_path)
-        text = emit_graphml(fixture_automaton("even_spin.json"), task,
-                            ProducerMeta())
-        digest = program_hash(task.source_path.read_bytes())
+        path = program_copy(tmp_path)
+        text = emit_graphml(fixture_automaton("even_spin.json"), path, "32bit")
+        digest = program_hash(path.read_bytes())
         assert f'<data key="programhash">{digest}</data>' in text
         assert digest == digest.lower()
         assert len(digest) == 64
 
     def test_architecture_value(self, tmp_path):
         text = emit_graphml(fixture_automaton("even_spin.json"),
-                            make_task(tmp_path), ProducerMeta())
+                            program_copy(tmp_path), "32bit")
         assert '<data key="architecture">32bit</data>' in text
 
     def test_invalid_witness_refused(self, tmp_path):
@@ -303,19 +297,19 @@ class TestGraphML:
             edges=(),
         )
         with pytest.raises(ValueError):
-            emit_graphml(automaton, make_task(tmp_path), ProducerMeta())
+            emit_graphml(automaton, program_copy(tmp_path), "32bit")
 
     def test_xml_escaping(self, tmp_path):
         data = load_witness_json("absorb_to_zero.json")["witness"]
         automaton = witness_from_json(data)
-        text = emit_graphml(automaton, make_task(tmp_path, "absorb_to_zero.c"),
-                            ProducerMeta())
+        text = emit_graphml(automaton,
+                            program_copy(tmp_path, "absorb_to_zero.c"), "32bit")
         assert "i &gt;= -5 &amp;&amp; i &lt;= 5" in text
 
     @pytest.mark.parametrize("name", ALL_WITNESS_FIXTURES)
     def test_round_trip_through_graphml(self, name, tmp_path):
         automaton = fixture_automaton(name)
-        text = emit_graphml(automaton, make_task(tmp_path), ProducerMeta())
+        text = emit_graphml(automaton, program_copy(tmp_path), "32bit")
         again = parse_graphml(text)
         assert again == automaton
 
@@ -330,14 +324,14 @@ class TestGraphML:
                             return_from="helper"),
             ),
         )
-        text = emit_graphml(automaton, make_task(tmp_path), ProducerMeta())
+        text = emit_graphml(automaton, program_copy(tmp_path), "32bit")
         assert '<data key="enterFunction">helper</data>' in text
         assert '<data key="returnFromFunction">helper</data>' in text
         assert parse_graphml(text) == automaton
 
     def test_element_order_keys_nodes_edges(self, tmp_path):
         text = emit_graphml(fixture_automaton("even_spin.json"),
-                            make_task(tmp_path), ProducerMeta())
+                            program_copy(tmp_path), "32bit")
         last_key = max(i for i, line in enumerate(text.splitlines())
                        if "<key " in line)
         first_node = min(i for i, line in enumerate(text.splitlines())
@@ -348,17 +342,32 @@ class TestGraphML:
 
     def test_golden_file(self):
         source_path = FIXTURES / "programs" / "even_spin.c"
-        source = source_path.read_text(encoding="utf-8")
-        task = TaskSpec(
-            task_id="even_spin", source_path=source_path,
-            source=source, category=Category.OTHER,
-            expected_verdict="NT", architecture=Architecture.BITS32,
-            token_count=1)
-        emitted = emit_graphml(fixture_automaton("even_spin.json"), task,
-                               ProducerMeta())
+        emitted = emit_graphml(fixture_automaton("even_spin.json"),
+                               source_path, "32bit")
         # the absolute programfile path is machine-specific; the golden file
         # stores the bare name
         emitted = emitted.replace(str(source_path), "even_spin.c")
         golden = (FIXTURES / "golden" / "even_spin.graphml").read_text(
             encoding="utf-8")
         assert emitted == golden
+
+    # each fixture witness with the program it describes
+    WITNESS_PROGRAMS = {
+        "even_spin": "even_spin.c", "absorb_to_zero": "absorb_to_zero.c",
+        "absorb_to_zero_selfloop": "absorb_to_zero.c",
+        "negate_keeps_positive": "negate_keeps_positive.c",
+        "stall_wrong": "stall_below_minus_five.c",
+        "stall_correct": "stall_below_minus_five.c",
+    }
+
+    @pytest.mark.parametrize("architecture", ["32bit", "64bit"])
+    @pytest.mark.parametrize("name", sorted(WITNESS_PROGRAMS))
+    def test_golden_files_of_every_witness(self, name, architecture):
+        # recorded from the emitter as it was before its key table and data
+        # lines were folded into one loop each
+        source_path = FIXTURES / "programs" / self.WITNESS_PROGRAMS[name]
+        emitted = emit_graphml(fixture_automaton(f"{name}.json"), source_path,
+                               architecture, creationtime="2025-06-01T12:00:00Z")
+        emitted = emitted.replace(str(source_path), source_path.name)
+        golden = FIXTURES / "golden" / "graphml" / f"{name}.{architecture}.graphml"
+        assert emitted == golden.read_text(encoding="utf-8")
