@@ -122,7 +122,6 @@ def _config_from(data: dict, base: Path) -> RunConfig:
         v = data["validator"]
         validator = ValidatorConfig(
             validator_root=rel(v["root"]),
-            property_path=rel(v.get("property", "../properties/termination.prp")),
             timeout=float(v.get("timeout", 60.0)),
         )
 
@@ -330,7 +329,8 @@ def _describe_feasibility(result) -> str:
 @click.option("--clock", default="1970-01-01T00:00:00Z", show_default=True,
               help="Pinned creationtime for GraphML output.")
 @click.option("--validate", "do_validate", is_flag=True,
-              help="Also drive the external validator (needs -c config).")
+              help="Also drive the external validator (needs -c config, and "
+                   "the task YAML beside the program for its property file).")
 @click.option("-c", "--config", "config_path",
               type=click.Path(path_type=Path, exists=True))
 @click.option("--architecture", default="32bit",
@@ -341,8 +341,13 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
                   architecture: str):
     """Validate a witness JSON against a program and check feasibility."""
     config = load_config(config_path) if config_path is not None else None
-    if do_validate and (config is None or config.validator is None):
-        _fail("--validate needs -c config with a [validator] table", 2)
+    if do_validate:
+        if config is None or config.validator is None:
+            _fail("--validate needs -c config with a [validator] table", 2)
+        property_path = corpus_mod.task_property_path(program_path)
+        if property_path is None:
+            _fail(f"--validate needs {program_path.with_suffix('.yml')} to "
+                  f"name the task's termination property file", 2)
     raw = _read_text("witness", witness_path)
     parsed = parse_prediction(raw)
     if isinstance(parsed, FormatError):
@@ -385,7 +390,8 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
         click.echo(f"GraphML written to {emit}")
     if do_validate:
         vresult = run_external_validator(parsed.witness, program_path,
-                                         architecture, config.validator)
+                                         architecture, property_path,
+                                         config.validator)
         click.echo(f"external validator: {vresult.status.value}")
         if vresult.status is not ValidationStatus.VALIDATED:
             exit_code = 1
@@ -429,7 +435,7 @@ def witness_status_for(prediction: Prediction | FormatError,
         if key not in statuses:
             result = run_external_validator(witness, task.source_path,
                                             task.architecture.value,
-                                            validator_cfg)
+                                            task.property_path, validator_cfg)
             statuses[key] = (WitnessStatus.VALID
                              if result.status is ValidationStatus.VALIDATED
                              else WitnessStatus.INVALID)

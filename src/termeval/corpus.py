@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -49,6 +50,9 @@ class TaskSpec:
     expected_verdict: str  # "T" or "NT"
     architecture: Architecture
     token_count: int
+    # the termination property file that the task's YAML names, which the
+    # external validator is given; None for a task not read from a YAML
+    property_path: Path | None = None
 
 
 @dataclass
@@ -189,8 +193,28 @@ def _categorize(yml_path: Path, patterns) -> Category:
     return Category.OTHER
 
 
-def _is_termination_property(prop_file: str) -> bool:
-    return Path(prop_file).name == "termination.prp"
+def _termination_property(data: dict) -> dict | None:
+    """The last entry of a task YAML's ``properties`` that names a
+    ``termination.prp`` file, if any."""
+    found = None
+    for prop in data.get("properties") or []:
+        if isinstance(prop, dict) and Path(
+                str(prop.get("property_file", ""))).name == "termination.prp":
+            found = prop
+    return found
+
+
+def task_property_path(program_path: Path | str) -> Path | None:
+    """The termination property file named by the task YAML beside
+    ``program_path`` (the same name with ``.yml``), resolved from the
+    YAML's directory; None when there is no such YAML or it names none."""
+    yml_path = Path(program_path).with_suffix(".yml")
+    try:
+        data = yaml.load(yml_path.read_text(encoding="utf-8"), _YAML_LOADER)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError):
+        return None
+    prop = _termination_property(data) if isinstance(data, dict) else None
+    return None if prop is None else yml_path.parent / str(prop["property_file"])
 
 
 # libyaml's safe loader, when PyYAML was built with it, reads a task file
@@ -235,12 +259,8 @@ def load_manifest(
             continue
         if not isinstance(data, dict) or "input_files" not in data:
             continue  # not a task definition
-        verdict = None
-        for prop in data.get("properties") or []:
-            if not isinstance(prop, dict):
-                continue
-            if _is_termination_property(str(prop.get("property_file", ""))):
-                verdict = prop.get("expected_verdict")
+        prop = _termination_property(data)
+        verdict = None if prop is None else prop.get("expected_verdict")
         if verdict is None:
             continue  # no termination property: out of scope
         if task_id in exclusions:
@@ -261,7 +281,8 @@ def load_manifest(
                 report.errors.append((task_id, "expected exactly one input file"))
                 continue
             input_files = input_files[0]
-        source_path = yml_path.parent / str(input_files)
+        task_dir = yml_path.parent
+        source_path = task_dir / str(input_files)
         try:
             source = source_path.read_text(encoding="utf-8")
         except OSError as exc:
@@ -284,6 +305,7 @@ def load_manifest(
             expected_verdict="T" if verdict else "NT",
             architecture=arch,
             token_count=count,
+            property_path=task_dir / str(prop["property_file"]),
         ))
 
     tasks.sort(key=lambda t: t.task_id)
@@ -332,6 +354,9 @@ def manifest_to_json(manifest: CorpusManifest) -> str:
                 "expected_verdict": t.expected_verdict,
                 "architecture": t.architecture.value,
                 "token_count": t.token_count,
+                "property_path": (None if t.property_path is None else
+                                  os.path.relpath(t.property_path,
+                                                  manifest.root)),
             }
             for t in sorted(manifest.tasks, key=lambda t: t.task_id)
         ],
@@ -355,6 +380,9 @@ def manifest_from_json(path: Path | str) -> CorpusManifest:
                              f"be \"T\" or \"NT\", got "
                              f"{entry['expected_verdict']!r:.40}")
         source_path = root / entry["source_path"]
+        # a manifest from before property paths were kept: SV-COMP's layout
+        prop = entry.get("property_path", os.path.join(
+            Path(entry["source_path"]).parent, "../properties/termination.prp"))
         tasks.append(TaskSpec(
             task_id=entry["task_id"],
             source_path=source_path,
@@ -363,5 +391,6 @@ def manifest_from_json(path: Path | str) -> CorpusManifest:
             expected_verdict=entry["expected_verdict"],
             architecture=Architecture(entry["architecture"]),
             token_count=entry["token_count"],
+            property_path=None if prop is None else root / prop,
         ))
     return CorpusManifest(tasks, root)

@@ -222,9 +222,15 @@ class UnsupportedConstruct:
 
 
 class CParseError(Exception):
-    def __init__(self, message: str, line: int):
+    """A text that is not C of the subset.  ``offset`` is the 0-based offset
+    in the source of the character or token at fault, where the tokenizer or
+    the expression parser raised it, and ``None`` elsewhere."""
+
+    def __init__(self, message: str, line: int, offset: int | None = None):
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
+        self.offset = offset
 
 
 class _Unsupported(Exception):
@@ -254,11 +260,11 @@ _PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident', 'num', 'punct', 'keyword', 'eof'
+class Token(NamedTuple):
+    kind: str  # 'ident', 'num', 'punct', 'keyword', 'string', 'eof'
     text: str
     line: int
+    offset: int  # of the token's first character in the source
     value: int | None = None
     ctype: CType | None = None
 
@@ -283,87 +289,78 @@ def _literal_type(value: int, is_decimal: bool, suffix: str) -> CType:
 def int_constant(text: str, suffix: str = "") -> tuple[int, CType]:
     """Value and C type of an integer constant: ``0x`` starts a hexadecimal
     one and any other leading ``0`` an octal one.  Raises ``ValueError`` on
-    a digit outside the base, past Python's limit on decimal digits, or on a
-    value too large for every type the constant may take."""
+    a digit outside the base or on a value too large for every type the
+    constant may take."""
     if len(text) > 1 and text[0] == "0":
         value = int(text, 16 if text[1] in "xX" else 8)
         return value, _literal_type(value, False, suffix)
+    # 21 digits exceed 2**64; int() takes time quadratic in decimal digits
+    if len(text) > 20:
+        raise ValueError(f"{text[:24]}... fits no type")
     value = int(text)
     return value, _literal_type(value, True, suffix)
 
 
-# matched in place with ``.match(source, i)``: slicing off the rest of the
-# source for each token would make tokenizing quadratic in its length
-_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[0-9]+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# literals repeat across programs and formulas; a long one is not kept, since
+# leading zeros let a valid literal be as long as its text
+_cached_constant = functools.lru_cache(maxsize=4096)(int_constant)
+
+
+# One alternation for every token and every run of skipped text, after any
+# blanks, tried in order: comments before the punctuator '/', punctuators
+# longest first as _PUNCT is ordered.  It is matched in place with
+# ``.match(source, i)``: slicing off the rest of the source for each token
+# would make tokenizing quadratic in its length.
+_LEXEME_RE = re.compile(r"""[ \t\r\f\v]*(?:
+    (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<num>(?:0[xX][0-9a-fA-F]+|[0-9]+)[uUlL]*)
+  | (?P<skip>//[^\n]*|\#[^\n]*)     # a line comment or a preprocessor line
+  | (?P<comment>/\*[\s\S]*?\*/)
+  | (?P<string>"(?:[^"\\]|\\[\s\S])*"|'(?:[^'\\]|\\[\s\S])*')
+  | (?P<unterminated>/\*|["'])
+  | (?P<punct>""" + "|".join(map(re.escape, _PUNCT)) + r""")
+  | (?P<space>\n[ \t\n\r\f\v]*|\Z)
+)""", re.VERBOSE)
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    match = _LEXEME_RE.match
     i, n, line = 0, len(source), 1
     while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            continue
-        if ch in " \t\r\f\v":
-            i += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise CParseError("unterminated comment", line)
-            line += source.count("\n", i, j)
-            i = j + 2
-            continue
-        if ch == "#":  # preprocessor line (e.g. #include): skip the line
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if ch in "\"'":
-            j = i + 1
-            while j < n and source[j] != ch:
-                j += 2 if source[j] == "\\" else 1
-            if j >= n:
-                raise CParseError("unterminated string", line)
-            tokens.append(Token("string", source[i:j + 1], line))
-            i = j + 1
-            continue
-        if ch.isascii() and ch.isdigit():
-            text = _NUMBER_RE.match(source, i).group(0)
-            j = i + len(text)
-            suffix = ""
-            while j < n and source[j] in "uUlL":
-                suffix += source[j]
-                j += 1
+        m = match(source, i)
+        if m is None:
+            i = n - len(source[i:].lstrip(" \t\r\f\v"))
+            raise CParseError(f"unexpected character {source[i]!r}", line, i)
+        kind, end = m.lastgroup, m.end()
+        i = m.start(kind)
+        if kind == "ident":
+            text = m.group(kind)
+            tokens.append(Token("keyword" if text in _KEYWORDS else "ident",
+                                text, line, i))
+        elif kind == "punct":
+            tokens.append(Token("punct", m.group(kind), line, i))
+        elif kind == "space":
+            line += source.count("\n", i, end)
+        elif kind == "num":
+            text = m.group(kind)
+            digits = text.rstrip("uUlL")
             try:
-                value, ctype = int_constant(text, suffix)
+                value, ctype = (_cached_constant if len(text) <= 32
+                                else int_constant)(digits, text[len(digits):])
             except ValueError:
-                raise CParseError(f"unsupported integer literal {text[:24]!r}",
-                                  line)
-            tokens.append(Token("num", text + suffix, line, value=value,
-                                ctype=ctype))
-            i = j
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            text = _IDENT_RE.match(source, i).group(0)
-            kind = "keyword" if text in _KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line))
-            i += len(text)
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, line))
-                i += len(p)
-                break
-        else:
-            raise CParseError(f"unexpected character {ch!r}", line)
-    tokens.append(Token("eof", "", line))
+                raise CParseError(
+                    f"unsupported integer literal {digits[:24]!r}", line, i)
+            tokens.append(Token("num", text, line, i, value, ctype))
+        elif kind == "comment":
+            line += source.count("\n", i, end)
+        elif kind == "string":
+            tokens.append(Token("string", m.group(kind), line, i))
+        elif kind == "unterminated":
+            raise CParseError("unterminated comment" if source[i] == "/"
+                              else "unterminated string", line, i)
+        i = end
+    tokens.append(Token("eof", "", line, n))
     return tokens
 
 
@@ -384,9 +381,12 @@ _BINARY_PRECEDENCE = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+# each binary operator's index in _BINARY_PRECEDENCE, loosest first
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_PRECEDENCE)
+                for op in ops}
 
-# Parentheses and prefix operators recurse through every precedence level,
-# so the parser stops at this nesting, well inside Python's recursion limit.
+# Parentheses and prefix operators recurse a few frames deep each, so the
+# parser stops at this nesting, well inside Python's recursion limit.
 MAX_EXPR_NESTING = 32
 # Left-associative chains parse in a loop but compile recursively, one frame
 # per tree level; expressions deeper than this are rejected.
@@ -426,16 +426,15 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise CParseError(f"expected {text!r}, found {tok.text!r}", tok.line)
+            raise CParseError(f"expected {text!r}, found {tok.text!r}", tok.line,
+                              tok.offset)
         return tok
 
     # -- types
 
     def _at_type(self) -> bool:
         tok = self.peek()
-        if tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS:
-            return True
-        return tok.kind == "keyword" and tok.text == "bool"
+        return tok.kind == "keyword" and tok.text in _TYPE_KEYWORDS
 
     def parse_type(self) -> CType | None:
         """Parse a type specifier; returns None for void."""
@@ -475,42 +474,59 @@ class _Parser:
         self.nesting += 1
         if self.nesting > MAX_EXPR_NESTING:
             raise CParseError(f"expression nested deeper than "
-                              f"{MAX_EXPR_NESTING} levels", tok.line)
+                              f"{MAX_EXPR_NESTING} levels", tok.line, tok.offset)
 
     def parse_expression(self) -> Expr:
-        line = self.peek().line
+        start, first = self.peek(), self.pos
         expr = self._parse_binary(0)
-        if expr_depth(expr) > MAX_EXPR_DEPTH:
+        # every node takes at least one token, so only a long expression
+        # can be too deep
+        if (self.pos - first > MAX_EXPR_DEPTH
+                and expr_depth(expr) > MAX_EXPR_DEPTH):
             raise CParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels",
-                              line)
+                              start.line, start.offset)
         return expr
 
-    def _parse_binary(self, level: int) -> Expr:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        expr = self._parse_binary(level + 1)
-        ops = _BINARY_PRECEDENCE[level]
-        while self.peek().kind == "punct" and self.peek().text in ops:
-            op = self.next().text
-            right = self._parse_binary(level + 1)
-            expr = Binary(op, expr, right)
+    def parse_whole_expression(self) -> Expr:
+        """The expression that is every token left; an unsupported construct
+        in it is a :class:`CParseError`."""
+        try:
+            expr = self.parse_expression()
+        except _Unsupported as u:
+            raise CParseError(f"unsupported in expression: {u.construct}",
+                              u.line, self.peek().offset)
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise CParseError(f"trailing input {tok.text!r}", tok.line,
+                              tok.offset)
         return expr
+
+    def _parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: an operand, then every binary operator that
+        binds at least as tightly as ``min_level``, left-associative."""
+        expr = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            level = _BINARY_LEVEL.get(tok.text) if tok.kind == "punct" else None
+            if level is None or level < min_level:
+                return expr
+            self.pos += 1
+            expr = Binary(tok.text, expr, self._parse_binary(level + 1))
 
     def _parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in ("-", "~", "!", "+"):
-            self.next()
-            self._nest(tok)
-            operand = self._parse_unary()
-            self.nesting -= 1
-            return operand if tok.text == "+" else Unary(tok.text, operand)
-        if tok.kind == "punct" and tok.text in ("++", "--", "*", "&"):
-            raise _Unsupported(tok.line, f"unary {tok.text} in expression")
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> Expr:
+        tok = self.tokens[self.pos]
+        if tok.kind == "punct":
+            if tok.text in ("-", "~", "!", "+"):
+                self.pos += 1
+                self._nest(tok)
+                operand = self._parse_unary()
+                self.nesting -= 1
+                return operand if tok.text == "+" else Unary(tok.text, operand)
+            if tok.text in ("++", "--", "*", "&"):
+                raise _Unsupported(tok.line, f"unary {tok.text} in expression")
         expr = self._parse_primary()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "punct" and tok.text in ("[", ".", "->", "++", "--"):
             raise _Unsupported(tok.line, f"postfix {tok.text}")
         return expr
@@ -537,7 +553,7 @@ class _Parser:
             return expr
         if tok.kind == "string":
             raise _Unsupported(tok.line, "string literal")
-        raise CParseError(f"unexpected token {tok.text!r}", tok.line)
+        raise CParseError(f"unexpected token {tok.text!r}", tok.line, tok.offset)
 
     # -- statements
 
@@ -584,7 +600,7 @@ class _Parser:
                     expr = self.parse_expression()
                 self.expect(";")
                 return [Return(expr, tok.line)]
-            if tok.text in _TYPE_KEYWORDS or tok.text == "bool":
+            if tok.text in _TYPE_KEYWORDS:
                 return self._parse_decl()
             raise _Unsupported(tok.line, tok.text)
         if tok.kind == "ident":
@@ -922,16 +938,7 @@ def parse_program(source: str) -> Program | UnsupportedConstruct:
 
 def parse_expression(text: str) -> Expr:
     """Parse a standalone C expression (used for witness assumptions)."""
-    tokens = tokenize(text)
-    parser = _Parser(tokens)
-    try:
-        expr = parser.parse_expression()
-    except _Unsupported as u:
-        raise CParseError(f"unsupported in expression: {u.construct}", u.line)
-    if parser.peek().kind != "eof":
-        raise CParseError(f"trailing input {parser.peek().text!r}",
-                          parser.peek().line)
-    return expr
+    return _Parser(tokenize(text)).parse_whole_expression()
 
 
 def expr_depth(expr: Expr) -> int:

@@ -562,7 +562,6 @@ class ValidationStatus(Enum):
 @dataclass(frozen=True)
 class ValidatorConfig:
     validator_root: Path
-    property_path: Path = Path("../properties/termination.prp")
     timeout: float = 60.0
 
 
@@ -577,16 +576,21 @@ _TRUE_RE = re.compile(r"\bTRUE\b")
 
 
 def run_external_validator(witness: WitnessAutomaton, program_path: Path | str,
-                           architecture: str,
+                           architecture: str, property_path: Path | str | None,
                            cfg: ValidatorConfig) -> ValidationResult:
     """Drive the external witness validator on ``witness`` for the program
     at ``program_path``, emitted as GraphML into a temporary directory.
 
     The tool is told the ``architecture`` ("32bit" or "64bit") that the
-    GraphML states.  Its printing FALSE means a matching infinite path exists
-    (witness validated); TRUE means the witness was rejected.  Everything
-    else, including timeouts and missing executables, is a tool error.
+    GraphML states, and the task's termination ``property_path``.  Its
+    printing FALSE means a matching infinite path exists (witness
+    validated); TRUE means the witness was rejected.  Everything else,
+    including timeouts, missing executables and a task without a property
+    file, is a tool error.
     """
+    if property_path is None:
+        return ValidationResult(ValidationStatus.TOOL_ERROR,
+                                "the task names no termination property file")
     executable = Path(cfg.validator_root).absolute() / "Ultimate.py"
     with tempfile.TemporaryDirectory(prefix="termeval-validate-") as tmp:
         graphml = Path(tmp) / "witness.graphml"
@@ -595,7 +599,7 @@ def run_external_validator(witness: WitnessAutomaton, program_path: Path | str,
         try:
             proc = subprocess.run(
                 [str(executable), "--architecture", architecture,
-                 "--spec", str(cfg.property_path), "--file", str(program_path),
+                 "--spec", str(property_path), "--file", str(program_path),
                  "--validate", str(graphml)],
                 capture_output=True, text=True, timeout=cfg.timeout)
         except FileNotFoundError:

@@ -3,8 +3,8 @@
 Preconditions are boolean formulas over a task's nondeterministic variables,
 written with keyword operators (``and``/``or``/``not``) or C operators
 (``&&``/``||``/``!``); ``=`` is accepted as equality because annotated
-answers often write ``i = 0``.  The parser here is a front end only: it
-builds :mod:`cparse` expression trees, and cparse gives them C's meaning.
+answers often write ``i = 0``.  Formulas are read by :mod:`cparse`'s
+tokenizer and expression parser, and cparse gives the trees C's meaning.
 
 Equivalence is decided under machine-integer semantics: variables range over
 their declared width, operands take C's integer promotions and usual
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cparse import (
-    INT, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, Binary, CType, EvalUndefined,
-    Expr, IntLit, Unary, Var, compile_expr, compile_scan, expr_depth,
-    int_constant, promote, usual_arithmetic_type,
+    _BINARY_LEVEL, _COMPARE, INT, Binary, CParseError, CType, EvalUndefined,
+    Expr, IntLit, Token, Unary, Var, _Parser, compile_expr, compile_scan,
+    promote, tokenize, usual_arithmetic_type,
 )
 
 
@@ -42,192 +42,106 @@ class PrecondParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: cparse's, over rewritten tokens, with `!` binding as `not` reads
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+)
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<op><=|>=|==|!=|&&|\|\||[-+*/%<>=!()])
-  | (?P<ws>\s+)
-""", re.VERBOSE)
-
-_CMP_OPS = {"<", "<=", ">", ">=", "==", "!="}
+_ARITH_OPS = {"+", "-", "*", "/", "%"}
+_KEYWORD_OPS = {"and": "&&", "or": "||", "not": "!"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # 'num' | 'name' | 'op' | 'end'
-    text: str
-    pos: int
+def _is_formula(expr: Expr) -> bool:
+    """``&&``, ``||`` and ``!`` over comparisons of terms."""
+    if isinstance(expr, Binary):
+        if expr.op in ("&&", "||"):
+            return _is_formula(expr.left) and _is_formula(expr.right)
+        return expr.op in _COMPARE and _is_term(expr.left) and _is_term(expr.right)
+    return isinstance(expr, Unary) and expr.op == "!" and _is_formula(expr.operand)
 
 
-def _lex(text: str) -> list[_Tok]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PrecondParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup
-            value = m.group(0)
-            if kind == "name" and value.lower() in ("and", "or", "not"):
-                tokens.append(_Tok("op", value.lower(), pos))
-            else:
-                tokens.append(_Tok(kind, value, pos))
-        pos = m.end()
-    tokens.append(_Tok("end", "", len(text)))
-    return tokens
+def _is_term(expr: Expr) -> bool:
+    """``+ - * / %`` and unary minus over literals and names."""
+    if isinstance(expr, Binary):
+        return expr.op in _ARITH_OPS and _is_term(expr.left) and _is_term(expr.right)
+    if isinstance(expr, Unary):
+        return expr.op == "-" and _is_term(expr.operand)
+    return True
 
 
-class _PrecondParser:
-    """Recursive descent: or < and < not < comparison < additive < term.
+class _FormulaParser(_Parser):
+    """cparse's expression parser, except that ``!`` negates everything up
+    to the next ``&&`` or ``||``, as ``not`` does in prose: ``not i < 0`` is
+    ``!(i < 0)``, where C would read ``(!i) < 0``.  A unary ``+`` leaves no
+    node in the tree, so its operand is checked here."""
 
-    Parentheses and prefix operators count toward cparse's
-    ``MAX_EXPR_NESTING``, and the finished tree may be no deeper than
-    ``MAX_EXPR_DEPTH``, so a hostile formula is a parse error, not a
-    ``RecursionError``.
-    """
-
-    def __init__(self, tokens: list[_Tok], known_vars: set[str] | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0
-        self.known_vars = known_vars
-
-    def peek(self) -> _Tok:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Tok:
+    def _parse_unary(self) -> Expr:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
-            self.pos += 1
-        return tok
-
-    def nest(self, tok: _Tok) -> None:
-        self.nesting += 1
-        if self.nesting > MAX_EXPR_NESTING:
-            raise PrecondParseError(
-                f"formula nested deeper than {MAX_EXPR_NESTING} levels", tok.pos)
-
-    def parse(self) -> Expr:
-        expr = self.parse_or()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise PrecondParseError(f"trailing input {tok.text!r}", tok.pos)
-        if expr_depth(expr) > MAX_EXPR_DEPTH:
-            raise PrecondParseError(
-                f"formula deeper than {MAX_EXPR_DEPTH} levels", 0)
+        if tok.kind != "punct" or tok.text not in ("!", "+"):
+            return _Parser._parse_unary(self)
+        self.pos += 1
+        self._nest(tok)
+        if tok.text == "!":
+            expr = Unary("!", self._parse_binary(_BINARY_LEVEL["=="]))
+        else:
+            expr = self._parse_unary()
+            if not _is_term(expr):
+                raise CParseError("'+' before a formula", tok.line, tok.offset)
+        self.nesting -= 1
         return expr
 
-    def parse_or(self) -> Expr:
-        expr = self.parse_and()
-        while self.peek().text in ("or", "||"):
-            self.next()
-            expr = Binary("||", expr, self.parse_and())
-        return expr
 
-    def parse_and(self) -> Expr:
-        expr = self.parse_not()
-        while self.peek().text in ("and", "&&"):
-            self.next()
-            expr = Binary("&&", expr, self.parse_not())
-        return expr
-
-    def parse_not(self) -> Expr:
-        tok = self.peek()
-        if tok.text in ("not", "!"):
-            self.next()
-            self.nest(tok)
-            operand = self.parse_not()
-            self.nesting -= 1
-            return Unary("!", operand)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        if self.peek().text == "(":
-            # parenthesized boolean vs. parenthesized arithmetic: try the
-            # boolean reading, fall back on the arithmetic one
-            saved = self.pos, self.nesting
-            try:
-                self.nest(self.next())
-                inner = self.parse_or()
-                close = self.next()
-                if close.text != ")":
-                    raise PrecondParseError(f"expected ')', found {close.text!r}",
-                                            close.pos)
-                if self.peek().text in _CMP_OPS or self.peek().text in ("=",):
-                    raise PrecondParseError("comparison of boolean", close.pos)
-                self.nesting -= 1
-                return inner
-            except PrecondParseError:
-                self.pos, self.nesting = saved
-        left = self.parse_additive()
-        tok = self.peek()
-        op = tok.text
-        if op == "=":
-            op = "=="
-        if op not in _CMP_OPS:
-            raise PrecondParseError(
-                f"expected comparison operator, found {tok.text!r}", tok.pos)
-        self.next()
-        right = self.parse_additive()
-        return Binary(op, left, right)
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_term())
-        return expr
-
-    def parse_term(self) -> Expr:
-        expr = self.parse_unary()
-        while self.peek().text in ("*", "/", "%"):
-            op = self.next().text
-            expr = Binary(op, expr, self.parse_unary())
-        return expr
-
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.text in ("-", "+"):
-            self.next()
-            self.nest(tok)
-            operand = self.parse_unary()
-            self.nesting -= 1
-            return Unary("-", operand) if tok.text == "-" else operand
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "num":
-            try:
-                value, ctype = int_constant(tok.text)
-            except ValueError:  # 08, too many digits, or too large for C
-                raise PrecondParseError(f"bad integer literal {tok.text[:24]!r}",
-                                        tok.pos)
-            return IntLit(value, ctype)
-        if tok.kind == "name":
-            if self.known_vars is not None and tok.text not in self.known_vars:
-                raise PrecondParseError(f"unknown identifier {tok.text!r}", tok.pos)
-            return Var(tok.text)
-        if tok.text == "(":
-            self.nest(tok)
-            expr = self.parse_additive()
-            self.nesting -= 1
-            close = self.next()
-            if close.text != ")":
-                raise PrecondParseError(f"expected ')', found {close.text!r}",
-                                        close.pos)
-            return expr
-        raise PrecondParseError(f"expected value, found {tok.text or 'end'!r}",
-                                tok.pos)
+def _formula_tokens(text: str, known_vars: set[str] | None) -> list[Token]:
+    """cparse's tokens of ``text``, with ``and``/``or``/``not`` in any case
+    as ``&&``/``||``/``!``, a lone ``=`` as ``==``, ``++`` and ``--`` as two
+    signs, and C keywords as names.  Comments, hex or suffixed literals and
+    names outside ``known_vars`` are errors; the parser and
+    :func:`_is_formula` refuse the rest."""
+    # cparse skips comments and preprocessor lines; a formula has none
+    marks = [at for at in map(text.find, ("//", "/*", "#")) if at >= 0]
+    if marks:
+        raise PrecondParseError("comment or preprocessor line", min(marks))
+    try:
+        tokens = tokenize(text)
+    except CParseError as exc:
+        # a literal is the only token that fails at a digit
+        raise PrecondParseError("bad integer literal"
+                                if text[exc.offset].isdigit() else exc.message,
+                                exc.offset)
+    out = []
+    for tok in tokens:
+        kind, word = tok.kind, tok.text
+        if kind == "punct":
+            if word == "=":
+                tok = Token("punct", "==", tok.line, tok.offset)
+            elif word == "++" or word == "--":
+                out.append(Token("punct", word[0], tok.line, tok.offset))
+                tok = Token("punct", word[0], tok.line, tok.offset + 1)
+        elif kind == "ident" or kind == "keyword":
+            op = _KEYWORD_OPS.get(word.lower())
+            if op is not None:
+                tok = Token("punct", op, tok.line, tok.offset)
+            elif known_vars is not None and word not in known_vars:
+                raise PrecondParseError(f"unknown identifier {word!r}", tok.offset)
+            elif kind == "keyword":
+                tok = Token("ident", word, tok.line, tok.offset)
+        elif kind == "num" and not word.isdigit():
+            raise PrecondParseError(f"hex or suffixed literal {word!r}",
+                                    tok.offset)
+        out.append(tok)
+    return out
 
 
 def parse_precondition(text: str, known_vars: set[str] | None = None) -> Expr:
     """Parse a precondition formula into a :mod:`cparse` expression whose
-    value is 1 or 0; raises :class:`PrecondParseError`."""
-    return _PrecondParser(_lex(text), known_vars).parse()
+    value is 1 or 0; raises :class:`PrecondParseError`.  README.md states
+    the grammar: connectives over comparisons of arithmetic terms over
+    unsuffixed decimal or octal literals and names, in ASCII."""
+    tokens = _formula_tokens(text, known_vars)
+    try:
+        expr = _FormulaParser(tokens).parse_whole_expression()
+    except CParseError as exc:
+        raise PrecondParseError(exc.message, exc.offset)
+    if not _is_formula(expr):
+        raise PrecondParseError("not connectives over comparisons of terms", 0)
+    return expr
 
 
 def variables_of(expr: Expr) -> set[str]:
@@ -378,7 +292,7 @@ def _smt_bool(expr: Expr, types: dict[str, CType],
                 f"{_smt_bool(expr.right, types, divisor_guards)})")
     if isinstance(expr, Unary) and expr.op == "!":
         return f"(not {_smt_bool(expr.operand, types, divisor_guards)})"
-    if isinstance(expr, Binary) and expr.op in _CMP_OPS:
+    if isinstance(expr, Binary) and expr.op in _COMPARE:
         lterm, rterm, t = _smt_operands(expr, types, divisor_guards)
         if expr.op == "==":
             return f"(= {lterm} {rterm})"

@@ -5,8 +5,10 @@ direct statement of a rule whose production form is optimised or folded
 into another function (consensus and F1 inside ``evalcore.bootstrap_eval``,
 the backtracking lasso path search behind ``lasso.extract_lasso``, C
 expressions compiled into closures instead of generated code, the
-brute-force loop over them, and the feasibility checker's pending-edge
-tracker), or a tool that only tests need (a C
+brute-force loop over them, the feasibility checker's pending-edge
+tracker, the C tokenizer and expression parser before one regex and
+precedence climbing, and precond's own formula parser before it moved onto
+cparse), or a tool that only tests need (a C
 pretty-printer for round trips, a GraphML reader for the emitter's round
 trip, the prompt templates' hashes).
 """
@@ -18,16 +20,19 @@ import itertools
 import math
 import operator
 import random
+import re
 import xml.etree.ElementTree as ET
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from termeval.cparse import (
-    INT, NONDET_TYPES, Assign, Binary, Block, CType, Decl, EvalUndefined, Expr,
-    For, If, IntLit, NondetAssign, Program, Return, Stmt, Unary,
-    UnsupportedConstruct, Var, While, compile_expr, iter_statements, promote,
-    usual_arithmetic_type, wrap,
+    _BINARY_PRECEDENCE, _KEYWORDS, _PUNCT, INT,
+    MAX_EXPR_DEPTH, MAX_EXPR_NESTING, NONDET_TYPES, Assign, Binary, Block,
+    CParseError, CType, Decl, EvalUndefined, Expr, For, If, IntLit,
+    NondetAssign, Program, Return, Stmt, Unary, UnsupportedConstruct, Var,
+    While, _Parser, _Unsupported, compile_expr, expr_depth, int_constant,
+    iter_statements, promote, usual_arithmetic_type, wrap,
 )
 from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sample
 from termeval.lasso import (
@@ -38,7 +43,7 @@ from termeval.lasso import (
 )
 from termeval.oracle import _read_template
 from termeval.precond import (
-    EquivUnknown, Equivalent, Inequivalent, _domain_values,
+    EquivUnknown, Equivalent, Inequivalent, PrecondParseError, _domain_values,
 )
 from termeval.witness import Verdict, WitnessAutomaton, WitnessEdge, WitnessNode
 
@@ -856,6 +861,389 @@ def tracker_check_feasibility(p: Program | UnsupportedConstruct,
     if first_failed_edge is not None:
         return Infeasible(first_failed_edge)
     return Unknown("no nondet assignments produced evidence")
+
+
+# ---------------------------------------------------------------------------
+# The C front end before punctuators matched one regex and binary operators
+# parsed by precedence climbing: the tokenizer, the expression methods, and
+# the entry points that use them.  The statement methods are the program's.
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # 'ident', 'num', 'punct', 'keyword', 'eof'
+    text: str
+    line: int
+    value: int | None = None
+    ctype: CType | None = None
+
+
+_NUMBER_RE = re.compile(r"0[xX][0-9a-fA-F]+|[0-9]+")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def old_tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, n, line = 0, len(source), 1
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            continue
+        if ch in " \t\r\f\v":
+            i += 1
+            continue
+        if source.startswith("//", i):
+            j = source.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if source.startswith("/*", i):
+            j = source.find("*/", i + 2)
+            if j < 0:
+                raise CParseError("unterminated comment", line)
+            line += source.count("\n", i, j)
+            i = j + 2
+            continue
+        if ch == "#":  # preprocessor line (e.g. #include): skip the line
+            j = source.find("\n", i)
+            i = n if j < 0 else j
+            continue
+        if ch in "\"'":
+            j = i + 1
+            while j < n and source[j] != ch:
+                j += 2 if source[j] == "\\" else 1
+            if j >= n:
+                raise CParseError("unterminated string", line)
+            tokens.append(Token("string", source[i:j + 1], line))
+            i = j + 1
+            continue
+        if ch.isascii() and ch.isdigit():
+            text = _NUMBER_RE.match(source, i).group(0)
+            j = i + len(text)
+            suffix = ""
+            while j < n and source[j] in "uUlL":
+                suffix += source[j]
+                j += 1
+            try:
+                value, ctype = int_constant(text, suffix)
+            except ValueError:
+                raise CParseError(f"unsupported integer literal {text[:24]!r}",
+                                  line)
+            tokens.append(Token("num", text + suffix, line, value=value,
+                                ctype=ctype))
+            i = j
+            continue
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
+            text = _IDENT_RE.match(source, i).group(0)
+            kind = "keyword" if text in _KEYWORDS else "ident"
+            tokens.append(Token(kind, text, line))
+            i += len(text)
+            continue
+        for p in _PUNCT:
+            if source.startswith(p, i):
+                tokens.append(Token("punct", p, line))
+                i += len(p)
+                break
+        else:
+            raise CParseError(f"unexpected character {ch!r}", line)
+    tokens.append(Token("eof", "", line))
+    return tokens
+
+
+class _ExprParser(_Parser):
+    def expect(self, text: str) -> Token:
+        tok = self.next()
+        if tok.text != text:
+            raise CParseError(f"expected {text!r}, found {tok.text!r}", tok.line)
+        return tok
+
+    def _nest(self, tok: Token) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_NESTING:
+            raise CParseError(f"expression nested deeper than "
+                              f"{MAX_EXPR_NESTING} levels", tok.line)
+
+    def parse_expression(self) -> Expr:
+        line = self.peek().line
+        expr = self._parse_binary(0)
+        if expr_depth(expr) > MAX_EXPR_DEPTH:
+            raise CParseError(f"expression deeper than {MAX_EXPR_DEPTH} levels",
+                              line)
+        return expr
+
+    def _parse_binary(self, level: int) -> Expr:
+        if level >= len(_BINARY_PRECEDENCE):
+            return self._parse_unary()
+        expr = self._parse_binary(level + 1)
+        ops = _BINARY_PRECEDENCE[level]
+        while self.peek().kind == "punct" and self.peek().text in ops:
+            op = self.next().text
+            right = self._parse_binary(level + 1)
+            expr = Binary(op, expr, right)
+        return expr
+
+    def _parse_unary(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "punct" and tok.text in ("-", "~", "!", "+"):
+            self.next()
+            self._nest(tok)
+            operand = self._parse_unary()
+            self.nesting -= 1
+            return operand if tok.text == "+" else Unary(tok.text, operand)
+        if tok.kind == "punct" and tok.text in ("++", "--", "*", "&"):
+            raise _Unsupported(tok.line, f"unary {tok.text} in expression")
+        return self._parse_postfix()
+
+    def _parse_postfix(self) -> Expr:
+        expr = self._parse_primary()
+        tok = self.peek()
+        if tok.kind == "punct" and tok.text in ("[", ".", "->", "++", "--"):
+            raise _Unsupported(tok.line, f"postfix {tok.text}")
+        return expr
+
+    def _parse_primary(self) -> Expr:
+        tok = self.next()
+        if tok.kind == "num":
+            return IntLit(tok.value, tok.ctype)
+        if tok.kind == "keyword" and tok.text in ("true", "false"):
+            return IntLit(1 if tok.text == "true" else 0, INT)
+        if tok.kind == "ident":
+            if self.peek().text == "(":
+                raise _Unsupported(tok.line, f"call to {tok.text} in expression")
+            return Var(tok.text)
+        if tok.text == "(":
+            if self._at_type():
+                raise _Unsupported(tok.line, "cast expression")
+            self._nest(tok)
+            expr = self.parse_expression()
+            self.nesting -= 1
+            self.expect(")")
+            if self.peek().text == "?":
+                raise _Unsupported(tok.line, "conditional operator")
+            return expr
+        if tok.kind == "string":
+            raise _Unsupported(tok.line, "string literal")
+        raise CParseError(f"unexpected token {tok.text!r}", tok.line)
+
+
+def old_parse_program(source: str) -> Program | UnsupportedConstruct:
+    """Parse C source into a :class:`Program`.
+
+    Constructs outside the subset yield :class:`UnsupportedConstruct` — a
+    classification, not an error.  Lexical problems raise
+    :class:`CParseError`.
+    """
+    tokens = old_tokenize(source)
+    try:
+        return _ExprParser(tokens).parse_program()
+    except _Unsupported as u:
+        return UnsupportedConstruct(u.line, u.construct)
+
+
+def old_parse_expression(text: str) -> Expr:
+    """Parse a standalone C expression (used for witness assumptions)."""
+    tokens = old_tokenize(text)
+    parser = _ExprParser(tokens)
+    try:
+        expr = parser.parse_expression()
+    except _Unsupported as u:
+        raise CParseError(f"unsupported in expression: {u.construct}", u.line)
+    if parser.peek().kind != "eof":
+        raise CParseError(f"trailing input {parser.peek().text!r}",
+                          parser.peek().line)
+    return expr
+
+
+# ---------------------------------------------------------------------------
+# The precondition front end before it parsed through cparse: its own lexer
+# and a recursive-descent parser building the same cparse trees.
+
+
+_TOKEN_RE = re.compile(r"""
+    (?P<num>\d+)
+  | (?P<name>[A-Za-z_]\w*)
+  | (?P<op><=|>=|==|!=|&&|\|\||[-+*/%<>=!()])
+  | (?P<ws>\s+)
+""", re.VERBOSE)
+
+_CMP_OPS = {"<", "<=", ">", ">=", "==", "!="}
+
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str  # 'num' | 'name' | 'op' | 'end'
+    text: str
+    pos: int
+
+
+def _lex(text: str) -> list[_Tok]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise PrecondParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            kind = m.lastgroup
+            value = m.group(0)
+            if kind == "name" and value.lower() in ("and", "or", "not"):
+                tokens.append(_Tok("op", value.lower(), pos))
+            else:
+                tokens.append(_Tok(kind, value, pos))
+        pos = m.end()
+    tokens.append(_Tok("end", "", len(text)))
+    return tokens
+
+
+class _PrecondParser:
+    """Recursive descent: or < and < not < comparison < additive < term.
+
+    Parentheses and prefix operators count toward cparse's
+    ``MAX_EXPR_NESTING``, and the finished tree may be no deeper than
+    ``MAX_EXPR_DEPTH``, so a hostile formula is a parse error, not a
+    ``RecursionError``.
+    """
+
+    def __init__(self, tokens: list[_Tok], known_vars: set[str] | None):
+        self.tokens = tokens
+        self.pos = 0
+        self.nesting = 0
+        self.known_vars = known_vars
+
+    def peek(self) -> _Tok:
+        return self.tokens[self.pos]
+
+    def next(self) -> _Tok:
+        tok = self.tokens[self.pos]
+        if tok.kind != "end":
+            self.pos += 1
+        return tok
+
+    def nest(self, tok: _Tok) -> None:
+        self.nesting += 1
+        if self.nesting > MAX_EXPR_NESTING:
+            raise PrecondParseError(
+                f"formula nested deeper than {MAX_EXPR_NESTING} levels", tok.pos)
+
+    def parse(self) -> Expr:
+        expr = self.parse_or()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise PrecondParseError(f"trailing input {tok.text!r}", tok.pos)
+        if expr_depth(expr) > MAX_EXPR_DEPTH:
+            raise PrecondParseError(
+                f"formula deeper than {MAX_EXPR_DEPTH} levels", 0)
+        return expr
+
+    def parse_or(self) -> Expr:
+        expr = self.parse_and()
+        while self.peek().text in ("or", "||"):
+            self.next()
+            expr = Binary("||", expr, self.parse_and())
+        return expr
+
+    def parse_and(self) -> Expr:
+        expr = self.parse_not()
+        while self.peek().text in ("and", "&&"):
+            self.next()
+            expr = Binary("&&", expr, self.parse_not())
+        return expr
+
+    def parse_not(self) -> Expr:
+        tok = self.peek()
+        if tok.text in ("not", "!"):
+            self.next()
+            self.nest(tok)
+            operand = self.parse_not()
+            self.nesting -= 1
+            return Unary("!", operand)
+        return self.parse_comparison()
+
+    def parse_comparison(self) -> Expr:
+        if self.peek().text == "(":
+            # parenthesized boolean vs. parenthesized arithmetic: try the
+            # boolean reading, fall back on the arithmetic one
+            saved = self.pos, self.nesting
+            try:
+                self.nest(self.next())
+                inner = self.parse_or()
+                close = self.next()
+                if close.text != ")":
+                    raise PrecondParseError(f"expected ')', found {close.text!r}",
+                                            close.pos)
+                if self.peek().text in _CMP_OPS or self.peek().text in ("=",):
+                    raise PrecondParseError("comparison of boolean", close.pos)
+                self.nesting -= 1
+                return inner
+            except PrecondParseError:
+                self.pos, self.nesting = saved
+        left = self.parse_additive()
+        tok = self.peek()
+        op = tok.text
+        if op == "=":
+            op = "=="
+        if op not in _CMP_OPS:
+            raise PrecondParseError(
+                f"expected comparison operator, found {tok.text!r}", tok.pos)
+        self.next()
+        right = self.parse_additive()
+        return Binary(op, left, right)
+
+    def parse_additive(self) -> Expr:
+        expr = self.parse_term()
+        while self.peek().text in ("+", "-"):
+            op = self.next().text
+            expr = Binary(op, expr, self.parse_term())
+        return expr
+
+    def parse_term(self) -> Expr:
+        expr = self.parse_unary()
+        while self.peek().text in ("*", "/", "%"):
+            op = self.next().text
+            expr = Binary(op, expr, self.parse_unary())
+        return expr
+
+    def parse_unary(self) -> Expr:
+        tok = self.peek()
+        if tok.text in ("-", "+"):
+            self.next()
+            self.nest(tok)
+            operand = self.parse_unary()
+            self.nesting -= 1
+            return Unary("-", operand) if tok.text == "-" else operand
+        return self.parse_atom()
+
+    def parse_atom(self) -> Expr:
+        tok = self.next()
+        if tok.kind == "num":
+            try:
+                value, ctype = int_constant(tok.text)
+            except ValueError:  # 08, too many digits, or too large for C
+                raise PrecondParseError(f"bad integer literal {tok.text[:24]!r}",
+                                        tok.pos)
+            return IntLit(value, ctype)
+        if tok.kind == "name":
+            if self.known_vars is not None and tok.text not in self.known_vars:
+                raise PrecondParseError(f"unknown identifier {tok.text!r}", tok.pos)
+            return Var(tok.text)
+        if tok.text == "(":
+            self.nest(tok)
+            expr = self.parse_additive()
+            self.nesting -= 1
+            close = self.next()
+            if close.text != ")":
+                raise PrecondParseError(f"expected ')', found {close.text!r}",
+                                        close.pos)
+            return expr
+        raise PrecondParseError(f"expected value, found {tok.text or 'end'!r}",
+                                tok.pos)
+
+
+def old_parse_precondition(text: str, known_vars: set[str] | None = None) -> Expr:
+    """Parse a precondition formula into a :mod:`cparse` expression whose
+    value is 1 or 0; raises :class:`PrecondParseError`."""
+    return _PrecondParser(_lex(text), known_vars).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -562,7 +562,7 @@ def test_criterion_11_external_validator(tmp_path):
             load_witness_json("absorb_to_zero.json")["witness"])
         property_path = tmp_path / "termination.prp"
         property_path.write_text("CHECK( init(main()), LTL(F end) )\n")
-        cfg = ValidatorConfig(validator_root=Path(root),
-                              property_path=property_path, timeout=280.0)
-        result = run_external_validator(automaton, program_path, "32bit", cfg)
+        cfg = ValidatorConfig(validator_root=Path(root), timeout=280.0)
+        result = run_external_validator(automaton, program_path, "32bit",
+                                        property_path, cfg)
         assert result.status is ValidationStatus.VALIDATED, result.output

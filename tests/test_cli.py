@@ -299,17 +299,15 @@ class TestCheckWitnessCommand:
         assert (told, stated) == ("64bit", "64bit")
 
     @pytest.mark.parametrize("cwd", ["conf", "."])
-    def test_validator_paths_resolve_from_the_config(self, runner, tmp_path,
+    def test_validator_root_resolves_from_the_config(self, runner, tmp_path,
                                                      monkeypatch, cwd):
         # root "." next to a config named by a relative path is the config's
-        # directory, not a name to look up on PATH; the property file is
-        # found from the config too, wherever the command runs
+        # directory, not a name to look up on PATH; the property file is the
+        # one the task YAML beside the program names, wherever the command
+        # runs
         log = fake_validator(tmp_path / "conf")
-        prop = tmp_path / "conf" / "props" / "termination.prp"
-        prop.parent.mkdir()
-        prop.write_text("CHECK( init(main()), LTL(F end) )\n")
-        (tmp_path / "conf" / "c.toml").write_text(
-            '[validator]\nroot = "."\nproperty = "props/termination.prp"\n')
+        prop = FIXTURES / "corpus" / "properties" / "termination.prp"
+        (tmp_path / "conf" / "c.toml").write_text('[validator]\nroot = "."\n')
         monkeypatch.chdir(tmp_path / cwd)
         config = Path("c.toml") if cwd == "conf" else Path("conf") / "c.toml"
         result = runner.invoke(main, [
@@ -321,6 +319,20 @@ class TestCheckWitnessCommand:
         assert result.exit_code == 0, result.output
         assert "external validator: validated" in result.output
         assert Path(log.read_text().split()[2]).resolve() == prop.resolve()
+
+    def test_validate_without_a_task_yaml_fails_before_any_work(
+            self, runner, tmp_path):
+        fake_validator(tmp_path / "validator")
+        (tmp_path / "c.toml").write_text('[validator]\nroot = "validator"\n')
+        (tmp_path / "missing.json").write_text("not even json")
+        program = FIXTURES / "programs" / "even_spin.c"
+        result = runner.invoke(main, [
+            "check-witness", str(program), str(tmp_path / "missing.json"),
+            "--validate", "-c", str(tmp_path / "c.toml")])
+        assert result.exit_code == 2, result.output
+        assert result.output == (
+            f"error: --validate needs {program.with_suffix('.yml')} to name "
+            "the task's termination property file\n")
 
     @pytest.mark.parametrize("config_text", [None, '[checker]\nmax_steps = 10\n'],
                              ids=["no-config", "no-validator-table"])
@@ -801,6 +813,32 @@ class TestScoreCommand:
         calls = [line.split()[:2] for line in log.read_text().splitlines()]
         assert {tuple(call) for call in calls} == \
             {("32bit", "32bit"), ("64bit", "64bit")}
+
+    def test_validator_is_given_each_task_property_file(self, runner, tmp_path):
+        # even_spin, made LP64 so its calls stand out in the log, names a
+        # property file of its own; the others name the corpus's
+        workspace = copy_fixture_workspace(tmp_path)
+        props = workspace / "corpus" / "properties"
+        own = props / "even_spin" / "termination.prp"
+        own.parent.mkdir()
+        own.write_text((props / "termination.prp").read_text())
+        spec = workspace / "corpus" / "bitvector-spin" / "even_spin.yml"
+        spec.write_text(spec.read_text().replace("ILP32", "LP64").replace(
+            "../properties/termination.prp",
+            "../properties/even_spin/termination.prp"))
+        log = fake_validator(workspace / "validator")
+        config = workspace / "score_config.toml"
+        config.write_text(config.read_text()
+                          + '\n[validator]\nroot = "validator"\n')
+        result = runner.invoke(main, [
+            "score", str(workspace / "runs" / "demo"),
+            "-c", str(config), "-o", str(workspace / "report"),
+        ])
+        assert result.exit_code == 0, result.output
+        given = {(told, Path(prp).resolve()) for told, _, prp in
+                 map(str.split, log.read_text().splitlines())}
+        assert given == {("64bit", own.resolve()),
+                         ("32bit", (props / "termination.prp").resolve())}
 
     @pytest.mark.parametrize("form", ["block", "if"])
     def test_deeply_nested_program_is_unsupported(self, runner, tmp_path, form):

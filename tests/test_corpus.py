@@ -245,6 +245,35 @@ class TestLoadManifest:
         assert reloaded.label_counts == manifest.label_counts
         assert manifest_to_json(reloaded) == manifest_to_json(manifest)
 
+    def test_each_task_keeps_its_property_file(self, corpus_root, tmp_path):
+        manifest = load_manifest(corpus_root).manifest
+        prp = (corpus_root / "properties" / "termination.prp").resolve()
+        assert {t.property_path.resolve() for t in manifest.tasks} == {prp}
+        payload = json.loads(manifest_to_json(manifest))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(payload))
+        assert {t.property_path.resolve()
+                for t in manifest_from_json(path).tasks} == {prp}
+        # a manifest written before the paths were kept reads SV-COMP's
+        # layout: properties/ beside each task's directory
+        for entry in payload["tasks"]:
+            del entry["property_path"]
+        path.write_text(json.dumps(payload))
+        assert {t.property_path.resolve()
+                for t in manifest_from_json(path).tasks} == {prp}
+
+    def test_task_property_path_reads_the_yaml_beside_the_program(
+            self, corpus_root, tmp_path):
+        program = corpus_root / "control-loops" / "count_to_ten.c"
+        assert corpus.task_property_path(program).resolve() == \
+            (corpus_root / "properties" / "termination.prp").resolve()
+        assert corpus.task_property_path(tmp_path / "none.c") is None
+        (tmp_path / "other.yml").write_text(
+            (corpus_root / "misc" / "other_property.yml").read_text())
+        assert corpus.task_property_path(tmp_path / "other.c") is None
+        (tmp_path / "bad.yml").write_text("[unclosed")
+        assert corpus.task_property_path(tmp_path / "bad.c") is None
+
     def test_reload_counts_the_tasks(self, corpus_root, tmp_path):
         # the stored counts are a summary: the tasks are the truth
         payload = json.loads(manifest_to_json(load_manifest(corpus_root).manifest))

@@ -756,10 +756,11 @@ class TestExternalValidator:
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         return root
 
-    def validate(self, root, architecture="32bit", **cfg):
+    def validate(self, root, architecture="32bit",
+                 property_path="../properties/termination.prp"):
         return run_external_validator(
             automaton("even_spin.json"), self.EVEN_SPIN, architecture,
-            ValidatorConfig(validator_root=root, **cfg))
+            property_path, ValidatorConfig(validator_root=root))
 
     def test_false_means_validated(self, tmp_path):
         root = self._fake_validator(tmp_path, "RESULT: FALSE(TERM)")
@@ -772,6 +773,12 @@ class TestExternalValidator:
     def test_no_verdict_is_tool_error(self, tmp_path):
         root = self._fake_validator(tmp_path, "something went wrong", 3)
         assert self.validate(root).status is ValidationStatus.TOOL_ERROR
+
+    def test_no_property_file_is_tool_error(self, tmp_path):
+        root = self._fake_validator(tmp_path, "RESULT: FALSE(TERM)")
+        result = self.validate(root, property_path=None)
+        assert result.status is ValidationStatus.TOOL_ERROR
+        assert "names no termination property file" in result.output
 
     def test_missing_executable(self, tmp_path):
         result = self.validate(tmp_path / "nowhere")

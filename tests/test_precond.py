@@ -96,6 +96,16 @@ class TestParse:
         with pytest.raises(PrecondParseError):
             parse_precondition("i == 0 i")
 
+    @pytest.mark.parametrize("text", [
+        "i < \u0663", "i\u00a0<\u00a01", "x\u00e9 < 1", "i <\x1c1",
+    ], ids=["arabic-indic-digit", "no-break-spaces", "non-ascii-name",
+            "file-separator"])
+    def test_text_outside_c_is_rejected(self, text):
+        # Python's Unicode \d, \s and \w once read these as i < 3, i < 1,
+        # a variable named xé and i < 1
+        with pytest.raises(PrecondParseError):
+            parse_precondition(text)
+
     def test_position_reported(self):
         try:
             parse_precondition("i == 0 and q > 1", known_vars={"i"})
