@@ -51,8 +51,8 @@ class TaskSpec:
     architecture: Architecture
     token_count: int
     # the termination property file that the task's YAML names, which the
-    # external validator is given; None for a task not read from a YAML
-    property_path: Path | None = None
+    # external validator is given
+    property_path: Path
 
 
 @dataclass
@@ -354,9 +354,8 @@ def manifest_to_json(manifest: CorpusManifest) -> str:
                 "expected_verdict": t.expected_verdict,
                 "architecture": t.architecture.value,
                 "token_count": t.token_count,
-                "property_path": (None if t.property_path is None else
-                                  os.path.relpath(t.property_path,
-                                                  manifest.root)),
+                "property_path": os.path.relpath(t.property_path,
+                                                 manifest.root),
             }
             for t in sorted(manifest.tasks, key=lambda t: t.task_id)
         ],
@@ -391,6 +390,6 @@ def manifest_from_json(path: Path | str) -> CorpusManifest:
             expected_verdict=entry["expected_verdict"],
             architecture=Architecture(entry["architecture"]),
             token_count=entry["token_count"],
-            property_path=None if prop is None else root / prop,
+            property_path=root / prop,
         ))
     return CorpusManifest(tasks, root)

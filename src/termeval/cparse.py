@@ -301,11 +301,6 @@ def int_constant(text: str, suffix: str = "") -> tuple[int, CType]:
     return value, _literal_type(value, True, suffix)
 
 
-# literals repeat across programs and formulas; a long one is not kept, since
-# leading zeros let a valid literal be as long as its text
-_cached_constant = functools.lru_cache(maxsize=4096)(int_constant)
-
-
 # One alternation for every token and every run of skipped text, after any
 # blanks, tried in order: comments before the punctuator '/', punctuators
 # longest first as _PUNCT is ordered.  It is matched in place with
@@ -346,8 +341,7 @@ def tokenize(source: str) -> list[Token]:
             text = m.group(kind)
             digits = text.rstrip("uUlL")
             try:
-                value, ctype = (_cached_constant if len(text) <= 32
-                                else int_constant)(digits, text[len(digits):])
+                value, ctype = int_constant(digits, text[len(digits):])
             except ValueError:
                 raise CParseError(
                     f"unsupported integer literal {digits[:24]!r}", line, i)

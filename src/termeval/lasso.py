@@ -576,7 +576,7 @@ _TRUE_RE = re.compile(r"\bTRUE\b")
 
 
 def run_external_validator(witness: WitnessAutomaton, program_path: Path | str,
-                           architecture: str, property_path: Path | str | None,
+                           architecture: str, property_path: Path | str,
                            cfg: ValidatorConfig) -> ValidationResult:
     """Drive the external witness validator on ``witness`` for the program
     at ``program_path``, emitted as GraphML into a temporary directory.
@@ -585,12 +585,8 @@ def run_external_validator(witness: WitnessAutomaton, program_path: Path | str,
     GraphML states, and the task's termination ``property_path``.  Its
     printing FALSE means a matching infinite path exists (witness
     validated); TRUE means the witness was rejected.  Everything else,
-    including timeouts, missing executables and a task without a property
-    file, is a tool error.
+    including timeouts and missing executables, is a tool error.
     """
-    if property_path is None:
-        return ValidationResult(ValidationStatus.TOOL_ERROR,
-                                "the task names no termination property file")
     executable = Path(cfg.validator_root).absolute() / "Ultimate.py"
     with tempfile.TemporaryDirectory(prefix="termeval-validate-") as tmp:
         graphml = Path(tmp) / "witness.graphml"

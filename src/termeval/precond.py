@@ -48,29 +48,46 @@ _ARITH_OPS = {"+", "-", "*", "/", "%"}
 _KEYWORD_OPS = {"and": "&&", "or": "||", "not": "!"}
 
 
-def _is_formula(expr: Expr) -> bool:
-    """``&&``, ``||`` and ``!`` over comparisons of terms."""
+def _misshapen(expr: Expr, starts: dict[int, int], at: int = 0,
+               term: bool = False) -> int | None:
+    """None if ``expr`` is ``&&``, ``||`` and ``!`` over comparisons of
+    terms, or with ``term`` a term: ``+ - * / %`` and unary minus over
+    literals and names.  Otherwise the offset where the first subtree out of
+    shape starts, from ``starts`` (keyed by node ``id``) or, for a node not
+    in it, from its nearest ancestor that is, ``at``."""
+    at = starts.get(id(expr), at)
     if isinstance(expr, Binary):
-        if expr.op in ("&&", "||"):
-            return _is_formula(expr.left) and _is_formula(expr.right)
-        return expr.op in _COMPARE and _is_term(expr.left) and _is_term(expr.right)
-    return isinstance(expr, Unary) and expr.op == "!" and _is_formula(expr.operand)
-
-
-def _is_term(expr: Expr) -> bool:
-    """``+ - * / %`` and unary minus over literals and names."""
-    if isinstance(expr, Binary):
-        return expr.op in _ARITH_OPS and _is_term(expr.left) and _is_term(expr.right)
+        if expr.op in (_ARITH_OPS if term else ("&&", "||")):
+            inner = term
+        elif not term and expr.op in _COMPARE:
+            inner = True
+        else:
+            return at
+        bad = _misshapen(expr.left, starts, at, inner)
+        return bad if bad is not None else _misshapen(expr.right, starts, at, inner)
     if isinstance(expr, Unary):
-        return expr.op == "-" and _is_term(expr.operand)
-    return True
+        if expr.op == ("-" if term else "!"):
+            return _misshapen(expr.operand, starts, at, term)
+        return at
+    return None if term else at
 
 
 class _FormulaParser(_Parser):
     """cparse's expression parser, except that ``!`` negates everything up
     to the next ``&&`` or ``||``, as ``not`` does in prose: ``not i < 0`` is
     ``!(i < 0)``, where C would read ``(!i) < 0``.  A unary ``+`` leaves no
-    node in the tree, so its operand is checked here."""
+    node in the tree, so its operand is checked here.  ``starts`` maps each
+    operand's node ``id`` to the offset of its first token."""
+
+    def __init__(self, tokens: list[Token]):
+        super().__init__(tokens)
+        self.starts: dict[int, int] = {}
+
+    def _parse_binary(self, min_level: int) -> Expr:
+        start = self.tokens[self.pos].offset
+        expr = _Parser._parse_binary(self, min_level)
+        self.starts.setdefault(id(expr), start)
+        return expr
 
     def _parse_unary(self) -> Expr:
         tok = self.tokens[self.pos]
@@ -82,7 +99,7 @@ class _FormulaParser(_Parser):
             expr = Unary("!", self._parse_binary(_BINARY_LEVEL["=="]))
         else:
             expr = self._parse_unary()
-            if not _is_term(expr):
+            if _misshapen(expr, {}, term=True) is not None:
                 raise CParseError("'+' before a formula", tok.line, tok.offset)
         self.nesting -= 1
         return expr
@@ -93,7 +110,7 @@ def _formula_tokens(text: str, known_vars: set[str] | None) -> list[Token]:
     as ``&&``/``||``/``!``, a lone ``=`` as ``==``, ``++`` and ``--`` as two
     signs, and C keywords as names.  Comments, hex or suffixed literals and
     names outside ``known_vars`` are errors; the parser and
-    :func:`_is_formula` refuse the rest."""
+    :func:`_misshapen` refuse the rest."""
     # cparse skips comments and preprocessor lines; a formula has none
     marks = [at for at in map(text.find, ("//", "/*", "#")) if at >= 0]
     if marks:
@@ -101,10 +118,10 @@ def _formula_tokens(text: str, known_vars: set[str] | None) -> list[Token]:
     try:
         tokens = tokenize(text)
     except CParseError as exc:
-        # a literal is the only token that fails at a digit
-        raise PrecondParseError("bad integer literal"
-                                if text[exc.offset].isdigit() else exc.message,
-                                exc.offset)
+        raise PrecondParseError(
+            "bad integer literal"
+            if exc.message.startswith("unsupported integer literal")
+            else exc.message, exc.offset)
     out = []
     for tok in tokens:
         kind, word = tok.kind, tok.text
@@ -134,13 +151,14 @@ def parse_precondition(text: str, known_vars: set[str] | None = None) -> Expr:
     value is 1 or 0; raises :class:`PrecondParseError`.  README.md states
     the grammar: connectives over comparisons of arithmetic terms over
     unsuffixed decimal or octal literals and names, in ASCII."""
-    tokens = _formula_tokens(text, known_vars)
+    parser = _FormulaParser(_formula_tokens(text, known_vars))
     try:
-        expr = _FormulaParser(tokens).parse_whole_expression()
+        expr = parser.parse_whole_expression()
     except CParseError as exc:
         raise PrecondParseError(exc.message, exc.offset)
-    if not _is_formula(expr):
-        raise PrecondParseError("not connectives over comparisons of terms", 0)
+    bad = _misshapen(expr, parser.starts)
+    if bad is not None:
+        raise PrecondParseError("not connectives over comparisons of terms", bad)
     return expr
 
 

@@ -292,7 +292,7 @@ def _mini_manifest(counts):
             task_id=f"t{str(i).zfill(2)}", source_path=corpus.Path("x.c"),
             source="x\n", category=Category.OTHER,
             expected_verdict="T", architecture=Architecture.BITS32,
-            token_count=count)
+            token_count=count, property_path=corpus.Path("termination.prp"))
         for i, count in enumerate(counts)
     ]
     return corpus.CorpusManifest(tasks, corpus.Path("."))

@@ -55,7 +55,8 @@ def chain_witness(n: int) -> WitnessAutomaton:
 def task(name: str) -> TaskSpec:
     source = load_program(name)
     return TaskSpec(name[:-2], FIXTURES / "programs" / name, source,
-                    Category.OTHER, "NT", Architecture.BITS32, 1)
+                    Category.OTHER, "NT", Architecture.BITS32, 1,
+                    FIXTURES / "termination.prp")
 
 
 def status_for(prediction, program_name: str) -> WitnessStatus:
@@ -773,12 +774,6 @@ class TestExternalValidator:
     def test_no_verdict_is_tool_error(self, tmp_path):
         root = self._fake_validator(tmp_path, "something went wrong", 3)
         assert self.validate(root).status is ValidationStatus.TOOL_ERROR
-
-    def test_no_property_file_is_tool_error(self, tmp_path):
-        root = self._fake_validator(tmp_path, "RESULT: FALSE(TERM)")
-        result = self.validate(root, property_path=None)
-        assert result.status is ValidationStatus.TOOL_ERROR
-        assert "names no termination property file" in result.output
 
     def test_missing_executable(self, tmp_path):
         result = self.validate(tmp_path / "nowhere")

@@ -33,7 +33,8 @@ def make_task(source: str = "int main() { return 0; }\n",
     return TaskSpec(
         task_id=task_id, source_path=Path("demo.c"),
         source=source, category=Category.OTHER,
-        expected_verdict="T", architecture=Architecture.BITS32, token_count=5)
+        expected_verdict="T", architecture=Architecture.BITS32, token_count=5,
+        property_path=Path("termination.prp"))
 
 
 class TestPrompts:

@@ -97,13 +97,14 @@ class TestParse:
             parse_precondition("i == 0 i")
 
     @pytest.mark.parametrize("text", [
-        "i < \u0663", "i\u00a0<\u00a01", "x\u00e9 < 1", "i <\x1c1",
-    ], ids=["arabic-indic-digit", "no-break-spaces", "non-ascii-name",
-            "file-separator"])
+        "i < \u0663", "i < \u00b2", "i\u00a0<\u00a01", "x\u00e9 < 1",
+        "i <\x1c1",
+    ], ids=["arabic-indic-digit", "superscript-digit", "no-break-spaces",
+            "non-ascii-name", "file-separator"])
     def test_text_outside_c_is_rejected(self, text):
         # Python's Unicode \d, \s and \w once read these as i < 3, i < 1,
         # a variable named xé and i < 1
-        with pytest.raises(PrecondParseError):
+        with pytest.raises(PrecondParseError, match="unexpected character"):
             parse_precondition(text)
 
     def test_position_reported(self):
@@ -113,6 +114,16 @@ class TestParse:
             assert exc.position == 11  # 0-based offset of 'q'
         else:
             pytest.fail("expected PrecondParseError")
+
+    @pytest.mark.parametrize("text, position", [
+        ("i == 0 and q", 11), ("i < 1 < 2", 0), ("(i < 1) + 2 < 3", 1),
+        ("i < 1 or -(q < 2) > 0", 11), ("not i", 4), ("i & q < 1", 0),
+    ])
+    def test_shape_error_position(self, text, position):
+        # the first subtree out of shape, by the offset of its first token
+        with pytest.raises(PrecondParseError, match="not connectives") as exc:
+            parse_precondition(text)
+        assert exc.value.position == position
 
     def test_format_round_trip(self):
         text = "(i % 2 != 0) and (i >= -2147483649)"
