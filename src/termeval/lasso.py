@@ -42,7 +42,7 @@ from .cparse import (
     Assign, Block, CType, Decl, EvalUndefined, For, If, NondetAssign, Program,
     Return, UnsupportedConstruct, While, wrap,
 )
-from .witness import WitnessAutomaton, WitnessEdge, _reachable, emit_graphml
+from .witness import WitnessAutomaton, WitnessEdge, emit_graphml, reach_and_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -138,34 +138,26 @@ def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
 
     The first cyclehead (in node input order) with a stem and a cycle is
     used; among multiple simple cycles through it the lexicographically
-    smallest edge-id sequence wins, and likewise among stems.  The time is
-    at most quadratic in the size of the witness.
+    smallest edge-id sequence wins, and likewise among stems.  One linear
+    pass (:func:`witness.reach_and_cycles`) picks the head; each of the two
+    path searches then takes at most O(V·(V+E)) time, and is linear on chains
+    and combs.
     """
-    cycleheads = w.cycleheads()
-    entries = w.entry_nodes()
-    if not cycleheads or not entries:
-        return NoLasso("missing entry or cyclehead node")
+    entry = next((n.id for n in w.nodes if n.entry), None)
     edges_from: dict[str, list[WitnessEdge]] = {}
     adjacency: dict[str, set[str]] = {}
-    for edge in w.edges:
+    for edge in sorted(w.edges, key=lambda e: e.id):
         edges_from.setdefault(edge.source, []).append(edge)
         adjacency.setdefault(edge.source, set()).add(edge.target)
-    for out in edges_from.values():
-        out.sort(key=lambda e: e.id)
 
-    # a walk that fails costs one pass over the witness, one that succeeds
-    # up to a pass per edge taken, so only a head with a stem is searched
-    from_entry = _reachable({entries[0].id}, adjacency)
-    for head in cycleheads:
-        if head.id not in from_entry:
-            continue
-        cycle = _lex_path(edges_from, adjacency, head.id, head.id,
-                          allow_empty=False)
-        if cycle is not None:
-            stem = _lex_path(edges_from, adjacency, entries[0].id, head.id,
-                             allow_empty=True)
-            return LassoPath(tuple(stem), tuple(cycle), head.id)
-    return NoLasso("no cycle through any cyclehead")
+    reached, on_cycle = reach_and_cycles(entry, adjacency)
+    head = next((n.id for n in w.cycleheads()
+                 if n.id in reached and n.id in on_cycle), None)
+    if head is None:
+        return NoLasso("no cycle through any cyclehead")
+    cycle = _lex_path(edges_from, adjacency, head, head, allow_empty=False)
+    stem = _lex_path(edges_from, adjacency, entry, head, allow_empty=True)
+    return LassoPath(tuple(stem), tuple(cycle), head)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +356,7 @@ _UNDEFINED = "undefined"     # evaluation hit undefined behaviour
 _NO_PROGRESS = "no_progress"  # stem matched, but no cycle edge can match
 
 _NO_ANSWER = "budget exhausted before a conclusive answer"
+_NO_CYCLE_STEP = "no cycle edge is on a line with an executable statement"
 
 
 def _execute(code: list[tuple], assignment: dict[str, int], edges: list[tuple],
@@ -492,7 +485,7 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     stem, cycle = ([e for e in part if e.line in executable_lines]
                    for part in (lasso.stem, lasso.cycle))
     if not stem and not cycle:
-        return Unknown(_NO_ANSWER)
+        return Unknown(_NO_CYCLE_STEP)
     edges = _expectations(stem + cycle, p.types)
     code = _lower(p)
 
@@ -523,10 +516,8 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     if best_bounded is not None:
         return best_bounded
     if saw_budget or truncated:
-        return Unknown(_NO_ANSWER)
-    if first_failed_edge is not None:
-        return Infeasible(first_failed_edge)
-    return Unknown("no nondet assignments produced evidence")
+        return Unknown(_NO_ANSWER if cycle else _NO_CYCLE_STEP)
+    return Infeasible(first_failed_edge)
 
 
 def run_program(program: Program, assignment: dict[str, int],

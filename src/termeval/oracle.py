@@ -275,18 +275,16 @@ def _load_record(path: Path, model_name: str, task_id: str) -> GenerationRecord:
 
 def generate(model: ModelConfig, prompt: str, n: int, *,
              run_dir: Path | str, task_id: str,
-             session: requests.Session | None = None,
-             sleep=time.sleep, clock=time.time) -> list[GenerationRecord]:
+             sleep=time.sleep) -> list[GenerationRecord]:
     """Collect ``n`` sampled completions for one task.
 
     Existing cache files are reused (resumable runs); in replay mode missing
     files are an error instead of a network call.  Raw text always lands on
-    disk before parsing.  Without a ``session`` from the caller, one is
-    opened just before the first request and closed on return, so a fully
-    cached task opens none.
+    disk before parsing.  One HTTP session is opened just before the first
+    request and closed on return, so a fully cached task opens none.
     """
     run_dir = Path(run_dir)
-    own_session = None
+    session = None
     records = []
     try:
         for index in range(n):
@@ -299,8 +297,8 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
                     f"replay mode but cache record missing: {path}")
             if session is None:
                 import requests
-                session = own_session = requests.Session()
-            started = clock()
+                session = requests.Session()
+            started = time.time()
             transport_error = None
             try:
                 raw_text = _request_completion(model, prompt, session=session,
@@ -314,7 +312,7 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
                 "sample_index": index,
                 "prompt_hash": prompt_hash(prompt),
                 "raw_text": raw_text,
-                "latency": clock() - started,
+                "latency": time.time() - started,
                 "timestamp": started,
             }
             if transport_error is not None:
@@ -322,8 +320,8 @@ def generate(model: ModelConfig, prompt: str, n: int, *,
             _persist_raw(path, payload)
             records.append(_record_from_payload(payload))
     finally:
-        if own_session is not None:
-            own_session.close()
+        if session is not None:
+            session.close()
     return records
 
 

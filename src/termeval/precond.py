@@ -346,17 +346,8 @@ _SOLVER_CANDIDATES = (
 )
 
 
-def find_solver(explicit: str | None = None) -> list[str] | None:
+def find_solver() -> list[str] | None:
     """Command line for an SMT-LIB solver reading from stdin, if any."""
-    if explicit:
-        exe = shutil.which(explicit)
-        if exe is None:
-            return None
-        base = explicit.rsplit("/", 1)[-1]
-        for name, args in _SOLVER_CANDIDATES:
-            if base.startswith(name):
-                return [exe, *args]
-        return [exe]
     for name, args in _SOLVER_CANDIDATES:
         exe = shutil.which(name)
         if exe is not None:
@@ -414,9 +405,7 @@ def smt_equivalence(a: Expr, b: Expr,
 
 def check_equivalence(a: Expr, b: Expr,
                       variables: dict[str, CType],
-                      mode: str = "brute",
-                      box: tuple[int, int] = (-128, 127),
-                      solver: list[str] | None = None) -> EquivalenceResult:
+                      mode: str = "brute") -> EquivalenceResult:
     """Decide whether two preconditions agree on every assignment.
 
     ``mode`` is ``brute``, ``smt``, or ``both`` (both backends must return
@@ -428,12 +417,12 @@ def check_equivalence(a: Expr, b: Expr,
             raise ValueError(f"{label} formula references undeclared "
                              f"variables: {sorted(unknown)}")
     if mode == "brute":
-        return brute_equivalence(a, b, variables, box)
+        return brute_equivalence(a, b, variables)
     if mode == "smt":
-        return smt_equivalence(a, b, variables, solver)
+        return smt_equivalence(a, b, variables)
     if mode == "both":
-        rb = brute_equivalence(a, b, variables, box)
-        rs = smt_equivalence(a, b, variables, solver)
+        rb = brute_equivalence(a, b, variables)
+        rs = smt_equivalence(a, b, variables)
         if isinstance(rb, EquivUnknown) or isinstance(rs, EquivUnknown):
             reasons = [r.reason for r in (rb, rs) if isinstance(r, EquivUnknown)]
             return EquivUnknown("; ".join(reasons))

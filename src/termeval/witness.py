@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -220,22 +221,51 @@ class SchemaViolation:
         return f"{self.kind}: {self.detail}"
 
 
-def _reachable(start: set[str], adjacency: dict[str, set[str]]) -> set[str]:
-    seen = set(start)
-    stack = list(start)
-    while stack:
-        node = stack.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+def reach_and_cycles(entry: str | None, adjacency: dict[str, set[str]]
+                     ) -> tuple[set[str], set[str]]:
+    """The nodes that ``entry`` reaches, itself included, and the nodes on a
+    cycle: those with an edge to themselves or in a strongly connected
+    component of two or more nodes.  One depth-first pass with its own stack,
+    from ``entry`` and then from every other node with an edge (Tarjan, SIAM
+    J. Comput. 1972); the time is linear in nodes plus edges."""
+    open_nodes: list[str] = []  # visited nodes whose component is open
+    low: dict[str, int] = {}  # least open position known; maxsize once closed
+    reached, on_cycle = set(), set()
+    for root in (entry, *adjacency):
+        if root is None or root in low:
+            continue
+        low[root] = 0
+        open_nodes.append(root)
+        path = [(root, 0, iter(adjacency.get(root, ())))]
+        while path:
+            node, at, successors = path[-1]
+            for nxt in successors:
+                if nxt not in low:
+                    low[nxt] = len(open_nodes)
+                    path.append((nxt, low[nxt], iter(adjacency.get(nxt, ()))))
+                    open_nodes.append(nxt)
+                    break
+                low[node] = min(low[node], low[nxt])
+            else:
+                path.pop()
+                if low[node] < at:  # the component opened below node
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    continue
+                component = open_nodes[at:]
+                del open_nodes[at:]
+                for member in component:
+                    low[member] = sys.maxsize
+                if len(component) > 1 or node in adjacency.get(node, ()):
+                    on_cycle.update(component)
+        if root == entry:
+            reached = set(low)
+    return reached, on_cycle
 
 
 def validate_schema(w: WitnessAutomaton) -> list[SchemaViolation]:
     """Full list of schema violations; empty means the witness is valid."""
     violations: list[SchemaViolation] = []
-    node_ids = {n.id for n in w.nodes}
     seen_nodes: set[str] = set()
     for node in w.nodes:
         if not node.id:
@@ -245,7 +275,9 @@ def validate_schema(w: WitnessAutomaton) -> list[SchemaViolation]:
         seen_nodes.add(node.id)
 
     seen_edges: set[str] = set()
+    adjacency: dict[str, set[str]] = {}
     for edge in w.edges:
+        adjacency.setdefault(edge.source, set()).add(edge.target)
         if not edge.id:
             violations.append(SchemaViolation("MissingField", "edge without id"))
         elif edge.id in seen_edges:
@@ -254,12 +286,12 @@ def validate_schema(w: WitnessAutomaton) -> list[SchemaViolation]:
         label = edge.id or "<anonymous>"
         if not edge.source:
             violations.append(SchemaViolation("MissingField", f"edge {label}: source"))
-        elif edge.source not in node_ids:
+        elif edge.source not in seen_nodes:
             violations.append(SchemaViolation(
                 "UnknownNode", f"edge {label}: source {edge.source!r}"))
         if not edge.target:
             violations.append(SchemaViolation("MissingField", f"edge {label}: target"))
-        elif edge.target not in node_ids:
+        elif edge.target not in seen_nodes:
             violations.append(SchemaViolation(
                 "UnknownNode", f"edge {label}: target {edge.target!r}"))
         if edge.line is None or edge.line <= 0:
@@ -282,22 +314,12 @@ def validate_schema(w: WitnessAutomaton) -> list[SchemaViolation]:
     if violations:
         return violations
 
-    adjacency: dict[str, set[str]] = {}
-    for edge in w.edges:
-        adjacency.setdefault(edge.source, set()).add(edge.target)
     head_ids = {n.id for n in cycleheads}
-    from_entry = _reachable({entries[0].id}, adjacency)
-    if not head_ids & from_entry:
+    reached, on_cycle = reach_and_cycles(entries[0].id, adjacency)
+    if not head_ids & reached:
         violations.append(SchemaViolation(
             "UnreachableCyclehead", "no cyclehead reachable from the entry node"))
-    # a cycle through some cyclehead: the head must reach itself via >= 1 edge
-    cycle_ok = False
-    for head in head_ids:
-        successors = adjacency.get(head, set())
-        if head in _reachable(set(successors), adjacency) or head in successors:
-            cycle_ok = True
-            break
-    if not cycle_ok:
+    if not head_ids & on_cycle:
         violations.append(SchemaViolation(
             "NoCycle", "no cycle passes through a cyclehead node"))
     return violations

@@ -3,7 +3,8 @@
 None of this is reached from the ``termeval`` CLI: each is the plain,
 direct statement of a rule whose production form is optimised or folded
 into another function (consensus and F1 inside ``evalcore.bootstrap_eval``,
-the backtracking lasso path search behind ``lasso.extract_lasso``, C
+the backtracking lasso path search behind ``lasso.extract_lasso``, the
+schema check and lasso extraction with a graph search per cyclehead, C
 expressions compiled into closures instead of generated code, the
 brute-force loop over them, the feasibility checker's pending-edge
 tracker, the C tokenizer and expression parser before one regex and
@@ -38,14 +39,17 @@ from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sampl
 from termeval.lasso import (
     ASSIGN, COND, DECL, JUMP, NONDET, RETURN, SET, BoundedEvidence,
     CheckerConfig, FeasibilityResult, Infeasible, LassoPath, MachineState,
-    ProvenInfinite, Unknown, _clamp_domain, _compile_assumption,
-    _executable_lines, _lower, _site_key,
+    NoLasso, ProvenInfinite, Unknown, _clamp_domain, _compile_assumption,
+    _executable_lines, _lex_path, _lower, _site_key,
 )
 from termeval.oracle import _read_template
 from termeval.precond import (
     EquivUnknown, Equivalent, Inequivalent, PrecondParseError, _domain_values,
 )
-from termeval.witness import Verdict, WitnessAutomaton, WitnessEdge, WitnessNode
+from termeval.witness import (
+    CONTROL_VALUES, SchemaViolation, Verdict, WitnessAutomaton, WitnessEdge,
+    WitnessNode,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +595,130 @@ def lex_dfs_path(edges_from: dict[str, list[WitnessEdge]], start: str,
     if dfs(start, {start}, path):
         return path
     return None
+
+
+# ---------------------------------------------------------------------------
+# Witness graph search before one strongly-connected-components pass: a
+# reachability search per cyclehead in the schema check, and a cycle search
+# per cyclehead in lasso extraction
+
+
+def _reachable(start: set[str], adjacency: dict[str, set[str]]) -> set[str]:
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        node = stack.pop()
+        for nxt in adjacency.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def old_validate_schema(w: WitnessAutomaton) -> list[SchemaViolation]:
+    """Full list of schema violations; empty means the witness is valid."""
+    violations: list[SchemaViolation] = []
+    node_ids = {n.id for n in w.nodes}
+    seen_nodes: set[str] = set()
+    for node in w.nodes:
+        if not node.id:
+            violations.append(SchemaViolation("EmptyNodeId", "node with empty id"))
+        elif node.id in seen_nodes:
+            violations.append(SchemaViolation("DuplicateNodeId", node.id))
+        seen_nodes.add(node.id)
+
+    seen_edges: set[str] = set()
+    for edge in w.edges:
+        if not edge.id:
+            violations.append(SchemaViolation("MissingField", "edge without id"))
+        elif edge.id in seen_edges:
+            violations.append(SchemaViolation("DuplicateEdgeId", edge.id))
+        seen_edges.add(edge.id)
+        label = edge.id or "<anonymous>"
+        if not edge.source:
+            violations.append(SchemaViolation("MissingField", f"edge {label}: source"))
+        elif edge.source not in node_ids:
+            violations.append(SchemaViolation(
+                "UnknownNode", f"edge {label}: source {edge.source!r}"))
+        if not edge.target:
+            violations.append(SchemaViolation("MissingField", f"edge {label}: target"))
+        elif edge.target not in node_ids:
+            violations.append(SchemaViolation(
+                "UnknownNode", f"edge {label}: target {edge.target!r}"))
+        if edge.line is None or edge.line <= 0:
+            violations.append(SchemaViolation("MissingField", f"edge {label}: line"))
+        if edge.sourcecode is None:
+            violations.append(SchemaViolation(
+                "MissingField", f"edge {label}: sourcecode"))
+        if edge.control is not None and edge.control not in CONTROL_VALUES:
+            violations.append(SchemaViolation(
+                "BadControl", f"edge {label}: {edge.control!r}"))
+
+    entries = w.entry_nodes()
+    if len(entries) != 1:
+        violations.append(SchemaViolation(
+            "EntryCount", f"expected exactly one entry node, found {len(entries)}"))
+    cycleheads = w.cycleheads()
+    if not cycleheads:
+        violations.append(SchemaViolation("NoCyclehead", "no node marked cyclehead"))
+
+    if violations:
+        return violations
+
+    adjacency: dict[str, set[str]] = {}
+    for edge in w.edges:
+        adjacency.setdefault(edge.source, set()).add(edge.target)
+    head_ids = {n.id for n in cycleheads}
+    from_entry = _reachable({entries[0].id}, adjacency)
+    if not head_ids & from_entry:
+        violations.append(SchemaViolation(
+            "UnreachableCyclehead", "no cyclehead reachable from the entry node"))
+    # a cycle through some cyclehead: the head must reach itself via >= 1 edge
+    cycle_ok = False
+    for head in head_ids:
+        successors = adjacency.get(head, set())
+        if head in _reachable(set(successors), adjacency) or head in successors:
+            cycle_ok = True
+            break
+    if not cycle_ok:
+        violations.append(SchemaViolation(
+            "NoCycle", "no cycle passes through a cyclehead node"))
+    return violations
+
+
+def old_extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
+    """Decompose a schema-valid witness into stem + simple cycle.
+
+    The first cyclehead (in node input order) with a stem and a cycle is
+    used; among multiple simple cycles through it the lexicographically
+    smallest edge-id sequence wins, and likewise among stems.  The time is
+    at most quadratic in the size of the witness.
+    """
+    cycleheads = w.cycleheads()
+    entries = w.entry_nodes()
+    if not cycleheads or not entries:
+        return NoLasso("missing entry or cyclehead node")
+    edges_from: dict[str, list[WitnessEdge]] = {}
+    adjacency: dict[str, set[str]] = {}
+    for edge in w.edges:
+        edges_from.setdefault(edge.source, []).append(edge)
+        adjacency.setdefault(edge.source, set()).add(edge.target)
+    for out in edges_from.values():
+        out.sort(key=lambda e: e.id)
+
+    # a walk that fails costs one pass over the witness, one that succeeds
+    # up to a pass per edge taken, so only a head with a stem is searched
+    from_entry = _reachable({entries[0].id}, adjacency)
+    for head in cycleheads:
+        if head.id not in from_entry:
+            continue
+        cycle = _lex_path(edges_from, adjacency, head.id, head.id,
+                          allow_empty=False)
+        if cycle is not None:
+            stem = _lex_path(edges_from, adjacency, entries[0].id, head.id,
+                             allow_empty=True)
+            return LassoPath(tuple(stem), tuple(cycle), head.id)
+    return NoLasso("no cycle through any cyclehead")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
-"""Worst-case inputs for every entry point of the front end that reads task
-or oracle text.
+"""Worst-case inputs for every entry point that reads task or oracle text,
+or the witness graph and lasso built from it.
 
 Each row pairs an entry point with an adversarial generator of size ``n``
 and asserts two things: the entry point gives its documented outcome (a
-value, a :class:`CParseError` or a :class:`PrecondParseError`, never a
-``RecursionError`` or another exception), and 4n takes under 8 times as
-long as n, so the time is near linear.  Each timing repeats the call for at
-least 5 ms and keeps the best of three.
+value, a :class:`CParseError` or a :class:`PrecondParseError`, a list of
+schema violations or an ``Unknown``, never a ``RecursionError`` or another
+exception), and 4n takes under 8 times as long as n, so the time is near
+linear.  Each timing repeats the call for at least 5 ms and keeps the best
+of three.
 """
 
+import gc
 import math
 import time
 
@@ -18,7 +20,15 @@ from termeval.cli import extract_precondition_answer
 from termeval.cparse import (
     Binary, CParseError, Program, parse_expression, parse_program, tokenize,
 )
+from termeval.lasso import (
+    LassoPath, NoLasso, ProvenInfinite, check_feasibility, extract_lasso,
+)
+from termeval.oracle import replay_records
 from termeval.precond import PrecondParseError, parse_precondition
+from termeval.witness import (
+    FormatError, WitnessAutomaton, WitnessEdge, WitnessNode, validate_schema,
+    witness_from_json,
+)
 
 N = 1000
 
@@ -55,6 +65,57 @@ ANSWER_GENERATORS = {
     "long line": lambda n: "x > 0 and " * n,
     "many lines": lambda n: "x > 0\n" * n,
 }
+
+
+def head_chain(n: int, self_loop: bool) -> WitnessAutomaton:
+    """n cycleheads in a chain from the entry, the last with a self-loop or
+    with no edge out."""
+    nodes = [WitnessNode(f"N{i}", entry=i == 0, cyclehead=True)
+             for i in range(n)]
+    edges = [WitnessEdge(f"E{i}", f"N{i}", f"N{i + 1}", 1, "s")
+             for i in range(n - 1)]
+    if self_loop:
+        edges.append(WitnessEdge("F", f"N{n - 1}", f"N{n - 1}", 1, "s"))
+    return WitnessAutomaton(tuple(nodes), tuple(edges))
+
+
+GRAPH_GENERATORS = {
+    "head chain, self-loop": lambda n: head_chain(n, True),
+    "head chain": lambda n: head_chain(n, False),
+}
+
+JSON_GENERATORS = {
+    "flat lists": lambda n: {
+        "nodes": [{"id": f"N{i}", "cyclehead": True} for i in range(n)],
+        "edges": [{"id": f"E{i}", "source": "N0", "target": f"N{i}",
+                   "line": i, "sourcecode": "s"} for i in range(n)]},
+}
+
+# x flips between 0 and 1 for ever
+TOGGLE = parse_program("int main() {\n  int x = 0;\n  while (x >= 0) {\n"
+                       "    x = 1 - x;\n  }\n  return 0;\n}\n")
+
+
+def toggle_lasso(n: int) -> LassoPath:
+    """A cycle of n edges through ``TOGGLE``'s loop, n/2 iterations long;
+    for n a multiple of 4 the state repeats after one pass."""
+    stem = (WitnessEdge("S", "N", "H", 2, "int x = 0;"),)
+    cycle = tuple(WitnessEdge(f"C{i}", "H", "H", 3 + i % 2, "s",
+                              control="condition-true" if i % 2 == 0 else None)
+                  for i in range(n))
+    return LassoPath(stem, cycle, "H")
+
+
+LASSO_GENERATORS = {"long cycle": toggle_lasso}
+
+
+def violation_kinds(w: WitnessAutomaton) -> tuple[str, ...]:
+    return tuple(v.kind for v in validate_schema(w))
+
+
+def check_toggle(lasso: LassoPath):
+    return check_feasibility(TOGGLE, lasso)
+
 
 # (entry point, generator, function, generator table, outcome at n and 4n)
 ROWS = [
@@ -111,25 +172,38 @@ ROWS = [
        ANSWER_GENERATORS, str) for name in ANSWER_GENERATORS],
     ("extract_precondition_answer", "deep nesting",
      extract_precondition_answer, GENERATORS, str),
+    ("witness_from_json", "flat lists", witness_from_json, JSON_GENERATORS,
+     WitnessAutomaton),
+    ("validate_schema", "head chain, self-loop", violation_kinds,
+     GRAPH_GENERATORS, ()),
+    ("validate_schema", "head chain", violation_kinds, GRAPH_GENERATORS,
+     ("NoCycle",)),
+    ("extract_lasso", "head chain, self-loop", extract_lasso,
+     GRAPH_GENERATORS, LassoPath),
+    ("extract_lasso", "head chain", extract_lasso, GRAPH_GENERATORS, NoLasso),
+    ("check_feasibility", "long cycle", check_toggle, LASSO_GENERATORS,
+     ProvenInfinite),
 ]
 
 
-def outcome(fn, text: str) -> type:
+def outcome(fn, arg):
     """The type of what ``fn`` returns, or of the error it raises when the
-    error is one the entry points document."""
+    error is one the entry points document; a tuple, such as the kinds of
+    the schema violations, is itself the outcome."""
     try:
-        return type(fn(text))
+        result = fn(arg)
     except (CParseError, PrecondParseError) as exc:
         return type(exc)
+    return result if isinstance(result, tuple) else type(result)
 
 
-def seconds(fn, text: str) -> float:
+def seconds(fn, arg) -> float:
     best = math.inf
     for _ in range(3):
         calls, start = 0, time.perf_counter()
         while (elapsed := time.perf_counter() - start) < 0.005:
             try:
-                fn(text)
+                fn(arg)
             except (CParseError, PrecondParseError):
                 pass
             calls += 1
@@ -143,6 +217,36 @@ def seconds(fn, text: str) -> float:
      for entry, gen, fn, table, expected in ROWS])
 def test_worst_case(fn, make, expected):
     small, large = make(N), make(4 * N)
-    assert outcome(fn, small) is expected
-    assert outcome(fn, large) is expected
+    assert outcome(fn, small) == expected
+    assert outcome(fn, large) == expected
     assert seconds(fn, large) / seconds(fn, small) < 8
+
+
+def hostile_cache(task_dir, n: int):
+    """n records too deeply nested to decode, each beside a stray file."""
+    task_dir.mkdir(parents=True)
+    for i in range(n):
+        (task_dir / f"{i}.json").write_text("[" * 2000, encoding="utf-8")
+        (task_dir / f"x{i}.json").write_text("[" * 2000, encoding="utf-8")
+    return task_dir.parent.parent
+
+
+def test_replay_records_on_a_hostile_cache(tmp_path):
+    def replay(run_dir) -> tuple:
+        records = replay_records(run_dir, "m", "t")
+        return len(records), {type(r.parsed) for r in records}
+
+    n = N // 4
+    small = hostile_cache(tmp_path / "small" / "m" / "t", n)
+    large = hostile_cache(tmp_path / "large" / "m" / "t", 4 * n)
+    assert replay(small) == (n, {FormatError})
+    assert replay(large) == (4 * n, {FormatError})
+    # the large run keeps enough records alive to set off the collector's
+    # full passes over every object the test session holds, a cost of the
+    # session's heap, not of the replay; timeit turns it off alike
+    gc.disable()
+    try:
+        ratio = seconds(replay, large) / seconds(replay, small)
+    finally:
+        gc.enable()
+    assert ratio < 8
