@@ -88,7 +88,42 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}")
 
 
+# each table's keys ([[models]] is an array of tables), and each choice's values
+_CONFIG_KEYS = {
+    "corpus": {"root", "manifest", "categories", "exclusions", "sidecar"},
+    "eval": {"pool_size", "n_bootstrap", "tts_n", "seed"},
+    "checker": {"domain", "max_assignments", "max_steps",
+                "bounded_cycle_target", "stall_steps"},
+    "validator": {"root", "timeout"},
+    "models": {"name", "endpoint_url", "api_key_env", "max_output_tokens",
+               "timeout", "mode", "preset", "top_p", "temperature",
+               "reasoning_effort"},
+    "output": {"dir"},
+    "run": {"prompt"},
+}
+_CONFIG_CHOICES = {"mode": ("live", "replay"),
+                   "prompt": ("termination", "precondition")}
+
+
+def _check_keys(data: dict) -> None:
+    """Reject a table, key or choice that no setting reads: a misspelt one
+    would otherwise leave the default in place."""
+    for table, value in data.items():
+        if table not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config table [{table}]")
+        for entry in value if table == "models" else [value]:
+            for key, setting in entry.items():
+                if key not in _CONFIG_KEYS[table]:
+                    raise ValueError(f"unknown key {key!r} in [{table}]")
+                if key in _CONFIG_CHOICES and setting not in _CONFIG_CHOICES[key]:
+                    raise ValueError(
+                        f"[{table}] {key} must be one of "
+                        f"{', '.join(_CONFIG_CHOICES[key])}, not {setting!r}")
+
+
 def _config_from(data: dict, base: Path) -> RunConfig:
+    _check_keys(data)
+
     def rel(value) -> Path:
         p = Path(value)
         return p if p.is_absolute() else base / p
@@ -333,18 +368,14 @@ def _describe_feasibility(result) -> str:
                    "the task YAML beside the program for its property file).")
 @click.option("-c", "--config", "config_path",
               type=click.Path(path_type=Path, exists=True))
-@click.option("--architecture", default="32bit",
-              type=click.Choice(["32bit", "64bit"]),
-              help="Stated in the GraphML and told to the validator.")
 def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
-                  clock: str, do_validate: bool, config_path: Path | None,
-                  architecture: str):
+                  clock: str, do_validate: bool, config_path: Path | None):
     """Validate a witness JSON against a program and check feasibility."""
     config = load_config(config_path) if config_path is not None else None
+    property_path, arch = corpus_mod.read_task_yaml(program_path)
     if do_validate:
         if config is None or config.validator is None:
             _fail("--validate needs -c config with a [validator] table", 2)
-        property_path = corpus_mod.task_property_path(program_path)
         if property_path is None:
             _fail(f"--validate needs {program_path.with_suffix('.yml')} to "
                   f"name the task's termination property file", 2)
@@ -385,12 +416,12 @@ def check_witness(program_path: Path, witness_path: Path, emit: Path | None,
     exit_code = 0 if isinstance(result, (ProvenInfinite, BoundedEvidence)) else 1
     if emit is not None:
         emit.parent.mkdir(parents=True, exist_ok=True)
-        emit.write_text(emit_graphml(parsed.witness, program_path, architecture,
+        emit.write_text(emit_graphml(parsed.witness, program_path, arch.value,
                                      creationtime=clock), encoding="utf-8")
         click.echo(f"GraphML written to {emit}")
     if do_validate:
         vresult = run_external_validator(parsed.witness, program_path,
-                                         architecture, property_path,
+                                         arch.value, property_path,
                                          config.validator)
         click.echo(f"external validator: {vresult.status.value}")
         if vresult.status is not ValidationStatus.VALIDATED:

@@ -204,17 +204,27 @@ def _termination_property(data: dict) -> dict | None:
     return found
 
 
-def task_property_path(program_path: Path | str) -> Path | None:
-    """The termination property file named by the task YAML beside
-    ``program_path`` (the same name with ``.yml``), resolved from the
-    YAML's directory; None when there is no such YAML or it names none."""
+def _architecture(data: dict) -> Architecture:
+    """The architecture a task YAML's ``options: data_model`` names, or ILP32."""
+    options = data.get("options")
+    model = options.get("data_model") if isinstance(options, dict) else None
+    return _DATA_MODELS.get(str(model), Architecture.BITS32)
+
+
+def read_task_yaml(program_path: Path | str) -> tuple[Path | None, Architecture]:
+    """The termination property file that the task YAML beside
+    ``program_path`` (the same name with ``.yml``) names, resolved from the
+    YAML's directory, and the task's architecture.  Without a readable YAML
+    there is no property file and the architecture is 32-bit."""
     yml_path = Path(program_path).with_suffix(".yml")
     try:
         data = yaml.load(yml_path.read_text(encoding="utf-8"), _YAML_LOADER)
     except (OSError, UnicodeDecodeError, yaml.YAMLError):
-        return None
-    prop = _termination_property(data) if isinstance(data, dict) else None
-    return None if prop is None else yml_path.parent / str(prop["property_file"])
+        data = None
+    data = data if isinstance(data, dict) else {}
+    prop = _termination_property(data)
+    return (None if prop is None else yml_path.parent / str(prop["property_file"]),
+            _architecture(data))
 
 
 # libyaml's safe loader, when PyYAML was built with it, reads a task file
@@ -294,16 +304,13 @@ def load_manifest(
 
         count = (sidecar[task_id] if sidecar and task_id in sidecar
                  else heuristic_token_count(source))
-        options = data.get("options") or {}
-        arch = _DATA_MODELS.get(str(options.get("data_model", "ILP32")),
-                                Architecture.BITS32)
         tasks.append(TaskSpec(
             task_id=task_id,
             source_path=source_path,
             source=source,
             category=category,
             expected_verdict="T" if verdict else "NT",
-            architecture=arch,
+            architecture=_architecture(data),
             token_count=count,
             property_path=task_dir / str(prop["property_file"]),
         ))

@@ -17,7 +17,7 @@ import contextlib
 import functools
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # ---------------------------------------------------------------------------
@@ -159,15 +159,6 @@ class While:
 
 
 @dataclass
-class For:
-    init: "Stmt | None"
-    cond: Expr | None
-    step: "Stmt | None"
-    body: list["Stmt"]
-    line: int
-
-
-@dataclass
 class Return:
     expr: Expr | None
     line: int
@@ -179,37 +170,22 @@ class Block:
     line: int
 
 
-Stmt = Decl | Assign | NondetAssign | If | While | For | Return | Block
+Stmt = Decl | Assign | NondetAssign | If | While | Return | Block
 
 
 @dataclass
 class FunctionDef:
-    name: str
-    ret_type: CType | None  # None for void
-    params: list[tuple[str, CType]]
+    params: list[Decl]  # without initialisers, on the function's line
     body: list[Stmt]
-    line: int
-
-
-@dataclass
-class NondetSite:
-    name: str
-    ctype: CType
-    line: int
 
 
 @dataclass
 class Program:
     functions: dict[str, FunctionDef]
-    entry: str
-    nondet_vars: list[NondetSite]
-    globals: list[Decl] = field(default_factory=list)
+    nondet_vars: list[NondetAssign]  # every nondet call site, in source order
+    globals: list[Decl]
     # declared type of every variable of main and of the globals
-    types: dict[str, CType] = field(default_factory=dict)
-
-    @property
-    def main(self) -> FunctionDef:
-        return self.functions[self.entry]
+    types: dict[str, CType]
 
 
 @dataclass
@@ -397,7 +373,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.nondet_sites: list[NondetSite] = []
+        self.nondet_sites: list[NondetAssign] = []
         self.nesting = 0
         self.stmt_nesting = 0
 
@@ -551,13 +527,16 @@ class _Parser:
 
     # -- statements
 
-    def _nondet_call(self) -> tuple[CType, int] | None:
-        """Match ``__VERIFIER_nondet_X()`` at the cursor; consume on match."""
+    def _nondet_call(self, name: str, line: int) -> NondetAssign | None:
+        """Match ``__VERIFIER_nondet_X()`` at the cursor; on a match, consume
+        it and record the site ``name = __VERIFIER_nondet_X()`` on ``line``."""
         tok = self.peek()
         if tok.kind == "ident" and self.peek(1).text == "(" and self.peek(2).text == ")":
             if tok.text in NONDET_TYPES:
                 self.next(), self.next(), self.next()
-                return NONDET_TYPES[tok.text], tok.line
+                site = NondetAssign(name, NONDET_TYPES[tok.text], line)
+                self.nondet_sites.append(site)
+                return site
             if tok.text.startswith("__VERIFIER_nondet_"):
                 raise _Unsupported(tok.line, f"nondet type {tok.text}")
         return None
@@ -600,7 +579,7 @@ class _Parser:
         if tok.kind == "ident":
             stmt = self._parse_assignment()
             self.expect(";")
-            return stmt
+            return [stmt]
         raise CParseError(f"unexpected token {tok.text!r}", tok.line)
 
     def parse_block_body(self) -> list[Stmt]:
@@ -634,38 +613,28 @@ class _Parser:
         self.expect("(")
         cond = self.parse_expression()
         self.expect(")")
-        if self.accept(";"):
-            return While(cond, [], line)
-        body = self._parse_body_or_stmt()
-        return While(cond, body, line)
+        return While(cond, self._parse_body_or_stmt(), line)
 
-    def _parse_for(self) -> For:
+    def _parse_for(self) -> Block:
+        """``for (init; cond; step) body`` read as ``{ init; while (cond)
+        { { body } step; } }``: the step runs after the body, outside its
+        scope, and a missing ``cond`` is ``1``."""
         line = self.expect("for").line
         self.expect("(")
-        init: Stmt | None = None
-        if self.peek().text != ";":
-            if self._at_type():
-                decls = self._parse_decl(expect_semi=False)
-                if len(decls) != 1:
-                    raise _Unsupported(line, "multiple declarators in for-init")
-                init = decls[0]
-            else:
-                stmts = self._parse_assignment()
-                init = stmts[0] if len(stmts) == 1 else Block(stmts, line)
+        stmts: list[Stmt] = []
+        if self._at_type():
+            stmts = self._parse_decl(expect_semi=False)
+            if len(stmts) != 1:
+                raise _Unsupported(line, "multiple declarators in for-init")
+        elif self.peek().text != ";":
+            stmts.append(self._parse_assignment())
         self.expect(";")
-        cond = None
-        if self.peek().text != ";":
-            cond = self.parse_expression()
+        cond = IntLit(1) if self.peek().text == ";" else self.parse_expression()
         self.expect(";")
-        step: Stmt | None = None
-        if self.peek().text != ")":
-            stmts = self._parse_assignment()
-            step = stmts[0] if len(stmts) == 1 else Block(stmts, line)
+        step = [] if self.peek().text == ")" else [self._parse_assignment()]
         self.expect(")")
-        if self.accept(";"):
-            return For(init, cond, step, [], line)
-        body = self._parse_body_or_stmt()
-        return For(init, cond, step, body, line)
+        body = [Block(self._parse_body_or_stmt(), line), *step]
+        return Block([*stmts, While(cond, body, line)], line)
 
     def _parse_decl(self, expect_semi: bool = True) -> list[Stmt]:
         line = self.peek().line
@@ -683,12 +652,10 @@ class _Parser:
             if self.peek().text == "[":
                 raise _Unsupported(self.peek().line, "array declaration")
             if self.accept("="):
-                nd = self._nondet_call()
-                if nd is not None:
-                    stmts.append(Decl(name_tok.text, ctype, None, name_tok.line))
-                    site = NondetSite(name_tok.text, nd[0], nd[1])
-                    self.nondet_sites.append(site)
-                    stmts.append(NondetAssign(name_tok.text, nd[0], nd[1]))
+                # the site of a nondet initialiser is on the call's line
+                site = self._nondet_call(name_tok.text, self.peek().line)
+                if site is not None:
+                    stmts += [Decl(name_tok.text, ctype, None, name_tok.line), site]
                 else:
                     stmts.append(Decl(name_tok.text, ctype,
                                       self.parse_expression(), name_tok.line))
@@ -700,29 +667,27 @@ class _Parser:
             self.expect(";")
         return stmts
 
-    def _parse_assignment(self) -> list[Stmt]:
+    def _parse_assignment(self) -> Stmt:
         name_tok = self.next()
         line = name_tok.line
         name = name_tok.text
         tok = self.peek()
         if tok.text == "=":
             self.next()
-            nd = self._nondet_call()
-            if nd is not None:
-                site = NondetSite(name, nd[0], nd[1])
-                self.nondet_sites.append(site)
-                return [NondetAssign(name, nd[0], line)]
-            return [Assign(name, self.parse_expression(), line)]
+            site = self._nondet_call(name, line)
+            if site is not None:
+                return site
+            return Assign(name, self.parse_expression(), line)
         if tok.text in _COMPOUND_OPS:
             self.next()
             rhs = self.parse_expression()
-            return [Assign(name, Binary(_COMPOUND_OPS[tok.text], Var(name), rhs), line)]
+            return Assign(name, Binary(_COMPOUND_OPS[tok.text], Var(name), rhs), line)
         if tok.text == "++":
             self.next()
-            return [Assign(name, Binary("+", Var(name), IntLit(1)), line)]
+            return Assign(name, Binary("+", Var(name), IntLit(1)), line)
         if tok.text == "--":
             self.next()
-            return [Assign(name, Binary("-", Var(name), IntLit(1)), line)]
+            return Assign(name, Binary("-", Var(name), IntLit(1)), line)
         if tok.text == "(":
             raise _Unsupported(line, f"call statement {name}(...)")
         raise _Unsupported(line, f"statement starting with {name!r}")
@@ -748,8 +713,7 @@ class _Parser:
             raise CParseError("no main function", self.peek().line)
         types = {name: _scoped_types(globals_, fn)
                  for name, fn in functions.items()}
-        return Program(functions, "main", self.nondet_sites, globals_,
-                       types["main"])
+        return Program(functions, self.nondet_sites, globals_, types["main"])
 
     def _parse_typedef(self) -> None:
         line = self.expect("typedef").line
@@ -792,14 +756,14 @@ class _Parser:
     def _parse_type_lead(self, functions: dict[str, FunctionDef],
                          globals_: list[Decl]) -> None:
         start = self.pos
-        ctype = self.parse_type()
+        self.parse_type()
         name = self.peek()
         if name.kind != "ident":
             raise CParseError(f"expected identifier, found {name.text!r}", name.line)
         if self.peek(1).text == "(":
             self.next()
             self.expect("(")
-            params: list[tuple[str, CType]] = []
+            params: list[Decl] = []
             if self.peek().text != ")":
                 if self.peek().text == "void" and self.peek(1).text == ")":
                     self.next()
@@ -811,7 +775,7 @@ class _Parser:
                             raise _Unsupported(ptok.line, "unnamed parameter")
                         if ptype is None:
                             raise _Unsupported(ptok.line, "void parameter")
-                        params.append((ptok.text, ptype))
+                        params.append(Decl(ptok.text, ptype, None, name.line))
                         if not self.accept(","):
                             break
             self.expect(")")
@@ -819,7 +783,7 @@ class _Parser:
                 return
             self.expect("{")
             body = self.parse_block_body()
-            functions[name.text] = FunctionDef(name.text, ctype, params, body, name.line)
+            functions[name.text] = FunctionDef(params, body)
             return
         # global variable declaration(s)
         self.pos = start
@@ -842,13 +806,11 @@ def _scoped_types(globals_: list[Decl], fn: FunctionDef) -> dict[str, CType]:
     ``int`` (or, assigned from a nondet call, takes the call's type).
     """
     types: dict[str, CType] = {}
-    for d in [*globals_, *(s for s in _walk(fn.body) if isinstance(s, Decl))]:
+    body_decls = (s for s in _walk(fn.body) if isinstance(s, Decl))
+    for d in [*globals_, *body_decls, *fn.params]:
         if types.setdefault(d.name, d.ctype) != d.ctype:
             raise _Unsupported(d.line, f"conflicting declarations of {d.name}")
-    for name, ctype in fn.params:
-        if types.setdefault(name, ctype) != ctype:
-            raise _Unsupported(fn.line, f"conflicting declarations of {name}")
-    scopes: list[set[str]] = [set()]
+    scopes: list[set[str]] = []
 
     def declare(name: str, line: int) -> None:
         if any(name in scope for scope in scopes):
@@ -873,46 +835,30 @@ def _scoped_types(globals_: list[Decl], fn: FunctionDef) -> dict[str, CType]:
     def block(stmts: list[Stmt]) -> None:
         scopes.append(set())
         for s in stmts:
-            stmt(s)
+            if isinstance(s, Decl):
+                read(s.init, s.line)
+                declare(s.name, s.line)
+            elif isinstance(s, Assign):
+                use(s.name, s.line)
+                read(s.expr, s.line)
+            elif isinstance(s, NondetAssign):
+                use(s.name, s.line)
+            elif isinstance(s, If):
+                read(s.cond, s.line)
+                block(s.then_body)
+                block(s.else_body)
+            elif isinstance(s, While):
+                read(s.cond, s.line)
+                block(s.body)
+            elif isinstance(s, Return):
+                read(s.expr, s.line)
+            elif isinstance(s, Block):
+                block(s.stmts)
         scopes.pop()
 
-    def stmt(s: Stmt) -> None:
-        if isinstance(s, Decl):
-            read(s.init, s.line)
-            declare(s.name, s.line)
-        elif isinstance(s, Assign):
-            use(s.name, s.line)
-            read(s.expr, s.line)
-        elif isinstance(s, NondetAssign):
-            use(s.name, s.line)
-        elif isinstance(s, If):
-            read(s.cond, s.line)
-            block(s.then_body)
-            block(s.else_body)
-        elif isinstance(s, While):
-            read(s.cond, s.line)
-            block(s.body)
-        elif isinstance(s, For):
-            scopes.append(set())
-            if s.init is not None:
-                stmt(s.init)
-            read(s.cond, s.line)
-            if s.step is not None:
-                stmt(s.step)
-            block(s.body)
-            scopes.pop()
-        elif isinstance(s, Return):
-            read(s.expr, s.line)
-        elif isinstance(s, Block):
-            block(s.stmts)
-
-    for d in globals_:
-        stmt(d)
-    scopes.append(set())  # parameters share the body's outermost scope
-    for name, _ in fn.params:
-        declare(name, fn.line)
-    for s in fn.body:
-        stmt(s)
+    # every name is looked up in every enclosing scope, so the globals may
+    # share the outermost scope with the parameters and the body
+    block([*globals_, *fn.params, *fn.body])
     return types
 
 
@@ -1182,12 +1128,6 @@ def _walk(stmts: list[Stmt]):
             yield from _walk(s.else_body)
         elif isinstance(s, (While, Block)):
             yield from _walk(s.body if isinstance(s, While) else s.stmts)
-        elif isinstance(s, For):
-            if s.init is not None:
-                yield from _walk([s.init])
-            if s.step is not None:
-                yield from _walk([s.step])
-            yield from _walk(s.body)
 
 
 def iter_statements(program: Program):

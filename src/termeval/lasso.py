@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import cparse
 from .cparse import (
-    Assign, Block, CType, Decl, EvalUndefined, For, If, NondetAssign, Program,
+    Assign, Block, CType, Decl, EvalUndefined, If, NondetAssign, Program,
     Return, UnsupportedConstruct, While, wrap,
 )
 from .witness import WitnessAutomaton, WitnessEdge, emit_graphml, reach_and_cycles
@@ -226,10 +226,6 @@ def _site_key(name: str, line: int) -> str:
     return f"{name}@{line}"
 
 
-def _true(env: dict[str, int]) -> int:
-    return 1
-
-
 def _false(env: dict[str, int]) -> int:
     return 0
 
@@ -254,61 +250,53 @@ def _lower(program: Program) -> list[tuple]:
     def compiled(expr, into=None):
         return cparse.compile_expr(expr, types, into)[0]
 
-    def emit_block(stmts):
+    def emit(stmts):
         for stmt in stmts:
-            emit(stmt)
-
-    def emit(stmt):
-        if isinstance(stmt, Decl):
-            if stmt.init is None:
-                code.append((DECL, stmt.line, stmt.name, None))
-            else:
-                code.append((ASSIGN, stmt.line, stmt.name,
-                             compiled(stmt.init, stmt.ctype)))
-        elif isinstance(stmt, Assign):
-            into = types.get(stmt.name, cparse.INT)
-            code.append((ASSIGN, stmt.line, stmt.name, compiled(stmt.expr, into)))
-        elif isinstance(stmt, NondetAssign):
-            key = _site_key(stmt.name, stmt.line)
-            into = types.get(stmt.name, stmt.ctype)
-            code.append((NONDET, stmt.line, stmt.name,
-                         lambda assignment: wrap(assignment.get(key, 0), into)))
-        elif isinstance(stmt, If):
-            branch = len(code)
-            code.append(None)
-            emit_block(stmt.then_body)
-            if stmt.else_body:
-                skip = len(code)
+            if isinstance(stmt, Decl):
+                if stmt.init is None:
+                    code.append((DECL, stmt.line, stmt.name, None))
+                else:
+                    code.append((ASSIGN, stmt.line, stmt.name,
+                                 compiled(stmt.init, stmt.ctype)))
+            elif isinstance(stmt, Assign):
+                into = types.get(stmt.name, cparse.INT)
+                code.append((ASSIGN, stmt.line, stmt.name, compiled(stmt.expr, into)))
+            elif isinstance(stmt, NondetAssign):
+                key = _site_key(stmt.name, stmt.line)
+                into = types.get(stmt.name, stmt.ctype)
+                code.append((NONDET, stmt.line, stmt.name,
+                             lambda assignment, key=key, into=into:
+                             wrap(assignment.get(key, 0), into)))
+            elif isinstance(stmt, If):
+                branch = len(code)
                 code.append(None)
-                code[branch] = (COND, stmt.line, compiled(stmt.cond), len(code))
-                emit_block(stmt.else_body)
-                code[skip] = (JUMP, 0, len(code), None)
+                emit(stmt.then_body)
+                if stmt.else_body:
+                    skip = len(code)
+                    code.append(None)
+                    code[branch] = (COND, stmt.line, compiled(stmt.cond), len(code))
+                    emit(stmt.else_body)
+                    code[skip] = (JUMP, 0, len(code), None)
+                else:
+                    code[branch] = (COND, stmt.line, compiled(stmt.cond), len(code))
+            elif isinstance(stmt, While):
+                head = len(code)
+                code.append(None)
+                emit(stmt.body)
+                code.append((JUMP, 0, head, None))
+                code[head] = (COND, stmt.line, compiled(stmt.cond), len(code))
+            elif isinstance(stmt, Return):
+                value = None if stmt.expr is None else compiled(stmt.expr)
+                code.append((RETURN, stmt.line, value, None))
+            elif isinstance(stmt, Block):
+                emit(stmt.stmts)
             else:
-                code[branch] = (COND, stmt.line, compiled(stmt.cond), len(code))
-        elif isinstance(stmt, (While, For)):
-            is_for = isinstance(stmt, For)
-            if is_for and stmt.init is not None:
-                emit(stmt.init)
-            head = len(code)
-            code.append(None)
-            emit_block(stmt.body)
-            if is_for and stmt.step is not None:
-                emit(stmt.step)
-            code.append((JUMP, 0, head, None))
-            test = _true if stmt.cond is None else compiled(stmt.cond)
-            code[head] = (COND, stmt.line, test, len(code))
-        elif isinstance(stmt, Return):
-            value = None if stmt.expr is None else compiled(stmt.expr)
-            code.append((RETURN, stmt.line, value, None))
-        elif isinstance(stmt, Block):
-            emit_block(stmt.stmts)
-        else:
-            raise TypeError(f"cannot execute {stmt!r}")
+                raise TypeError(f"cannot execute {stmt!r}")
 
     for decl in program.globals:
         value = _false if decl.init is None else compiled(decl.init, decl.ctype)
         code.append((SET, decl.line, decl.name, value))
-    emit_block(program.main.body)
+    emit(program.functions["main"].body)
     code.append((END, 0, None, None))
     return code
 
@@ -317,7 +305,7 @@ def _lower(program: Program) -> list[tuple]:
 # Edge matching
 
 
-_EXECUTABLE = (Assign, NondetAssign, If, While, For, Return)
+_EXECUTABLE = (Assign, NondetAssign, If, While, Return)
 
 
 def _executable_lines(program: Program) -> set[str | int]:

@@ -243,7 +243,7 @@ def _record_from_payload(payload: object) -> GenerationRecord:
     error = payload.get("transport_error")
     raw = payload.get("raw_text", "")
     if error:
-        parsed: Prediction | FormatError = FormatError(f"transport: {error}", raw)
+        parsed: Prediction | FormatError = FormatError(f"transport: {error}")
     else:
         parsed = parse_prediction(raw)
     return GenerationRecord(
@@ -269,7 +269,7 @@ def _load_record(path: Path, model_name: str, task_id: str) -> GenerationRecord:
         return GenerationRecord(
             task_id=task_id, model=model_name, sample_index=int(path.stem),
             prompt_hash="", raw_text="",
-            parsed=FormatError(f"cache: {path.name}: {exc}", ""),
+            parsed=FormatError(f"cache: {path.name}: {exc}"),
             latency=0.0, timestamp=0.0)
 
 

@@ -56,9 +56,6 @@ class WitnessAutomaton:
     nodes: tuple[WitnessNode, ...]
     edges: tuple[WitnessEdge, ...]
 
-    def node_ids(self) -> list[str]:
-        return [n.id for n in self.nodes]
-
     def entry_nodes(self) -> list[WitnessNode]:
         return [n for n in self.nodes if n.entry]
 
@@ -70,14 +67,12 @@ class WitnessAutomaton:
 class Prediction:
     verdict: Verdict
     witness: WitnessAutomaton | None
-    raw_text: str
     witness_format_error: str | None = None
 
 
 @dataclass
 class FormatError:
     message: str
-    raw_text: str
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +185,12 @@ def parse_prediction(raw: str) -> Prediction | FormatError:
     for _, obj in _iter_json_objects(raw):
         last = obj
     if last is None:
-        return FormatError("no JSON object found", raw)
+        return FormatError("no JSON object found")
     if "verdict" not in last:
-        return FormatError("missing verdict attribute", raw)
+        return FormatError("missing verdict attribute")
     verdict_value = last["verdict"]
     if not (verdict_value is None or isinstance(verdict_value, bool)):
-        return FormatError(f"ill-typed verdict {verdict_value!r}", raw)
+        return FormatError(f"ill-typed verdict {verdict_value!r}")
     verdict = _JSON_VERDICTS[verdict_value]
 
     witness = None
@@ -205,7 +200,7 @@ def parse_prediction(raw: str) -> Prediction | FormatError:
             witness = witness_from_json(last["witness"])
         except ValueError as exc:
             witness_error = str(exc)
-    return Prediction(verdict, witness, raw, witness_error)
+    return Prediction(verdict, witness, witness_error)
 
 
 # ---------------------------------------------------------------------------

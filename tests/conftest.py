@@ -31,6 +31,19 @@ def load_witness_json(name: str) -> dict:
     return json.loads(load_witness_text(name))
 
 
+def task_yaml(input_file: str, data_model: str) -> str:
+    """A task YAML for ``input_file`` with the termination property file of
+    a corpus directory beside it, expected to terminate."""
+    return ("format_version: '2.0'\n"
+            f"input_files: '{input_file}'\n"
+            "properties:\n"
+            "  - property_file: ../properties/termination.prp\n"
+            "    expected_verdict: true\n"
+            "options:\n"
+            "  language: C\n"
+            f"  data_model: {data_model}\n")
+
+
 # ---------------------------------------------------------------------------
 # Random C expressions, for comparing the evaluator with tests/reference.py
 

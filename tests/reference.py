@@ -30,7 +30,7 @@ from typing import NamedTuple
 from termeval.cparse import (
     _BINARY_PRECEDENCE, _KEYWORDS, _PUNCT, INT,
     MAX_EXPR_DEPTH, MAX_EXPR_NESTING, NONDET_TYPES, Assign, Binary, Block,
-    CParseError, CType, Decl, EvalUndefined, Expr, For, If, IntLit,
+    CParseError, CType, Decl, EvalUndefined, Expr, If, IntLit,
     NondetAssign, Program, Return, Stmt, Unary, UnsupportedConstruct, Var,
     While, _Parser, _Unsupported, compile_expr, expr_depth, int_constant,
     iter_statements, promote, usual_arithmetic_type, wrap,
@@ -165,22 +165,6 @@ def _format_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
         for s in stmt.body:
             _format_stmt(s, indent + 1, out)
         out.append(f"{pad}}}")
-    elif isinstance(stmt, For):
-        parts = ["", "", ""]
-        if stmt.init is not None:
-            tmp: list[str] = []
-            _format_stmt(stmt.init, 0, tmp)
-            parts[0] = tmp[0].rstrip(";")
-        if stmt.cond is not None:
-            parts[1] = format_expr(stmt.cond)
-        if stmt.step is not None:
-            tmp = []
-            _format_stmt(stmt.step, 0, tmp)
-            parts[2] = tmp[0].rstrip(";")
-        out.append(f"{pad}for ({parts[0]}; {parts[1]}; {parts[2]}) {{")
-        for s in stmt.body:
-            _format_stmt(s, indent + 1, out)
-        out.append(f"{pad}}}")
     elif isinstance(stmt, Return):
         expr = f" {format_expr(stmt.expr)}" if stmt.expr is not None else ""
         out.append(f"{pad}return{expr};")
@@ -194,14 +178,14 @@ def _format_stmt(stmt: Stmt, indent: int, out: list[str]) -> None:
 
 
 def pretty_print(program: Program) -> str:
-    """Render a Program back to plain C text (loses original line layout)."""
+    """Render a Program back to plain C text (loses original line layout;
+    every function returns ``int``)."""
     out: list[str] = []
     for d in program.globals:
         _format_stmt(d, 0, out)
-    for fn in program.functions.values():
-        ret = fn.ret_type.name if fn.ret_type else "void"
-        params = ", ".join(f"{t.name} {n}" for n, t in fn.params) or "void"
-        out.append(f"{ret} {fn.name}({params}) {{")
+    for name, fn in program.functions.items():
+        params = ", ".join(f"{d.ctype.name} {d.name}" for d in fn.params) or "void"
+        out.append(f"int {name}({params}) {{")
         for s in fn.body:
             _format_stmt(s, 1, out)
         out.append("}")
@@ -230,12 +214,6 @@ def strip_alpha(program: Program):
                     tuple(stmt_key(x) for x in s.else_body))
         if isinstance(s, While):
             return ("while", format_expr(s.cond),
-                    tuple(stmt_key(x) for x in s.body))
-        if isinstance(s, For):
-            return ("for",
-                    stmt_key(s.init) if s.init is not None else None,
-                    format_expr(s.cond) if s.cond is not None else None,
-                    stmt_key(s.step) if s.step is not None else None,
                     tuple(stmt_key(x) for x in s.body))
         if isinstance(s, Return):
             return ("return", format_expr(s.expr) if s.expr is not None else None)

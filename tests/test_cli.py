@@ -23,7 +23,7 @@ from termeval.lasso import (
 )
 from termeval.witness import FormatError, Verdict, _as_flag, validate_schema
 
-from conftest import FIXTURES
+from conftest import FIXTURES, task_yaml
 
 
 @pytest.fixture
@@ -152,6 +152,36 @@ class TestLoadConfig:
                                                       SystemExit)
         assert message in result.output
 
+
+    @pytest.mark.parametrize("text, message", [
+        ('[corpus]\nroot = "x"\n[eval]\nn_boostrap = 5\n',
+         "unknown key 'n_boostrap' in [eval]"),
+        ('[corpus]\nroot = "x"\n[checker]\nmax_step = 5\n',
+         "unknown key 'max_step' in [checker]"),
+        ('[corpus]\nroot = "x"\nroots = "y"\n',
+         "unknown key 'roots' in [corpus]"),
+        ('[validator]\nroot = "v"\nproperty = "p.prp"\n',
+         "unknown key 'property' in [validator]"),
+        ('[corpus]\nroot = "x"\n' + REPLAY_MODEL + "\ntemprature = 0.5\n",
+         "unknown key 'temprature' in [models]"),
+        ('[corpus]\nroot = "x"\n[outputs]\ndir = "o"\n',
+         "unknown config table [outputs]"),
+        ('seed = 1\n[corpus]\nroot = "x"\n', "unknown config table [seed]"),
+        ('[corpus]\nroot = "x"\n[[models]]\nname = "m"\nmode = "reply"\n',
+         "[models] mode must be one of live, replay, not 'reply'"),
+        ('[corpus]\nroot = "x"\n[run]\nprompt = "precond"\n',
+         "[run] prompt must be one of termination, precondition, "
+         "not 'precond'"),
+    ], ids=["eval-key", "checker-key", "corpus-key", "validator-key",
+            "model-key", "table", "top-level-key", "mode", "prompt"])
+    def test_unknown_config_key_exits_2(self, runner, tmp_path, text,
+                                        message):
+        config_path = tmp_path / "c.toml"
+        config_path.write_text(text)
+        result = runner.invoke(main, ["run", "-c", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{config_path}: {message}" in result.output
 
     def test_manifest_with_unknown_verdict_exits_2(self, runner, tmp_path):
         manifest = corpus_mod.load_manifest(FIXTURES / "corpus").manifest
@@ -282,21 +312,47 @@ class TestCheckWitnessCommand:
 
     def test_validator_is_told_the_architecture_the_graphml_states(
             self, runner, tmp_path):
+        # the architecture is the data model of the task YAML beside the
+        # program
         log = fake_validator(tmp_path / "validator")
+        (tmp_path / "properties").mkdir()
+        shutil.copy(FIXTURES / "corpus" / "properties" / "termination.prp",
+                    tmp_path / "properties")
+        (tmp_path / "task").mkdir()
+        program = tmp_path / "task" / "absorb_to_zero.c"
+        shutil.copy(FIXTURES / "programs" / "absorb_to_zero.c", program)
+        program.with_suffix(".yml").write_text(
+            task_yaml("absorb_to_zero.c", "LP64"))
         config = tmp_path / "c.toml"
-        config.write_text(f'[validator]\nroot = "validator"\n'
-                          f'property = "{FIXTURES / "corpus" / "properties"}'
-                          '/termination.prp"\n')
+        config.write_text('[validator]\nroot = "validator"\n')
+        emitted = tmp_path / "w.graphml"
         result = runner.invoke(main, [
-            "check-witness",
-            str(FIXTURES / "programs" / "absorb_to_zero.c"),
+            "check-witness", str(program),
             str(FIXTURES / "witnesses" / "absorb_to_zero.json"),
-            "--architecture", "64bit", "--validate", "-c", str(config),
+            "--validate", "-c", str(config), "--emit", str(emitted),
         ])
         assert result.exit_code == 0, result.output
         assert "external validator: validated" in result.output
         told, stated, _ = log.read_text().split()
         assert (told, stated) == ("64bit", "64bit")
+        assert '<data key="architecture">64bit</data>' in emitted.read_text()
+
+    def test_graphml_without_a_task_yaml_states_32bit(self, runner, tmp_path):
+        emitted = tmp_path / "w.graphml"
+        result = runner.invoke(main, [
+            "check-witness", str(FIXTURES / "programs" / "even_spin.c"),
+            str(FIXTURES / "witnesses" / "even_spin.json"),
+            "--emit", str(emitted)])
+        assert result.exit_code == 0, result.output
+        assert '<data key="architecture">32bit</data>' in emitted.read_text()
+
+    def test_architecture_is_not_an_option(self, runner):
+        result = runner.invoke(main, [
+            "check-witness", str(FIXTURES / "programs" / "even_spin.c"),
+            str(FIXTURES / "witnesses" / "even_spin.json"),
+            "--architecture", "64bit"])
+        assert result.exit_code == 2
+        assert "No such option '--architecture'" in result.output
 
     @pytest.mark.parametrize("cwd", ["conf", "."])
     def test_validator_root_resolves_from_the_config(self, runner, tmp_path,
@@ -803,8 +859,8 @@ class TestScoreCommand:
         spec.write_text(spec.read_text().replace("ILP32", "LP64"))
         log = fake_validator(workspace / "validator")
         config = workspace / "score_config.toml"
-        config.write_text(config.read_text() + '\n[validator]\nroot = "validator"'
-                          '\nproperty = "corpus/properties/termination.prp"\n')
+        config.write_text(config.read_text()
+                          + '\n[validator]\nroot = "validator"\n')
         result = runner.invoke(main, [
             "score", str(workspace / "runs" / "demo"),
             "-c", str(config), "-o", str(workspace / "report"),

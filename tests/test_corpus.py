@@ -12,6 +12,8 @@ from termeval.corpus import (
 )
 from termeval.oracle import number_lines
 
+from conftest import task_yaml
+
 
 class TestNumberLines:
     def test_single_line(self):
@@ -183,17 +185,21 @@ class TestLoadManifest:
 
     def test_lp64_data_model(self, tmp_path):
         (tmp_path / "wide.c").write_text("int main() { return 0; }\n")
-        (tmp_path / "wide.yml").write_text(
-            "format_version: '2.0'\n"
-            "input_files: 'wide.c'\n"
-            "properties:\n"
-            "  - property_file: ../properties/termination.prp\n"
-            "    expected_verdict: true\n"
-            "options:\n"
-            "  language: C\n"
-            "  data_model: LP64\n")
+        (tmp_path / "wide.yml").write_text(task_yaml("wide.c", "LP64"))
         load = load_manifest(tmp_path)
         assert load.manifest.tasks[0].architecture is Architecture.BITS64
+
+    @pytest.mark.parametrize("options", ["[LP64]", "LP64", "{data_model: 64}"])
+    def test_options_out_of_shape_are_ilp32(self, tmp_path, options):
+        (tmp_path / "odd.c").write_text("int main() { return 0; }\n")
+        (tmp_path / "odd.yml").write_text(
+            task_yaml("odd.c", "LP64").replace("options:\n  language: C\n"
+                                               "  data_model: LP64\n",
+                                               f"options: {options}\n"))
+        load = load_manifest(tmp_path)
+        assert load.manifest.tasks[0].architecture is Architecture.BITS32
+        assert corpus.read_task_yaml(tmp_path / "odd.c")[1] is \
+            Architecture.BITS32
 
     def test_glob_stays_within_segment(self, tmp_path):
         # a set file glob with a single * must not match nested directories
@@ -262,17 +268,24 @@ class TestLoadManifest:
         assert {t.property_path.resolve()
                 for t in manifest_from_json(path).tasks} == {prp}
 
-    def test_task_property_path_reads_the_yaml_beside_the_program(
+    def test_read_task_yaml_reads_the_yaml_beside_the_program(
             self, corpus_root, tmp_path):
         program = corpus_root / "control-loops" / "count_to_ten.c"
-        assert corpus.task_property_path(program).resolve() == \
+        prop, arch = corpus.read_task_yaml(program)
+        assert prop.resolve() == \
             (corpus_root / "properties" / "termination.prp").resolve()
-        assert corpus.task_property_path(tmp_path / "none.c") is None
+        assert arch is Architecture.BITS32
+        (tmp_path / "wide.yml").write_text(task_yaml("wide.c", "LP64"))
+        assert corpus.read_task_yaml(tmp_path / "wide.c") == (
+            tmp_path / "../properties/termination.prp", Architecture.BITS64)
+        assert corpus.read_task_yaml(tmp_path / "none.c") == (
+            None, Architecture.BITS32)
         (tmp_path / "other.yml").write_text(
             (corpus_root / "misc" / "other_property.yml").read_text())
-        assert corpus.task_property_path(tmp_path / "other.c") is None
+        assert corpus.read_task_yaml(tmp_path / "other.c")[0] is None
         (tmp_path / "bad.yml").write_text("[unclosed")
-        assert corpus.task_property_path(tmp_path / "bad.c") is None
+        assert corpus.read_task_yaml(tmp_path / "bad.c") == (
+            None, Architecture.BITS32)
 
     def test_reload_counts_the_tasks(self, corpus_root, tmp_path):
         # the stored counts are a summary: the tasks are the truth

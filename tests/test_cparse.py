@@ -10,7 +10,11 @@ from termeval.cparse import (
     Program, Unary, UnsupportedConstruct, Var, While, parse_expression,
     parse_program, INT, UINT, wrap,
 )
-from termeval.lasso import run_program
+from termeval.lasso import (
+    ASSIGN, COND, JUMP, NONDET, LassoPath, ProvenInfinite, _lower,
+    check_feasibility, run_program,
+)
+from termeval.witness import WitnessEdge
 
 from conftest import (
     C_TYPES, c_chains, c_expressions, int_values, load_program,
@@ -117,7 +121,6 @@ class TestParsePrograms:
             "int main() { return 0; }\n")
         assert isinstance(program, Program)
         assert set(program.functions) == {"helper", "main"}
-        assert program.entry == "main"
 
     @pytest.mark.parametrize("spelling, ctype", [
         ("short", cparse.SHORT), ("short int", cparse.SHORT),
@@ -137,9 +140,79 @@ class TestParsePrograms:
     def test_for_loop_with_increment(self):
         program = parse_program(load_program("count_to_ten.c"))
         assert isinstance(program, Program)
-        loops = collect(program, cparse.For)
+        loops = collect(program, While)
         assert len(loops) == 1
         assert loops[0].line == 5
+
+    def test_nondet_site_is_its_statement(self):
+        # a call on the line after the assigned name is still the site of
+        # the statement on the name's line, the key its value is read by
+        program = parse_program(
+            "int main() {\n  int x;\n  x =\n    __VERIFIER_nondet_int();\n"
+            "  while (x > 0) { x = x + 0; }\n  return 0;\n}\n")
+        assert isinstance(program, Program)
+        site, = program.nondet_vars
+        assert site is program.functions["main"].body[1]
+        assert (site.name, site.line) == ("x", 3)
+        assert run_program(program, {"x@3": 0}, 1000) == ("terminated", 3)
+        assert run_program(program, {"x@3": 5}, 1000)[0] == "running"
+        # the checker enumerates the value the statement reads
+        stem = (WitnessEdge("S", "N", "H", 3, "x = ..."),)
+        cycle = (WitnessEdge("C", "H", "A", 5, "x > 0",
+                             control="condition-true"),
+                 WitnessEdge("D", "A", "H", 5, "x = x + 0;"))
+        result = check_feasibility(program, LassoPath(stem, cycle, "H"))
+        assert isinstance(result, ProvenInfinite)
+        assert result.assignment == {"x@3": 1}
+
+
+def instructions(program: Program) -> list[tuple]:
+    """The lowered code of ``program`` as opcode, line, variable and jump
+    target; the compiled expressions are left out."""
+    return [(op, line, a if op in (ASSIGN, NONDET) else None,
+             b if op == COND else a if op == JUMP else None)
+            for op, line, a, b in _lower(program)]
+
+
+class TestForLoop:
+    """A ``for`` is read as a block holding its init and a ``while`` whose
+    body is the loop body, in a block of its own, and then the step."""
+
+    @pytest.mark.parametrize("loop, hand_written", [
+        ("for (;;) { x = x - 1; if (x < 0) return 0; }",
+         "{ while (1) { { x = x - 1; if (x < 0) return 0; } } }"),
+        ("for (int i = 0; i < x; i++) { x = x - 1; }",
+         "{ int i = 0; while (i < x) { { x = x - 1; } i++; } }"),
+        ("for (x = __VERIFIER_nondet_int(); x > 0;) { x = x - 2; }",
+         "{ x = __VERIFIER_nondet_int(); while (x > 0) { { x = x - 2; } } }"),
+        ("for (; x > 0; x = __VERIFIER_nondet_int()) x = x - 1;",
+         "{ while (x > 0) { { x = x - 1; } x = __VERIFIER_nondet_int(); } }"),
+        ("for (char c = 0; c != x; c += 3);",
+         "{ char c = 0; while (c != x) { { } c += 3; } }"),
+    ], ids=["no-parts", "declaration", "no-step", "nondet-step", "empty-body"])
+    def test_for_is_its_while_form(self, loop, hand_written):
+        programs = [parse_program(
+            "int main() {\n  int x = __VERIFIER_nondet_int();\n  "
+            + text + "\n  return x;\n}\n") for text in (loop, hand_written)]
+        assert all(isinstance(p, Program) for p in programs)
+        for_form, while_form = programs
+        assert for_form.types == while_form.types
+        assert for_form.nondet_vars == while_form.nondet_vars
+        assert instructions(for_form) == instructions(while_form)
+        for x in (-3, 0, 7):
+            assignment = {f"{s.name}@{s.line}": x for s in for_form.nondet_vars}
+            assert run_program(for_form, assignment, 500) == \
+                run_program(while_form, assignment, 500)
+
+    def test_body_is_checked_before_the_step(self):
+        # both the step and the body break the scope rules; the body,
+        # which runs first, is named
+        result = parse_program(
+            "int main() {\n  int k;\n  for (;; q = 1) {\n    int k;\n  }\n"
+            "  int q;\n  return 0;\n}\n")
+        assert isinstance(result, UnsupportedConstruct)
+        assert (result.line, result.construct) == (
+            4, "shadowed declaration of k")
 
 
 class TestResolveLine:
@@ -598,7 +671,7 @@ class TestExpressionParsing:
     def test_octal_in_a_program(self):
         program = parse_program("int main() { int x = 010; return 0; }")
         assert isinstance(program, Program)
-        assert program.main.body[0].init == IntLit(8)
+        assert program.functions["main"].body[0].init == IntLit(8)
 
     def test_tokenize_time_is_linear_in_the_text(self):
         # a witness assumption may be a megabyte long; copying the rest of

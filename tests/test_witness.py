@@ -28,7 +28,7 @@ class TestParsePrediction:
         assert isinstance(pred, Prediction)
         assert pred.verdict is Verdict.NT
         assert pred.witness is not None
-        assert pred.witness.node_ids() == ["N1", "N2", "N0", "N3"]
+        assert [n.id for n in pred.witness.nodes] == ["N1", "N2", "N0", "N3"]
 
     def test_plain_true_verdict(self):
         pred = parse_prediction('{"verdict": true}')
@@ -234,7 +234,7 @@ class TestValidateSchema:
     def test_node_renaming_agnosticism(self, name):
         automaton = fixture_automaton(name)
         mapping = {node_id: f"state_{i}"
-                   for i, node_id in enumerate(automaton.node_ids())}
+                   for i, node_id in enumerate(n.id for n in automaton.nodes)}
         renamed = WitnessAutomaton(
             nodes=tuple(WitnessNode(mapping[n.id], n.entry, n.cyclehead)
                         for n in automaton.nodes),

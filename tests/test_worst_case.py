@@ -7,7 +7,9 @@ value, a :class:`CParseError` or a :class:`PrecondParseError`, a list of
 schema violations or an ``Unknown``, never a ``RecursionError`` or another
 exception), and 4n takes under 8 times as long as n, so the time is near
 linear.  Each timing repeats the call for at least 5 ms and keeps the best
-of three.
+of three, with the garbage collector off.  An entry point whose input is
+bounded, such as ``compile_expr`` on the deepest tree the parser accepts,
+scales its input so that 4n is at the bound.
 """
 
 import gc
@@ -18,10 +20,13 @@ import pytest
 
 from termeval.cli import extract_precondition_answer
 from termeval.cparse import (
-    Binary, CParseError, Program, parse_expression, parse_program, tokenize,
+    MAX_EXPR_DEPTH, MAX_EXPR_NESTING, MAX_STMT_NESTING, SHORT, Binary,
+    CParseError, EvalUndefined, Program, compile_expr, parse_expression,
+    parse_program, tokenize,
 )
 from termeval.lasso import (
     LassoPath, NoLasso, ProvenInfinite, check_feasibility, extract_lasso,
+    run_program,
 )
 from termeval.oracle import replay_records
 from termeval.precond import PrecondParseError, parse_precondition
@@ -58,6 +63,32 @@ PROGRAM_GENERATORS = {
     "block comments": lambda n: "/* c */ " * n + program(""),
     "line comments": lambda n: "// c\n" * n + program(""),
 }
+
+def deepest(n: int, bound: int) -> int:
+    """``n`` scaled so that 4N is ``bound``."""
+    return bound * n // (4 * N)
+
+
+# 4N gives the deepest tree the expression parser accepts
+EXPR_GENERATORS = {
+    **{f"{op} chain": lambda n, op=op: f" {op} ".join(
+        ["x"] * deepest(n, MAX_EXPR_DEPTH)) for op in ("+", "-", "/", "<<")},
+    "nested parens": lambda n: ("(" * deepest(n, MAX_EXPR_NESTING) + "x - 1"
+                                + ")" * deepest(n, MAX_EXPR_NESTING)),
+}
+
+
+def compile_and_run(types: dict):
+    """Parse an expression, compile it over ``types`` and evaluate it at
+    x = 3: its value, or the :class:`EvalUndefined` it raises."""
+    def run(text: str):
+        fn, _ = compile_expr(parse_expression(text), types)
+        try:
+            return fn({"x": 3})
+        except EvalUndefined as exc:
+            return exc
+    return run
+
 
 ANSWER_GENERATORS = {
     "open tags": lambda n: "<answer>" * n,
@@ -183,6 +214,9 @@ ROWS = [
     ("extract_lasso", "head chain", extract_lasso, GRAPH_GENERATORS, NoLasso),
     ("check_feasibility", "long cycle", check_toggle, LASSO_GENERATORS,
      ProvenInfinite),
+    *[(f"compile_expr{kind}", name, compile_and_run(types), EXPR_GENERATORS,
+       int) for name in EXPR_GENERATORS
+      for kind, types in (("", {}), (" typed", {"x": SHORT}))],
 ]
 
 
@@ -198,16 +232,23 @@ def outcome(fn, arg):
 
 
 def seconds(fn, arg) -> float:
+    # a call that keeps many objects alive can set off the collector's full
+    # passes over every object the test session holds, a cost of the
+    # session's heap, not of the call; timeit turns it off alike
     best = math.inf
-    for _ in range(3):
-        calls, start = 0, time.perf_counter()
-        while (elapsed := time.perf_counter() - start) < 0.005:
-            try:
-                fn(arg)
-            except (CParseError, PrecondParseError):
-                pass
-            calls += 1
-        best = min(best, elapsed / calls)
+    gc.disable()
+    try:
+        for _ in range(3):
+            calls, start = 0, time.perf_counter()
+            while (elapsed := time.perf_counter() - start) < 0.005:
+                try:
+                    fn(arg)
+                except (CParseError, PrecondParseError):
+                    pass
+                calls += 1
+            best = min(best, elapsed / calls)
+    finally:
+        gc.enable()
     return best
 
 
@@ -241,12 +282,31 @@ def test_replay_records_on_a_hostile_cache(tmp_path):
     large = hostile_cache(tmp_path / "large" / "m" / "t", 4 * n)
     assert replay(small) == (n, {FormatError})
     assert replay(large) == (4 * n, {FormatError})
-    # the large run keeps enough records alive to set off the collector's
-    # full passes over every object the test session holds, a cost of the
-    # session's heap, not of the replay; timeit turns it off alike
-    gc.disable()
-    try:
-        ratio = seconds(replay, large) / seconds(replay, small)
-    finally:
-        gc.enable()
-    assert ratio < 8
+    assert seconds(replay, large) / seconds(replay, small) < 8
+
+
+def nested_loops(levels: int) -> str:
+    """``levels`` nested ``for`` loops, each outer one run once and the
+    innermost for ever, around the longest chain the parser accepts."""
+    chain = " + ".join(["x"] * MAX_EXPR_DEPTH)
+    return ("int main() {\n  int x = __VERIFIER_nondet_int();\n"
+            + "".join(f"  for (int i{k} = 0; i{k} < 1; i{k}++) {{\n"
+                      for k in range(levels - 1))
+            + "  for (;;) {\n" + f"  x = {chain};\n" + "  }\n" * levels
+            + "  return x;\n}\n")
+
+
+def test_loops_nested_to_the_limit():
+    # each `for` is three statements deep once read as its `while` form,
+    # and the scope check, the lowering and the compiler all recurse
+    levels = MAX_STMT_NESTING - 1
+    program = parse_program(nested_loops(levels))
+    assert isinstance(program, Program)
+    assert run_program(program, {"x@2": 1}, 1000)[0] == "running"
+    head = levels + 2  # the innermost loop's line; its body is on the next
+    cycle = (WitnessEdge("C", "H", "A", head, "", control="condition-true"),
+             WitnessEdge("D", "A", "H", head + 1, ""))
+    result = check_feasibility(program, LassoPath((), cycle, "H"))
+    assert isinstance(result, ProvenInfinite)
+    with pytest.raises(CParseError, match="nested deeper than"):
+        parse_program(nested_loops(levels + 1))
