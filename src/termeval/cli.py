@@ -655,7 +655,8 @@ def precond_cmd(run_dir: Path, annotations: Path, config_path: Path,
         _fail(f"no model directories under {run_dir}", 1)
 
     # each task's program and annotation are parsed once, and each distinct
-    # formula is judged once, for every model
+    # reply text is parsed and each distinct formula judged once, for every
+    # model
     truths = []
     for task_id, truth_text in sorted(truth_raw.items()):
         # a program that does not parse leaves the annotation to name the

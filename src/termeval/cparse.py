@@ -182,7 +182,7 @@ class FunctionDef:
 @dataclass
 class Program:
     functions: dict[str, FunctionDef]
-    nondet_vars: list[NondetAssign]  # every nondet call site, in source order
+    nondet_vars: list[NondetAssign]  # main's nondet call sites, in source order
     globals: list[Decl]
     # declared type of every variable of main and of the globals
     types: dict[str, CType]
@@ -373,7 +373,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.nondet_sites: list[NondetAssign] = []
+        self.nondet_sites: list[NondetAssign] = []  # the current function's
+        self.main_sites: list[NondetAssign] = []
         self.nesting = 0
         self.stmt_nesting = 0
 
@@ -713,7 +714,7 @@ class _Parser:
             raise CParseError("no main function", self.peek().line)
         types = {name: _scoped_types(globals_, fn)
                  for name, fn in functions.items()}
-        return Program(functions, self.nondet_sites, globals_, types["main"])
+        return Program(functions, self.main_sites, globals_, types["main"])
 
     def _parse_typedef(self) -> None:
         line = self.expect("typedef").line
@@ -782,8 +783,12 @@ class _Parser:
             if self.accept(";"):
                 return
             self.expect("{")
+            # only main runs, so only its calls are sites
+            self.nondet_sites = []
             body = self.parse_block_body()
             functions[name.text] = FunctionDef(params, body)
+            if name.text == "main":
+                self.main_sites = self.nondet_sites
             return
         # global variable declaration(s)
         self.pos = start
@@ -1098,6 +1103,16 @@ def compile_expr(expr: Expr, types: dict[str, CType],
     return gen.make(f"    return lambda env: {gen.text(src)}\n"), src.ctype
 
 
+@functools.lru_cache(maxsize=256)
+def _scan_half(expr: Expr, names: tuple[str, ...],
+               types: frozenset[tuple[str, CType]]) -> tuple[str, tuple, tuple]:
+    """The text of ``expr`` in a scan over ``names``, with the literals and
+    hoisted functions it numbers from ``_c0`` and ``_h0``."""
+    gen = _Gen(dict(types), {name: f"_v{i}" for i, name in enumerate(names)})
+    text = gen.text(gen.node(expr))
+    return text, tuple(gen.lits), tuple(gen.defs)
+
+
 def compile_scan(a: Expr, b: Expr, names: list[str],
                  types: dict[str, CType]) -> Callable[..., tuple]:
     """Compile a search for an assignment on which ``a`` and ``b`` differ.
@@ -1107,10 +1122,15 @@ def compile_scan(a: Expr, b: Expr, names: list[str],
     the first ``v`` where the two values differ and ``(None, defined)`` when
     there is none.  An assignment on which either side raises
     :class:`EvalUndefined` is skipped, and ``defined`` says whether some
-    assignment was not.  Variables are read as by :func:`compile_expr`."""
+    assignment was not.  Variables are read as by :func:`compile_expr`.
+    ``b``'s half of the source is generated once per ``(b, names, types)``,
+    so a fixed ``b`` compared with many ``a`` generates only ``a`` each
+    time."""
     slots = {name: f"_v{i}" for i, name in enumerate(names)}
+    right, lits, defs = _scan_half(b, tuple(names), frozenset(types.items()))
     gen = _Gen(types, slots)
-    left, right = gen.text(gen.node(a)), gen.text(gen.node(b))
+    gen.lits, gen.defs = list(lits), list(defs)
+    left = gen.text(gen.node(a))
     *outer, last = slots.values()
     return gen.make(_SCAN.format(outer=", ".join(outer), last=last,
                                  left=left, right=right))

@@ -20,6 +20,7 @@ bit-vector encoding of the same tree, run through any external solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -203,13 +204,14 @@ EquivalenceResult = Equivalent | Inequivalent | EquivUnknown
 MAX_BRUTE_ASSIGNMENTS = 1_000_000
 
 
-def _domain_values(ctype: CType, box: tuple[int, int]) -> list[int]:
+@functools.lru_cache(maxsize=64)
+def _domain_values(ctype: CType, box: tuple[int, int]) -> tuple[int, ...]:
     lo = max(box[0], ctype.min)
     hi = min(box[1], ctype.max)
     values = set(range(lo, hi + 1))
     # wraparound boundary sentinels
     values.update({ctype.min, ctype.min + 1, ctype.max - 1, ctype.max})
-    return sorted(values)
+    return tuple(sorted(values))
 
 
 def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
@@ -403,6 +405,13 @@ def smt_equivalence(a: Expr, b: Expr,
     return EquivUnknown(f"solver answered {first or proc.stderr.strip()!r}")
 
 
+def _undeclared(expr: Expr, variables: dict[str, CType], label: str) -> None:
+    unknown = variables_of(expr) - set(variables)
+    if unknown:
+        raise ValueError(f"{label} formula references undeclared "
+                         f"variables: {sorted(unknown)}")
+
+
 def check_equivalence(a: Expr, b: Expr,
                       variables: dict[str, CType],
                       mode: str = "brute") -> EquivalenceResult:
@@ -411,11 +420,15 @@ def check_equivalence(a: Expr, b: Expr,
     ``mode`` is ``brute``, ``smt``, or ``both`` (both backends must return
     definitive, agreeing answers, otherwise the result is unknown).
     """
-    for expr, label in ((a, "left"), (b, "right")):
-        unknown = variables_of(expr) - set(variables)
-        if unknown:
-            raise ValueError(f"{label} formula references undeclared "
-                             f"variables: {sorted(unknown)}")
+    _undeclared(a, variables, "left")
+    _undeclared(b, variables, "right")
+    return _compare(a, b, variables, mode)
+
+
+def _compare(a: Expr, b: Expr, variables: dict[str, CType],
+             mode: str) -> EquivalenceResult:
+    """:func:`check_equivalence` of formulas known to read only
+    ``variables``."""
     if mode == "brute":
         return brute_equivalence(a, b, variables)
     if mode == "smt":
@@ -445,31 +458,42 @@ class GenerationJudgment(Enum):
 
 def judge_generation(text: str, ground_truth: Expr,
                      variables: dict[str, CType], mode: str = "brute",
-                     judged: dict[Expr, GenerationJudgment] | None = None,
+                     judged: dict[str | Expr, GenerationJudgment] | None = None,
                      ) -> GenerationJudgment:
     """How the formula ``text`` compares with ``ground_truth``.
 
-    ``judged`` maps formulas already compared with this ground truth, over
-    these variables and in this mode, to their judgments; a formula found
-    there is not compared again.  Pass one dict per task to judge each
-    distinct parsed formula of the task once.
+    ``judged`` holds what is already known of this ground truth, over these
+    variables and in this mode: reply texts and parsed formulas, each mapped
+    to its judgment.  A text found there is not parsed again, and a formula
+    found there is not compared again.  Pass one dict per task to parse each
+    distinct text and compare each distinct formula of the task once; the
+    ground truth's variables are checked when the dict is empty.
     """
+    judged = {} if judged is None else judged
+    judgment = judged.get(text)
+    if judgment is not None:
+        return judgment
+    if not judged:
+        _undeclared(ground_truth, variables, "right")
     try:
         expr = parse_precondition(text, set(variables))
     except PrecondParseError:
+        judged[text] = GenerationJudgment.UNPARSEABLE
         return GenerationJudgment.UNPARSEABLE
-    judged = {} if judged is None else judged
-    if expr not in judged:
-        result = check_equivalence(expr, ground_truth, variables, mode=mode)
-        judged[expr] = {Equivalent: GenerationJudgment.EQUIVALENT,
-                        Inequivalent: GenerationJudgment.INEQUIVALENT,
-                        }.get(type(result), GenerationJudgment.UNDECIDED)
-    return judged[expr]
+    judgment = judged.get(expr)
+    if judgment is None:
+        result = _compare(expr, ground_truth, variables, mode)
+        judgment = judged[expr] = {
+            Equivalent: GenerationJudgment.EQUIVALENT,
+            Inequivalent: GenerationJudgment.INEQUIVALENT,
+        }.get(type(result), GenerationJudgment.UNDECIDED)
+    judged[text] = judgment
+    return judgment
 
 
 def count_equivalent(generations: list[str], ground_truth: Expr,
                      variables: dict[str, CType], mode: str = "brute",
-                     judged: dict[Expr, GenerationJudgment] | None = None,
+                     judged: dict[str | Expr, GenerationJudgment] | None = None,
                      ) -> int:
     """How many of a task's precondition generations are equivalent to the
     ground truth, each judged once; the ``c`` of :func:`pass_at_k`.

@@ -6,7 +6,8 @@ into another function (consensus and F1 inside ``evalcore.bootstrap_eval``,
 the backtracking lasso path search behind ``lasso.extract_lasso``, the
 schema check and lasso extraction with a graph search per cyclehead, C
 expressions compiled into closures instead of generated code, the
-brute-force loop over them, the feasibility checker's pending-edge
+brute-force loop over them, the brute-force scan that generated both
+formulas of a pair each time, the feasibility checker's pending-edge
 tracker, the C tokenizer and expression parser before one regex and
 precedence climbing, and precond's own formula parser before it moved onto
 cparse), or a tool that only tests need (a C
@@ -32,8 +33,8 @@ from termeval.cparse import (
     MAX_EXPR_DEPTH, MAX_EXPR_NESTING, NONDET_TYPES, Assign, Binary, Block,
     CParseError, CType, Decl, EvalUndefined, Expr, If, IntLit,
     NondetAssign, Program, Return, Stmt, Unary, UnsupportedConstruct, Var,
-    While, _Parser, _Unsupported, compile_expr, expr_depth, int_constant,
-    iter_statements, promote, usual_arithmetic_type, wrap,
+    While, _Gen, _Parser, _SCAN, _Unsupported, compile_expr, expr_depth,
+    int_constant, iter_statements, promote, usual_arithmetic_type, wrap,
 )
 from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sample
 from termeval.lasso import (
@@ -42,9 +43,10 @@ from termeval.lasso import (
     NoLasso, ProvenInfinite, Unknown, _clamp_domain, _compile_assumption,
     _executable_lines, _lex_path, _lower, _site_key,
 )
+from termeval import precond
 from termeval.oracle import _read_template
 from termeval.precond import (
-    EquivUnknown, Equivalent, Inequivalent, PrecondParseError, _domain_values,
+    EquivUnknown, Equivalent, Inequivalent, PrecondParseError,
 )
 from termeval.witness import (
     CONTROL_VALUES, SchemaViolation, Verdict, WitnessAutomaton, WitnessEdge,
@@ -460,7 +462,7 @@ def brute_loop(a: Expr, b: Expr, variables: dict[str, CType],
     """``precond.brute_equivalence`` with ``budget`` assignments, as one
     Python loop over closures that updates one environment in place."""
     names = sorted(variables)
-    domains = [_domain_values(variables[n], box) for n in names]
+    domains = [old_domain_values(variables[n], box) for n in names]
     fa, _ = closure_compile(a, variables)
     fb, _ = closure_compile(b, variables)
     if not names:
@@ -487,6 +489,66 @@ def brute_loop(a: Expr, b: Expr, variables: dict[str, CType],
             except EvalUndefined:
                 continue
             defined = True
+    total = math.prod(map(len, domains))
+    if total > budget:
+        return EquivUnknown(f"budget: {budget} of {total} "
+                            "assignments evaluated without a counterexample")
+    if not defined:
+        return EquivUnknown("degenerate: every assignment hit undefined arithmetic")
+    return Equivalent()
+
+
+def old_domain_values(ctype: CType, box: tuple[int, int]) -> list[int]:
+    """``precond._domain_values`` before it was cached as a tuple."""
+    lo = max(box[0], ctype.min)
+    hi = min(box[1], ctype.max)
+    values = set(range(lo, hi + 1))
+    # wraparound boundary sentinels
+    values.update({ctype.min, ctype.min + 1, ctype.max - 1, ctype.max})
+    return sorted(values)
+
+
+def old_compile_scan(a: Expr, b: Expr, names: list[str],
+                     types: dict[str, CType]) -> Callable[..., tuple]:
+    """``cparse.compile_scan`` before it generated ``b``'s half once per
+    ``(b, names, types)``: both halves generated for every pair, ``a``'s
+    literals first."""
+    slots = {name: f"_v{i}" for i, name in enumerate(names)}
+    gen = _Gen(types, slots)
+    left, right = gen.text(gen.node(a)), gen.text(gen.node(b))
+    *outer, last = slots.values()
+    return gen.make(_SCAN.format(outer=", ".join(outer), last=last,
+                                 left=left, right=right))
+
+
+def old_brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
+                          box: tuple[int, int] = (-128, 127)):
+    """``precond.brute_equivalence`` over :func:`old_compile_scan` and
+    :func:`old_domain_values`, with the budget read from
+    ``precond.MAX_BRUTE_ASSIGNMENTS`` at each call."""
+    budget = precond.MAX_BRUTE_ASSIGNMENTS
+    names = sorted(variables)
+    domains = [old_domain_values(variables[n], box) for n in names]
+    if not names:
+        fa, _ = compile_expr(a, variables)
+        fb, _ = compile_expr(b, variables)
+        try:
+            same = fa({}) == fb({})
+        except EvalUndefined:
+            return EquivUnknown("degenerate: undefined arithmetic")
+        return Equivalent() if same else Inequivalent({})
+    # a generated scan per prefix of the outer names, until the budget is spent
+    scan = old_compile_scan(a, b, names, variables)
+    left, defined = budget, False
+    for prefix in itertools.product(*domains[:-1]):
+        if left <= 0:
+            break
+        values = domains[-1][:left]
+        left -= len(values)
+        value, seen = scan(values, *prefix)
+        if value is not None:
+            return Inequivalent({**dict(zip(names, prefix)), names[-1]: value})
+        defined = defined or seen
     total = math.prod(map(len, domains))
     if total > budget:
         return EquivUnknown(f"budget: {budget} of {total} "

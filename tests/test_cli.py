@@ -1248,6 +1248,105 @@ class TestPrecondCommand:
             [pytest.approx(0.4), pytest.approx(0.2)]
         assert len(compared) == len(set(compared)) == 3
 
+    def test_each_distinct_text_parsed_once(self, runner, tmp_path,
+                                            monkeypatch):
+        # both models repeat texts within and across tasks; each distinct
+        # text of a task is parsed once, and every generation is judged
+        from termeval import precond
+        from termeval.cparse import INT
+        parse, judge = precond.parse_precondition, precond.judge_generation
+        task = [None]
+        parsed, judgments = [], []
+
+        def note_task(run_dir, model_name, task_id):
+            task[0] = task_id
+            return replay(run_dir, model_name, task_id)
+
+        def counting_parse(text, *args, **kwargs):
+            parsed.append((task[0], text))
+            return parse(text, *args, **kwargs)
+
+        def keeping_judge(text, truth, variables, *args, **kwargs):
+            judgment = judge(text, truth, variables, *args, **kwargs)
+            judgments.append((text, truth, variables, judgment))
+            return judgment
+
+        replay = oracle.replay_records
+        monkeypatch.setattr(oracle, "replay_records", note_task)
+        monkeypatch.setattr(precond, "parse_precondition", counting_parse)
+        monkeypatch.setattr(precond, "judge_generation", keeping_judge)
+        spin, stall = ("bitvector-spin/even_spin",
+                       "control-loops/stall_below_minus_five")
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            spin: ["x % 2 == 0", "(((", "x % 2 == 0", "x > 0", "x>0"],
+            stall: ["i < -4", "(((", "i < -4", "i <= -5"],
+        })
+        _write_replies(run_dir, "oracle-b", spin,
+                       ["x > 0", "(((", "x % 2 != 1", "x % 2 == 0"])
+        _write_replies(run_dir, "oracle-b", stall,
+                       ["i < -4", "i < -4", "x > 0", "i<-4"])
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps({spin: "x % 2 == 0",
+                                           stall: "i <= -5"}))
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(judgments) == 5 + 4 + 4 + 4
+        replies = [(t, text) for t, text in parsed if t is not None]
+        assert len(replies) == len(set(replies)) == 5 + 5
+        assert {text for t, text in replies if t == stall} == {
+            "i < -4", "(((", "i <= -5", "x > 0", "i<-4"}
+
+        def judge_alone(text, truth, variables):
+            try:
+                expr = parse(text, set(variables))
+            except precond.PrecondParseError:
+                return precond.GenerationJudgment.UNPARSEABLE
+            return {precond.Equivalent: precond.GenerationJudgment.EQUIVALENT,
+                    precond.Inequivalent:
+                        precond.GenerationJudgment.INEQUIVALENT,
+                    }.get(type(precond.check_equivalence(expr, truth, variables)),
+                          precond.GenerationJudgment.UNDECIDED)
+
+        assert [j for *_, j in judgments] == \
+            [judge_alone(*call) for *call, _ in judgments]
+        assert {tuple(v) for _, _, v, _ in judgments} == {("x",), ("i",)}
+        assert all(v == {name: INT for name in v} for _, _, v, _ in judgments)
+
+    def test_variables_are_main_nondet_sites(self, runner, tmp_path,
+                                            monkeypatch):
+        # a nondet call in a function main never calls names no variable
+        from termeval import precond
+        from termeval.cparse import INT
+        judge, seen = precond.judge_generation, []
+
+        def keeping_judge(text, truth, variables, *args, **kwargs):
+            judgment = judge(text, truth, variables, *args, **kwargs)
+            seen.append((dict(variables), judgment))
+            return judgment
+
+        monkeypatch.setattr(precond, "judge_generation", keeping_judge)
+        spin = "bitvector-spin/even_spin"
+        workspace, run_dir = self.make_precond_run(tmp_path, {
+            spin: ["x % 2 == 0", "h > 0 || x % 2 == 0"],
+        })
+        source = workspace / "corpus" / "bitvector-spin" / "even_spin.c"
+        source.write_text(source.read_text().replace(
+            "int main() {",
+            "int helper() { int h = __VERIFIER_nondet_int(); return h; }\n"
+            "int main() {"))
+        annotations = workspace / "annotations.json"
+        annotations.write_text(json.dumps({spin: "x % 2 == 0"}))
+        result = runner.invoke(main, [
+            "precond", str(run_dir), str(annotations),
+            "-c", str(workspace / "score_config.toml"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert seen == [({"x": INT}, precond.GenerationJudgment.EQUIVALENT),
+                        ({"x": INT}, precond.GenerationJudgment.UNPARSEABLE)]
+
     def test_equivalent_rewriting_accepted(self, runner, tmp_path):
         # syntactically different but equivalent formulations must count
         workspace, run_dir = self.make_precond_run(tmp_path, {
@@ -1374,9 +1473,9 @@ class TestPrecondCommand:
         assert result.exit_code == 0, result.output
         assert result.output.count("Pass@1 1.000") == 2
         assert len(parsed) == 2
-        # two annotations, then the 2 x 2 x 2 generations
-        assert annotated[:2] == ["x % 2 == 0", "i <= -5"]
-        assert len(annotated) == 2 + 8
+        # two annotations, then each task's one distinct reply text, once
+        # for both models' 2 x 2 x 2 generations
+        assert annotated == ["x % 2 == 0", "i <= -5", "x % 2 == 0", "i < -4"]
 
     def test_unparseable_annotation_fatal(self, runner, tmp_path):
         workspace, run_dir = self.make_precond_run(tmp_path, {

@@ -166,6 +166,19 @@ class TestParsePrograms:
         assert result.assignment == {"x@3": 1}
 
 
+    def test_only_main_has_nondet_sites(self):
+        # only main runs, so a call in another function is no site, wherever
+        # that function stands
+        program = parse_program(
+            "int before() { int h = __VERIFIER_nondet_int(); return h; }\n"
+            "int main() {\n  int x = __VERIFIER_nondet_int();\n"
+            "  x = __VERIFIER_nondet_int();\n  return x;\n}\n"
+            "int after(int a) { a = __VERIFIER_nondet_int(); return a; }\n")
+        assert isinstance(program, Program)
+        assert [(s.name, s.line) for s in program.nondet_vars] == \
+            [("x", 3), ("x", 4)]
+
+
 def instructions(program: Program) -> list[tuple]:
     """The lowered code of ``program`` as opcode, line, variable and jump
     target; the compiled expressions are left out."""

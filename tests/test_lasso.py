@@ -322,6 +322,19 @@ class TestCheckFeasibility:
                                    FAST_CFG)
         assert not isinstance(result, (ProvenInfinite, BoundedEvidence))
 
+    def test_uncalled_function_adds_no_nondet_site(self):
+        # h once joined x in the enumerated domain: 129 * 129 assignments
+        # exceed max_assignments, and the result was Unknown
+        source = ("extern int __VERIFIER_nondet_int(void);\n"
+                  "int helper() { int h = __VERIFIER_nondet_int(); return h; }\n"
+                  "int main() {\n  int x = __VERIFIER_nondet_int();\n"
+                  "  while (x > 0) {\n    x = x - 1;\n  }\n  return 0;\n}\n")
+        cycle = (WitnessEdge("C", "H", "A", 5, "", control="condition-true"),
+                 WitnessEdge("D", "A", "H", 6, ""))
+        result = check_feasibility(parse_program(source),
+                                   LassoPath((), cycle, "H"))
+        assert result == Infeasible("C")
+
     def test_edited_assumption_infeasible(self):
         data = load_witness_json("even_spin.json")["witness"]
         data["edges"][2]["assumption"] = "x % 2 == 1"

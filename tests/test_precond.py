@@ -16,8 +16,8 @@ from termeval.precond import (
     judge_generation, parse_precondition, smt_equivalence, variables_of,
 )
 
-from conftest import C_TYPES, FIXTURES, c_expressions
-from reference import brute_loop, eval_expr, format_expr
+from conftest import C_TYPES, FIXTURES, SPECIAL_VALUES, c_expressions
+from reference import brute_loop, eval_expr, format_expr, old_brute_equivalence
 
 IVAR = {"i": INT}
 XY = {"x": INT, "y": INT}
@@ -338,6 +338,114 @@ class TestAgainstReferenceLoop:
         with mock.patch.object(precond, "MAX_BRUTE_ASSIGNMENTS", budget):
             assert brute_equivalence(a, b, variables, box) == \
                 brute_loop(a, b, variables, box, budget)
+
+
+SCAN_TYPES = [CHAR, UCHAR, SHORT, USHORT, INT, UINT]
+
+
+def scan_formulas(names: list[str]):
+    """Formulas over ``names`` whose terms divide, take remainders and shift
+    by small values, so that some assignments are undefined."""
+    terms = st.recursive(
+        st.sampled_from(names).map(Var)
+        | st.builds(IntLit, st.sampled_from(SPECIAL_VALUES[:8]),
+                    st.sampled_from(SCAN_TYPES)),
+        lambda kids: st.builds(Binary, st.sampled_from(
+            ["/", "%", "<<", ">>", "+", "-", "*"]), kids, kids),
+        max_leaves=4)
+    atoms = st.builds(Binary, st.sampled_from(["<", "<=", "==", "!="]),
+                      terms, terms)
+    return st.recursive(
+        atoms, lambda kids: st.builds(Unary, st.just("!"), kids)
+        | st.builds(Binary, st.sampled_from(["&&", "||"]), kids, kids),
+        max_leaves=3)
+
+
+@st.composite
+def scan_cases(draw):
+    """A ground truth and candidates over 1-3 variables of char, short, int
+    and unsigned types, where a candidate is often the truth itself, with a
+    box and a budget."""
+    names = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3,
+                          unique=True))
+    variables = {name: draw(st.sampled_from(SCAN_TYPES)) for name in names}
+    truth = draw(scan_formulas(names))
+    candidates = draw(st.lists(st.just(truth) | scan_formulas(names),
+                               min_size=1, max_size=4))
+    box, budget = draw(st.sampled_from(
+        [((-128, 127), n) for n in (1, 259, 260, 261, 2000)]
+        + [((-3, 3), n) for n in (1, 10, 11, 12, MAX_BRUTE_ASSIGNMENTS)]))
+    return truth, candidates, variables, box, budget
+
+
+class TestAgainstOldScan:
+    """The scan that generates the ground truth's half once per ``(truth,
+    names, types)`` against the one that generated both halves per pair."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_matches_the_old_scan(self, case):
+        truth, candidates, variables, box, budget = case
+        with mock.patch.object(precond, "MAX_BRUTE_ASSIGNMENTS", budget):
+            for candidate in candidates:
+                assert brute_equivalence(candidate, truth, variables, box) == \
+                    old_brute_equivalence(candidate, truth, variables, box)
+
+    def test_one_truth_over_different_types(self):
+        # the truth's half depends on the variables' types: 200 is out of
+        # a char's range, so `x < 200` always holds for a char
+        truth = parse_precondition("x < 200")
+        candidate = parse_precondition("x < 100")
+        for ctype in (CHAR, INT, CHAR):
+            variables = {"x": ctype}
+            assert brute_equivalence(candidate, truth, variables) == \
+                old_brute_equivalence(candidate, truth, variables)
+        assert brute_equivalence(candidate, truth, {"x": CHAR}) == \
+            Inequivalent({"x": 100})
+        assert brute_equivalence(truth, truth, {"x": CHAR}) == Equivalent()
+
+
+class TestJudgeOnce:
+    TRUTH = parse_precondition("x > 0")
+
+    def counted(self, monkeypatch, name):
+        calls = []
+        original = getattr(precond, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(precond, name, counting)
+        return calls
+
+    def test_each_distinct_text_parsed_once(self, monkeypatch):
+        texts = ["x > 0", "(((", "x>0", "x > 0", "(((", "x >= 1", "x>0"]
+        alone = [judge_generation(t, self.TRUTH, {"x": INT}) for t in texts]
+        parsed = self.counted(monkeypatch, "parse_precondition")
+        compared = self.counted(monkeypatch, "brute_equivalence")
+        judged = {}
+        assert [judge_generation(t, self.TRUTH, {"x": INT}, judged=judged)
+                for t in texts] == alone
+        assert parsed == ["x > 0", "(((", "x>0", "x >= 1"]
+        # "x>0" parses to the formula of "x > 0", so it is not compared
+        assert compared == [Binary(">", Var("x"), IntLit(0)),
+                            Binary(">=", Var("x"), IntLit(1))]
+
+    def test_ground_truth_checked_once_per_dict(self, monkeypatch):
+        checked = self.counted(monkeypatch, "variables_of")
+        judged = {}
+        for text in ["x > 0", "x < 0", "(((", "x > 0"]:
+            judge_generation(text, self.TRUTH, {"x": INT}, judged=judged)
+        assert checked == [self.TRUTH]
+
+    def test_undeclared_ground_truth_raises_at_every_call(self):
+        judged = {}
+        for text in ["x > 0", "((("]:
+            with pytest.raises(ValueError, match="undeclared"):
+                judge_generation(text, parse_precondition("y > 0"),
+                                 {"x": INT}, judged=judged)
+        assert judged == {}
 
 
 class TestHostileFormulas:

@@ -21,6 +21,9 @@ ENTRY_POINTS = {
     "cli.precond_cmd": "click command `termeval precond`",
     "lasso.run_program": "runs the checker's interpreter on one assignment; "
                          "the gcc differential tests compare it with C",
+    "precond.check_equivalence": "compares two formulas that are both "
+                                 "checked against the variables; bench/ "
+                                 "re-checks counterexamples with it",
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from termeval.cli import extract_precondition_answer
 from termeval.cparse import (
-    MAX_EXPR_DEPTH, MAX_EXPR_NESTING, MAX_STMT_NESTING, SHORT, Binary,
+    CHAR, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, MAX_STMT_NESTING, SHORT, Binary,
     CParseError, EvalUndefined, Program, compile_expr, parse_expression,
     parse_program, tokenize,
 )
@@ -29,7 +29,9 @@ from termeval.lasso import (
     run_program,
 )
 from termeval.oracle import replay_records
-from termeval.precond import PrecondParseError, parse_precondition
+from termeval.precond import (
+    PrecondParseError, judge_generation, parse_precondition,
+)
 from termeval.witness import (
     FormatError, WitnessAutomaton, WitnessEdge, WitnessNode, validate_schema,
     witness_from_json,
@@ -88,6 +90,23 @@ def compile_and_run(types: dict):
         except EvalUndefined as exc:
             return exc
     return run
+
+
+TRUTH = parse_precondition("x > 0")
+
+# n / 4 distinct candidate texts, each its own formula
+JUDGE_GENERATORS = {
+    "distinct texts": lambda n: [f"x != {i}" for i in range(n // 4)],
+}
+
+
+def judge_texts(texts: list[str]) -> tuple[str, ...]:
+    """The judgments of ``texts`` against ``TRUTH`` over a char, through
+    one shared ``judged`` dict, as distinct values."""
+    judged: dict = {}
+    return tuple(sorted({judge_generation(t, TRUTH, {"x": CHAR},
+                                          judged=judged).value
+                         for t in texts}))
 
 
 ANSWER_GENERATORS = {
@@ -214,6 +233,8 @@ ROWS = [
     ("extract_lasso", "head chain", extract_lasso, GRAPH_GENERATORS, NoLasso),
     ("check_feasibility", "long cycle", check_toggle, LASSO_GENERATORS,
      ProvenInfinite),
+    ("judge_generation", "distinct texts", judge_texts, JUDGE_GENERATORS,
+     ("inequivalent",)),
     *[(f"compile_expr{kind}", name, compile_and_run(types), EXPR_GENERATORS,
        int) for name in EXPR_GENERATORS
       for kind, types in (("", {}), (" typed", {"x": SHORT}))],
