@@ -172,15 +172,14 @@ def _config_from(data: dict, base: Path) -> RunConfig:
         )
         if "preset" in m:
             config = oracle.apply_preset(config, str(m["preset"]))
-        else:
-            updates = {}
-            if "top_p" in m:
-                updates["top_p"] = float(m["top_p"])
-            if "temperature" in m:
-                updates["temperature"] = float(m["temperature"])
-            if "reasoning_effort" in m:
-                updates["reasoning_effort"] = str(m["reasoning_effort"])
-            config = replace(config, **updates)
+        updates = {}
+        if "top_p" in m:
+            updates["top_p"] = float(m["top_p"])
+        if "temperature" in m:
+            updates["temperature"] = float(m["temperature"])
+        if "reasoning_effort" in m:
+            updates["reasoning_effort"] = str(m["reasoning_effort"])
+        config = replace(config, **updates)
         if not config.replay and not config.endpoint_url:
             raise ConfigError(
                 f"model {config.name}: live mode needs endpoint_url")
@@ -445,7 +444,9 @@ def witness_status_for(prediction: Prediction | FormatError,
                        ) -> WitnessStatus:
     """Resolve one generation's witness status for scoring.
 
-    The external validator, when configured, is authoritative; otherwise the
+    A witness that fails :func:`validate_schema` or has no lasso is invalid
+    on both routes.  The external validator, when configured, is
+    authoritative for the rest; otherwise the
     internal checker accepts witnesses it can prove or bound.  A status that
     one of them gives is kept in ``statuses`` under the task id and a sha256
     of what it read: the whole witness for the validator, the lasso's
@@ -460,6 +461,9 @@ def witness_status_for(prediction: Prediction | FormatError,
     witness = prediction.witness
     if validate_schema(witness):
         return WitnessStatus.INVALID
+    lasso_path = extract_lasso(witness)
+    if not isinstance(lasso_path, LassoPath):
+        return WitnessStatus.INVALID
 
     if validator_cfg is not None:
         key = (task.task_id, _digest(witness))
@@ -472,9 +476,6 @@ def witness_status_for(prediction: Prediction | FormatError,
                              else WitnessStatus.INVALID)
         return statuses[key]
 
-    lasso_path = extract_lasso(witness)
-    if not isinstance(lasso_path, LassoPath):
-        return WitnessStatus.INVALID
     key = (task.task_id, _digest(checker_view(lasso_path)))
     if key not in statuses:
         program = program_of()

@@ -625,8 +625,6 @@ class _Parser:
         stmts: list[Stmt] = []
         if self._at_type():
             stmts = self._parse_decl(expect_semi=False)
-            if len(stmts) != 1:
-                raise _Unsupported(line, "multiple declarators in for-init")
         elif self.peek().text != ";":
             stmts.append(self._parse_assignment())
         self.expect(";")

@@ -32,6 +32,7 @@ import itertools
 import math
 import re
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,7 @@ from .cparse import (
     Assign, Block, CType, Decl, EvalUndefined, If, NondetAssign, Program,
     Return, UnsupportedConstruct, While, wrap,
 )
-from .witness import WitnessAutomaton, WitnessEdge, emit_graphml, reach_and_cycles
+from .witness import WitnessAutomaton, WitnessEdge, emit_graphml
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +134,58 @@ def _lex_path(edges_from: dict[str, list[WitnessEdge]],
         blocked.add(node)
 
 
+def reach_and_cycles(entry: str | None, adjacency: dict[str, set[str]]
+                     ) -> tuple[set[str], set[str]]:
+    """The nodes that ``entry`` reaches, itself included, and the nodes on a
+    cycle: those with an edge to themselves or in a strongly connected
+    component of two or more nodes.  One depth-first pass with its own stack,
+    from ``entry`` and then from every other node with an edge (Tarjan, SIAM
+    J. Comput. 1972); the time is linear in nodes plus edges."""
+    open_nodes: list[str] = []  # visited nodes whose component is open
+    low: dict[str, int] = {}  # least open position known; maxsize once closed
+    reached, on_cycle = set(), set()
+    for root in (entry, *adjacency):
+        if root is None or root in low:
+            continue
+        low[root] = 0
+        open_nodes.append(root)
+        path = [(root, 0, iter(adjacency.get(root, ())))]
+        while path:
+            node, at, successors = path[-1]
+            for nxt in successors:
+                if nxt not in low:
+                    low[nxt] = len(open_nodes)
+                    path.append((nxt, low[nxt], iter(adjacency.get(nxt, ()))))
+                    open_nodes.append(nxt)
+                    break
+                low[node] = min(low[node], low[nxt])
+            else:
+                path.pop()
+                if low[node] < at:  # the component opened below node
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    continue
+                component = open_nodes[at:]
+                del open_nodes[at:]
+                for member in component:
+                    low[member] = sys.maxsize
+                if len(component) > 1 or node in adjacency.get(node, ()):
+                    on_cycle.update(component)
+        if root == entry:
+            reached = set(low)
+    return reached, on_cycle
+
+
 def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
-    """Decompose a schema-valid witness into stem + simple cycle.
+    """Decompose a schema-valid witness into stem + simple cycle; the only
+    judge of whether a witness's graph holds a lasso.
 
     The first cyclehead (in node input order) with a stem and a cycle is
     used; among multiple simple cycles through it the lexicographically
     smallest edge-id sequence wins, and likewise among stems.  One linear
-    pass (:func:`witness.reach_and_cycles`) picks the head; each of the two
-    path searches then takes at most O(V·(V+E)) time, and is linear on chains
-    and combs.
+    pass (:func:`reach_and_cycles`) picks the head; each of the two path
+    searches then takes at most O(V·(V+E)) time, and is linear on chains and
+    combs.
     """
     entry = next((n.id for n in w.nodes if n.entry), None)
     edges_from: dict[str, list[WitnessEdge]] = {}
@@ -151,10 +195,15 @@ def extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
         adjacency.setdefault(edge.source, set()).add(edge.target)
 
     reached, on_cycle = reach_and_cycles(entry, adjacency)
-    head = next((n.id for n in w.cycleheads()
-                 if n.id in reached and n.id in on_cycle), None)
+    heads = [n.id for n in w.cycleheads()]
+    head = next((h for h in heads if h in reached and h in on_cycle), None)
     if head is None:
-        return NoLasso("no cycle through any cyclehead")
+        if reached.isdisjoint(heads):
+            return NoLasso("no cyclehead reachable from the entry node")
+        if on_cycle.isdisjoint(heads):
+            return NoLasso("no cycle passes through a cyclehead node")
+        return NoLasso("no cyclehead is both reachable from the entry node "
+                       "and on a cycle")
     cycle = _lex_path(edges_from, adjacency, head, head, allow_empty=False)
     stem = _lex_path(edges_from, adjacency, entry, head, allow_empty=True)
     return LassoPath(tuple(stem), tuple(cycle), head)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from termeval import cparse
+from termeval.witness import WitnessAutomaton, WitnessEdge, WitnessNode
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -29,6 +30,18 @@ def load_witness_text(name: str) -> str:
 
 def load_witness_json(name: str) -> dict:
     return json.loads(load_witness_text(name))
+
+
+def two_head_witness() -> WitnessAutomaton:
+    """Entry N1 -> cyclehead H1, which is on no cycle, and a cyclehead H2
+    with a self-loop that the entry never reaches: every record is valid,
+    but there is no lasso."""
+    return WitnessAutomaton(
+        nodes=(WitnessNode("N1", entry=True), WitnessNode("H1", cyclehead=True),
+               WitnessNode("H2", cyclehead=True)),
+        edges=(WitnessEdge("E0", "N1", "H1", 1, "x = 1;"),
+               WitnessEdge("E1", "H2", "H2", 2, "y = 2;")),
+    )
 
 
 def task_yaml(input_file: str, data_model: str) -> str:

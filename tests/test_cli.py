@@ -105,6 +105,18 @@ class TestLoadConfig:
         assert config.models[0].reasoning_effort == "medium"
         assert config.models[0].temperature is None
 
+    def test_explicit_sampling_keys_override_preset(self, tmp_path):
+        config_path = tmp_path / "c.toml"
+        config_path.write_text(
+            '[corpus]\nroot = "x"\n'
+            '[[models]]\nname = "m"\nendpoint_url = "http://e"\n'
+            'preset = "t06"\ntemperature = 0.2\ntop_p = 0.5\n'
+            '[[models]]\nname = "n"\nendpoint_url = "http://e"\n'
+            'preset = "t06"\n')
+        overridden, plain = load_config(config_path).models
+        assert (overridden.temperature, overridden.top_p) == (0.2, 0.5)
+        assert (plain.temperature, plain.top_p) == (0.6, 0.95)
+
     def test_live_model_requires_endpoint(self, tmp_path):
         import click
         config_path = tmp_path / "c.toml"
@@ -263,6 +275,23 @@ class TestCheckWitnessCommand:
         ])
         assert result.exit_code == 1
         assert "DuplicateEdgeId" in result.output
+
+    def test_cyclehead_without_cycle_has_no_lasso(self, runner, tmp_path):
+        # without E3 nothing returns to the cyclehead N0; the records are
+        # still valid, so the schema passes and the lasso step says why
+        data = json.loads(
+            (FIXTURES / "witnesses" / "even_spin.json").read_text())
+        del data["witness"]["edges"][3]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        result = runner.invoke(main, [
+            "check-witness", str(FIXTURES / "programs" / "even_spin.c"),
+            str(bad),
+        ])
+        assert result.exit_code == 1
+        assert "schema: ok" in result.output
+        assert "no lasso: no cycle passes through a cyclehead node" \
+            in result.output
 
     def test_program_that_does_not_lex_exit_1(self, runner, tmp_path):
         program = tmp_path / "even_spin.c"

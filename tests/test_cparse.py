@@ -202,7 +202,13 @@ class TestForLoop:
          "{ while (x > 0) { { x = x - 1; } x = __VERIFIER_nondet_int(); } }"),
         ("for (char c = 0; c != x; c += 3);",
          "{ char c = 0; while (c != x) { { } c += 3; } }"),
-    ], ids=["no-parts", "declaration", "no-step", "nondet-step", "empty-body"])
+        ("for (int i = __VERIFIER_nondet_int(); i > 0; i--) x = x - 1;",
+         "{ int i = __VERIFIER_nondet_int(); while (i > 0) { { x = x - 1; }"
+         " i--; } }"),
+        ("for (int a = 0, b = 3; a < b; a++) { x = x + b; }",
+         "{ int a = 0, b = 3; while (a < b) { { x = x + b; } a++; } }"),
+    ], ids=["no-parts", "declaration", "no-step", "nondet-step", "empty-body",
+            "nondet-declaration", "two-declarators"])
     def test_for_is_its_while_form(self, loop, hand_written):
         programs = [parse_program(
             "int main() {\n  int x = __VERIFIER_nondet_int();\n  "

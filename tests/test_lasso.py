@@ -20,11 +20,13 @@ from termeval.lasso import (
     extract_lasso, run_external_validator, run_program,
 )
 from termeval.witness import (
-    WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag, emit_graphml,
-    parse_prediction, validate_schema, witness_from_json,
+    Prediction, Verdict, WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag,
+    emit_graphml, parse_prediction, validate_schema, witness_from_json,
 )
 
-from conftest import FIXTURES, load_program, load_witness_json
+from conftest import (
+    FIXTURES, load_program, load_witness_json, two_head_witness,
+)
 from reference import (
     lex_dfs_path, old_extract_lasso, old_validate_schema,
     tracker_check_feasibility,
@@ -263,13 +265,16 @@ def lasso_ids(lasso: LassoPath | NoLasso) -> tuple | None:
 
 
 class TestAgainstPerHeadSearch:
-    """The schema check and lasso extraction share one pass that finds the
-    cycles; before, each searched from every cyclehead."""
+    """One pass finds the cycles, in lasso extraction alone; before, the
+    schema check and lasso extraction each searched from every cyclehead."""
 
     @settings(max_examples=1000, deadline=None)
     @given(witness_graph())
     def test_matches_the_per_head_search(self, w):
-        assert validate_schema(w) == old_validate_schema(w)
+        # the schema check keeps every violation but the two of the graph
+        assert validate_schema(w) == [
+            v for v in old_validate_schema(w)
+            if v.kind not in ("UnreachableCyclehead", "NoCycle")]
         assert lasso_ids(extract_lasso(w)) == lasso_ids(old_extract_lasso(w))
 
 
@@ -491,6 +496,30 @@ int main() {
         # a positive nondet value keeps the loop alive, but the repeating
         # segment samples nondet, so only the bounded tier may be claimed
         assert isinstance(result, BoundedEvidence)
+
+    def test_nondet_for_init_is_a_site(self):
+        prog = parse_program("""extern int __VERIFIER_nondet_int(void);
+int main() {
+  for (int i = __VERIFIER_nondet_int(); i != 0; i = i + 2) {
+    i = i - 2;
+  }
+  return 0;
+}
+""")
+        w = WitnessAutomaton(
+            nodes=(WitnessNode("N1", entry=True),
+                   WitnessNode("N0", cyclehead=True), WitnessNode("N2")),
+            edges=(
+                WitnessEdge("E0", "N1", "N0", 3, "int i = ...;",
+                            assumption="i == 5"),
+                WitnessEdge("E1", "N0", "N2", 3, "i != 0",
+                            control="condition-true"),
+                WitnessEdge("E2", "N2", "N0", 4, "i = i - 2;"),
+            ),
+        )
+        result = check_feasibility(prog, extract_lasso(w), FAST_CFG)
+        assert isinstance(result, ProvenInfinite)
+        assert result.assignment == {"i@3": 5}
 
     def test_cycle_without_executable_edge_proves_nothing(self):
         # the stem matches `int x = 0;`, but the cycle's only edge is on the
@@ -830,6 +859,18 @@ class TestExternalValidator:
     def test_no_verdict_is_tool_error(self, tmp_path):
         root = self._fake_validator(tmp_path, "something went wrong", 3)
         assert self.validate(root).status is ValidationStatus.TOOL_ERROR
+
+    def test_witness_without_lasso_never_reaches_the_tool(self, tmp_path):
+        # every record is valid, but no cyclehead is both reached and on a
+        # cycle: the witness is invalid on the validator route too
+        root = self._fake_validator(tmp_path, "RESULT: FALSE(TERM)")
+        (root / "Ultimate.py").write_text(
+            f"#!/bin/sh\ntouch {tmp_path / 'started'}\necho FALSE\n")
+        status = witness_status_for(
+            Prediction(Verdict.NT, two_head_witness()), lambda: program("even_spin.c"), task("even_spin.c"),
+            FAST_CFG, ValidatorConfig(validator_root=root), {})
+        assert status is WitnessStatus.INVALID
+        assert not (tmp_path / "started").exists()
 
     def test_missing_executable(self, tmp_path):
         result = self.validate(tmp_path / "nowhere")

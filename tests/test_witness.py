@@ -3,13 +3,16 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from termeval.lasso import NoLasso, extract_lasso
 from termeval.witness import (
     FormatError, Prediction, Verdict, WitnessAutomaton,
     WitnessEdge, WitnessNode, emit_graphml, parse_prediction,
     _iter_json_objects, program_hash, validate_schema, witness_from_json,
 )
 
-from conftest import FIXTURES, load_witness_json, load_witness_text
+from conftest import (
+    FIXTURES, load_witness_json, load_witness_text, two_head_witness,
+)
 from reference import parse_graphml
 
 ALL_WITNESS_FIXTURES = [
@@ -90,6 +93,29 @@ class TestParsePrediction:
         assert automaton.nodes[0].entry is True
         assert automaton.nodes[2].cyclehead is True
 
+    @pytest.mark.parametrize("line, read", [
+        ("12", 12), (" 7 ", 7), ("-3", -3), (12.0, 12), (True, None),
+        ("--5", None), ("\u00b2", None), ("\u0661\u0662", None),
+        ("1_000", None), ("9" * 5000, None),
+    ], ids=["digits", "spaced", "negative", "float", "bool", "double-minus",
+            "superscript", "arabic-indic", "underscore", "5000-digits"])
+    def test_line_values(self, line, read):
+        data = load_witness_json("even_spin.json")["witness"]
+        data["edges"][0]["line"] = line
+        assert witness_from_json(data).edges[0].line == read
+
+    @pytest.mark.parametrize("line", ["--5", "\u00b2", "9" * 5000],
+                             ids=["double-minus", "superscript", "5000-digits"])
+    def test_bad_line_keeps_the_witness(self, line):
+        # int() refuses these texts; the witness is kept, and the schema
+        # check names the edge whose line is missing
+        data = load_witness_json("even_spin.json")["witness"]
+        data["edges"][0]["line"] = line
+        pred = parse_prediction(json.dumps({"verdict": False, "witness": data}))
+        assert pred.witness is not None
+        assert [str(v) for v in validate_schema(pred.witness)] == [
+            f"MissingField: edge {data['edges'][0]['id']}: line"]
+
     @given(st.text(max_size=300))
     def test_total_over_arbitrary_text(self, text):
         result = parse_prediction(text)
@@ -165,6 +191,8 @@ class TestValidateSchema:
                                                       automaton.edges))
         assert any(v.kind == "DuplicateNodeId" for v in violations)
 
+    # whether the graph holds a lasso is for extract_lasso alone to say; its
+    # reason names the first of the two conditions that no cyclehead meets
     def test_unreachable_cyclehead(self):
         # derived 3-node graph: entry has no path into the loop component
         automaton = WitnessAutomaton(
@@ -173,8 +201,9 @@ class TestValidateSchema:
             edges=(WitnessEdge("E1", "A", "B", 1, "x = 1;"),
                    WitnessEdge("E2", "C", "C", 2, "y = 2;")),
         )
-        violations = validate_schema(automaton)
-        assert any(v.kind == "UnreachableCyclehead" for v in violations)
+        assert validate_schema(automaton) == []
+        assert extract_lasso(automaton) == NoLasso(
+            "no cyclehead reachable from the entry node")
 
     def test_cyclehead_without_cycle(self):
         automaton = WitnessAutomaton(
@@ -182,8 +211,17 @@ class TestValidateSchema:
                    WitnessNode("B", cyclehead=True)),
             edges=(WitnessEdge("E1", "A", "B", 1, "x = 1;"),),
         )
-        violations = validate_schema(automaton)
-        assert any(v.kind == "NoCycle" for v in violations)
+        assert validate_schema(automaton) == []
+        assert extract_lasso(automaton) == NoLasso(
+            "no cycle passes through a cyclehead node")
+
+    def test_reachable_head_and_cycling_head_differ(self):
+        # H1 is reached but on no cycle; H2 loops but is never reached
+        automaton = two_head_witness()
+        assert validate_schema(automaton) == []
+        assert extract_lasso(automaton) == NoLasso(
+            "no cyclehead is both reachable from the entry node and on a "
+            "cycle")
 
     def test_no_entry(self):
         automaton = WitnessAutomaton(

@@ -226,8 +226,7 @@ ROWS = [
      WitnessAutomaton),
     ("validate_schema", "head chain, self-loop", violation_kinds,
      GRAPH_GENERATORS, ()),
-    ("validate_schema", "head chain", violation_kinds, GRAPH_GENERATORS,
-     ("NoCycle",)),
+    ("validate_schema", "head chain", violation_kinds, GRAPH_GENERATORS, ()),
     ("extract_lasso", "head chain, self-loop", extract_lasso,
      GRAPH_GENERATORS, LassoPath),
     ("extract_lasso", "head chain", extract_lasso, GRAPH_GENERATORS, NoLasso),
