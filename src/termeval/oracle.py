@@ -10,6 +10,7 @@ request, so the commands that read cached replies never load it.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -215,6 +216,8 @@ def record_path(run_dir: Path, model_name: str, task_id: str,
 
 
 _RECORD_NAME = re.compile(r"[0-9]+\.json")  # the name record_path gives
+# errnos of a lookup that finds no directory; a path with a NUL byte has none
+_NO_DIRECTORY = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP, None}
 
 
 def _persist_raw(path: Path, payload: dict) -> None:
@@ -259,17 +262,21 @@ def _record_from_payload(payload: object) -> GenerationRecord:
     )
 
 
-def _load_record(path: Path, model_name: str, task_id: str) -> GenerationRecord:
+def _load_record(path: str | Path, model_name: str,
+                 task_id: str) -> GenerationRecord:
     """The record cached at ``path``.  A file that cannot be read or decoded,
     or holds an ill-typed record, becomes a ``cache:`` format error with no
     text: it scores as unknown, and the pool keeps its size."""
     try:
-        return _record_from_payload(json.loads(path.read_text(encoding="utf-8")))
+        with open(path, encoding="utf-8") as f:
+            return _record_from_payload(json.loads(f.read()))
     except (OSError, ValueError, RecursionError) as exc:
+        name = os.path.basename(path)
         return GenerationRecord(
-            task_id=task_id, model=model_name, sample_index=int(path.stem),
+            task_id=task_id, model=model_name,
+            sample_index=int(name.removesuffix(".json")),
             prompt_hash="", raw_text="",
-            parsed=FormatError(f"cache: {path.name}: {exc}"),
+            parsed=FormatError(f"cache: {name}: {exc}"),
             latency=0.0, timestamp=0.0)
 
 
@@ -329,12 +336,16 @@ def replay_records(run_dir: Path | str, model_name: str,
                    task_id: str) -> list[GenerationRecord]:
     """Load every cached record ``<i>.json`` for (model, task), ordered by
     sample index; other files in the task's directory are not records."""
-    task_dir = Path(run_dir) / model_name / task_id
-    if not task_dir.is_dir():
+    try:
+        with os.scandir(Path(run_dir) / model_name / task_id) as entries:
+            found = [e for e in entries if _RECORD_NAME.fullmatch(e.name)]
+    except (OSError, ValueError) as exc:
+        # no directory there, by what Path.is_dir() takes for that
+        if getattr(exc, "errno", None) not in _NO_DIRECTORY:
+            raise
         return []
-    paths = [p for p in task_dir.iterdir() if _RECORD_NAME.fullmatch(p.name)]
-    return [_load_record(path, model_name, task_id)
-            for path in sorted(paths, key=lambda p: int(p.stem))]
+    return [_load_record(entry.path, model_name, task_id)
+            for entry in sorted(found, key=lambda e: int(e.name[:-5]))]
 
 
 def list_models(run_dir: Path | str) -> list[str]:

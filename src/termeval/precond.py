@@ -15,11 +15,15 @@ bits, exactly as C would).  Two backends
 are provided: a brute-force check that compiles both formulas once into one
 generated loop with :func:`cparse.compile_scan` and runs it over a boxed
 domain plus width sentinels, within an assignment budget; and an SMT-LIB
-bit-vector encoding of the same tree, run through any external solver.
+bit-vector encoding of the same tree, run through any external solver.  Two
+threshold formulas, connectives over comparisons of a variable with a
+constant, get the brute-force check's answer from bit masks over one value
+of each region where their comparisons are constant, with no generated code.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -32,7 +36,7 @@ from enum import Enum
 from .cparse import (
     _BINARY_LEVEL, _COMPARE, INT, Binary, CParseError, CType, EvalUndefined,
     Expr, IntLit, Token, Unary, Var, _Parser, compile_expr, compile_scan,
-    promote, tokenize, usual_arithmetic_type,
+    promote, tokenize, usual_arithmetic_type, wrap,
 )
 
 
@@ -214,6 +218,138 @@ def _domain_values(ctype: CType, box: tuple[int, int]) -> tuple[int, ...]:
     return tuple(sorted(values))
 
 
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+
+
+def _constant(expr: Expr) -> tuple[int, CType] | None:
+    """The value and type C gives a literal under unary minuses, or None for
+    any other term."""
+    if isinstance(expr, IntLit):
+        return expr.value, expr.ctype
+    if isinstance(expr, Unary) and expr.op == "-":
+        inner = _constant(expr.operand)
+        if inner is not None:
+            t = promote(inner[1])
+            return wrap(-inner[0], t), t
+    return None
+
+
+def _threshold_form(expr: Expr, variables: dict[str, CType]) -> tuple | None:
+    """``expr`` as nested tuples when it is a threshold formula: ``&&``,
+    ``||`` and ``!`` over comparisons of a name in ``variables`` with a
+    constant.  A connective is ``(op, left, right)`` or ``("!", operand)``.
+    A comparison is ``(name, op, c, w)``, read as ``name op c`` once both
+    sides take their usual arithmetic type ``t``: ``c`` is the constant in
+    ``t``, and ``w`` is ``t``'s width when a signed name is read in an
+    unsigned ``t``, which adds ``2**w`` to its negative values, and 0
+    otherwise.  None for any other formula."""
+    if isinstance(expr, Unary):
+        inner = _threshold_form(expr.operand, variables) if expr.op == "!" else None
+        return None if inner is None else ("!", inner)
+    if not isinstance(expr, Binary):
+        return None
+    if expr.op == "&&" or expr.op == "||":
+        left = _threshold_form(expr.left, variables)
+        right = None if left is None else _threshold_form(expr.right, variables)
+        return None if right is None else (expr.op, left, right)
+    if expr.op not in _COMPARE:
+        return None
+    var, const, op = expr.left, _constant(expr.right), expr.op
+    if const is None:
+        var, const, op = expr.right, _constant(expr.left), _FLIP[op]
+    if const is None or not isinstance(var, Var) or var.name not in variables:
+        return None
+    vt = variables[var.name]
+    t = usual_arithmetic_type(vt, const[1])
+    w = t.width if vt.signed and not t.signed else 0
+    return var.name, op, wrap(const[0], t), w
+
+
+def _comparisons(form: tuple, into: set) -> set:
+    while form[0] == "!":
+        form = form[1]
+    if form[0] == "&&" or form[0] == "||":
+        _comparisons(form[1], into)
+        return _comparisons(form[2], into)
+    into.add(form)
+    return into
+
+
+# which parts of a run, split at the constant into below, equal and above, hold
+_PARTS = {"<": ((0, 1),), "<=": ((0, 2),), ">": ((2, 3),), ">=": ((1, 3),),
+          "==": ((1, 2),), "!=": ((0, 1), (2, 3))}
+
+
+def _mask_equivalence(fa: tuple, fb: tuple, names: list[str],
+                      domains: list[tuple[int, ...]]) -> EquivalenceResult:
+    """:func:`brute_equivalence` of two :func:`_threshold_form` formulas, by
+    bit masks.
+
+    A comparison ``(name, op, c, w)`` reads ``name``'s values in order, or
+    with ``w`` its negative ones above the rest, so its value changes only
+    at ``c`` and ``c + 1``, and with ``w`` also at ``c - 2**w``,
+    ``c - 2**w + 1`` and 0.  Cut at those points, each name's domain falls
+    into regions on which both formulas are constant, and a region's first
+    value stands for it.  Bit ``i`` of a mask is the assignment at index
+    ``i`` of the grid of those values, the first name outermost as in the
+    scan; so the lowest bit where the formulas' masks differ is the scan's
+    first counterexample."""
+    comparisons = _comparisons(fb, _comparisons(fa, set()))
+    cuts = {name: set() for name in names}
+    for name, _, c, w in comparisons:
+        cuts[name].update((c, c + 1, c - (1 << w), c - (1 << w) + 1, 0)
+                          if w else (c, c + 1))
+    reps = []
+    for name, domain in zip(names, domains):
+        starts = {0, *(bisect.bisect_left(domain, cut) for cut in cuts[name])}
+        reps.append([domain[i] for i in sorted(starts) if i < len(domain)])
+    sizes = [len(r) for r in reps]
+    full = (1 << math.prod(sizes)) - 1
+    # per name: its index, the grid bits one of its values spans, and the
+    # factor that repeats a pattern over its values for each outer value
+    layout, inner = {}, 1
+    for k in reversed(range(len(names))):
+        span = sizes[k] * inner
+        layout[names[k]] = k, inner, full // ((1 << span) - 1)
+        inner = span
+
+    masks = {}
+    for key in comparisons:
+        name, op, c, w = key
+        k, step, tile = layout[name]
+        values = reps[k]
+        z = bisect.bisect_left(values, 0) if w else 0
+        if z:
+            values = [v + (1 << w) for v in values[:z]] + values[z:]
+        block = 0
+        for s, e in ((0, z), (z, len(values))) if z else ((0, len(values)),):
+            bounds = (s, bisect.bisect_left(values, c, s, e),
+                      bisect.bisect_right(values, c, s, e), e)
+            for i, j in _PARTS[op]:
+                lo, hi = bounds[i], bounds[j]
+                block |= ((1 << ((hi - lo) * step)) - 1) << (lo * step)
+        masks[key] = block * tile
+
+    def mask(form: tuple) -> int:
+        if form[0] == "!":
+            return full ^ mask(form[1])
+        if form[0] == "&&":
+            return mask(form[1]) & mask(form[2])
+        if form[0] == "||":
+            return mask(form[1]) | mask(form[2])
+        return masks[form]
+
+    diff = mask(fa) ^ mask(fb)
+    if not diff:
+        return Equivalent()
+    index = (diff & -diff).bit_length() - 1
+    point = {}
+    for k in reversed(range(len(names))):
+        index, i = divmod(index, sizes[k])
+        point[names[k]] = reps[k][i]
+    return Inequivalent({name: point[name] for name in names})
+
+
 def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
                       box: tuple[int, int] = (-128, 127)) -> EquivalenceResult:
     """Compare both formulas over the cartesian product of per-variable
@@ -221,7 +357,9 @@ def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
     first counterexample.  Assignments where either side hits an undefined
     operation are skipped; if everything is skipped the comparison is
     degenerate.  Past :data:`MAX_BRUTE_ASSIGNMENTS` assignments without a
-    counterexample the result is unknown."""
+    counterexample the result is unknown.  Two threshold formulas whose
+    product fits the budget are compared by :func:`_mask_equivalence`, with
+    the same result and no generated code."""
     names = sorted(variables)
     domains = [_domain_values(variables[n], box) for n in names]
     if not names:
@@ -232,6 +370,12 @@ def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
         except EvalUndefined:
             return EquivUnknown("degenerate: undefined arithmetic")
         return Equivalent() if same else Inequivalent({})
+    total = math.prod(map(len, domains))
+    if total <= MAX_BRUTE_ASSIGNMENTS:
+        fa = _threshold_form(a, variables)
+        fb = None if fa is None else _threshold_form(b, variables)
+        if fb is not None:
+            return _mask_equivalence(fa, fb, names, domains)
     # a generated scan per prefix of the outer names, until the budget is spent
     scan = compile_scan(a, b, names, variables)
     left, defined = MAX_BRUTE_ASSIGNMENTS, False
@@ -244,7 +388,6 @@ def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],
         if value is not None:
             return Inequivalent({**dict(zip(names, prefix)), names[-1]: value})
         defined = defined or seen
-    total = math.prod(map(len, domains))
     if total > MAX_BRUTE_ASSIGNMENTS:
         return EquivUnknown(f"budget: {MAX_BRUTE_ASSIGNMENTS} of {total} "
                             "assignments evaluated without a counterexample")

@@ -83,14 +83,35 @@ class FormatError:
 _OBJECT_START = re.compile(r'\{[ \t\n\r]*["}]')
 
 
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
+_DECODER = json.JSONDecoder()
+# reads an integer too long for int() as null, for a candidate that has one
+_LENIENT_DECODER = json.JSONDecoder(parse_int=_int_or_none)
+
+
+def _decode_at(text: str, i: int):
+    try:
+        return _DECODER.raw_decode(text, i)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        return _LENIENT_DECODER.raw_decode(text, i)
+
+
 def _iter_json_objects(text: str):
     """Yield (start, obj) for each maximal well-formed JSON object in text.
 
     Objects nested inside an already-matched object are skipped, so prose
     followed by a final answer object yields the answer last.  A candidate
     nested deeper than the decoder's recursion limit counts as malformed.
+    An integer with more digits than ``int()`` reads is null.
     """
-    decoder = json.JSONDecoder()
     i = 0
     while True:
         match = _OBJECT_START.search(text, i)
@@ -98,7 +119,7 @@ def _iter_json_objects(text: str):
             return
         i = match.start()
         try:
-            obj, end = decoder.raw_decode(text, i)
+            obj, end = _decode_at(text, i)
         except (ValueError, RecursionError):
             i += 1
             continue

@@ -389,6 +389,37 @@ class TestCorruptCache:
         assert [r.sample_index for r in records] == [0, 2, 10]
         assert all(r.parsed.verdict is Verdict.T for r in records)
 
+    def test_missing_task_directory_has_no_records(self, tmp_path):
+        assert replay_records(tmp_path, "m", "t") == []
+        (tmp_path / "m").mkdir()
+        (tmp_path / "m" / "t").write_text("{}")  # a file, not a directory
+        assert replay_records(tmp_path, "m", "t") == []
+        assert replay_records(tmp_path, "m", "t\0") == []
+
+    @pytest.mark.parametrize("name, content, message", [
+        ("0.json", "\ufeff{}".encode(),
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): "
+         "line 1 column 1 (char 0)"),
+        ("1.json", '{"raw_text": "x"}'.encode("utf-16"),
+         "'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        ("2.json", b'{"task_id": "t",\r\n "model": 3',
+         "Expecting ',' delimiter: line 2 column 12 (char 28)"),
+        ("3.json", None, "[Errno 21] Is a directory: '{path}'"),
+    ], ids=["utf-8 bom", "utf-16", "crlf", "directory"])
+    def test_unreadable_record_texts(self, tmp_path, name, content, message):
+        # the texts are read as UTF-8 text, with newlines translated
+        path = record_path(tmp_path, "m", "t", int(name[:-5]))
+        path.parent.mkdir(parents=True)
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        (record,) = replay_records(tmp_path, "m", "t")
+        assert record.sample_index == int(name[:-5])
+        assert record.parsed == FormatError(
+            f"cache: {name}: " + message.format(path=path))
+
     def test_generate_keeps_a_bad_cached_record(self, tmp_path):
         path = record_path(tmp_path, "m", "t", 0)
         path.parent.mkdir(parents=True)

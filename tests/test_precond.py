@@ -1,12 +1,14 @@
+import math
 import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from termeval import cparse, precond
 from termeval.cparse import (
-    CHAR, INT, LONG, SHORT, UCHAR, UINT, USHORT, Binary, IntLit, Unary, Var,
+    CHAR, INT, LONG, SHORT, UCHAR, UINT, ULONG, USHORT, Binary, IntLit, Unary,
+    Var,
 )
 from termeval.evalcore import pass_at_k
 from termeval.precond import (
@@ -403,6 +405,105 @@ class TestAgainstOldScan:
         assert brute_equivalence(candidate, truth, {"x": CHAR}) == \
             Inequivalent({"x": 100})
         assert brute_equivalence(truth, truth, {"x": CHAR}) == Equivalent()
+
+
+# literals near each type's bounds and near 2**31, 2**32, 2**63 and 2**64
+EDGE_LITERALS = sorted(
+    {v + d for t in C_TYPES for v in (t.min, t.max) for d in (-1, 0, 1)}
+    | {(1 << p) + d for p in (31, 32, 63, 64) for d in (-2, -1, 0, 1)}
+    | {0, 1, 3})
+
+
+@st.composite
+def literal_texts(draw) -> str:
+    """A literal C types as int, unsigned int, long or unsigned long: its
+    magnitude in decimal, or in octal, which a value past ``LONG.max``
+    needs, under zero to two minus signs."""
+    value = draw(st.sampled_from(EDGE_LITERALS) | st.integers(-300, 300))
+    magnitude = abs(value)
+    assume(magnitude <= ULONG.max)
+    octal = magnitude > LONG.max or draw(st.booleans())
+    digits = "0" + format(magnitude, "o") if octal else str(magnitude)
+    return "-" * (draw(st.integers(0, 2)) if value >= 0 else 1) + digits
+
+
+def threshold_texts(names: str):
+    """Threshold formulas over ``names``: ``&&``, ``||`` and ``!`` over
+    comparisons of a name with a literal, on either side."""
+    comparisons = st.builds(
+        lambda name, op, lit, flip: f"{lit} {op} {name}" if flip
+        else f"{name} {op} {lit}",
+        st.sampled_from(names), st.sampled_from(sorted(precond._FLIP)),
+        literal_texts(), st.booleans())
+    return st.recursive(
+        comparisons, lambda kids: kids.map(lambda f: f"!({f})")
+        | st.builds(lambda left, op, right: f"({left}) {op} ({right})",
+                    kids, st.sampled_from(["&&", "||"]), kids),
+        max_leaves=5)
+
+
+@st.composite
+def threshold_cases(draw):
+    """Two threshold formulas over one or two variables of any type, where
+    the second is often the first or its double negation, with a box and a
+    budget below, at or above the box's size."""
+    names = draw(st.sampled_from(["x", "y", "xy"]))
+    variables = {name: draw(st.sampled_from(C_TYPES)) for name in names}
+    a = draw(threshold_texts(names))
+    b = draw(st.sampled_from([a, f"!(!({a}))"]) | threshold_texts(names))
+    box = draw(st.sampled_from([(-128, 127), (-3, 3)]))
+    size = math.prod(len(precond._domain_values(t, box))
+                     for t in variables.values())
+    budget = draw(st.sampled_from([1, size - 1, size, size + 1,
+                                   MAX_BRUTE_ASSIGNMENTS]))
+    return parse_precondition(a), parse_precondition(b), variables, box, budget
+
+
+class TestThresholdMasks:
+    """Threshold formulas are compared by bit masks, not by a scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(threshold_cases())
+    def test_matches_the_old_scan(self, case):
+        a, b, variables, box, budget = case
+        assert precond._threshold_form(a, variables) is not None
+        assert precond._threshold_form(b, variables) is not None
+        with mock.patch.object(precond, "MAX_BRUTE_ASSIGNMENTS", budget):
+            got = brute_equivalence(a, b, variables, box)
+            want = old_brute_equivalence(a, b, variables, box)
+        assert got == want
+        assert list(vars(got).get("counterexample", {})) == \
+            list(vars(want).get("counterexample", {}))
+
+    def generated(self, monkeypatch, a: str, b: str, variables: dict):
+        """The result of comparing ``a`` with ``b``, and which of
+        ``compile_scan`` and ``cparse._factory`` it called."""
+        called = []
+        for owner, name in ((precond, "compile_scan"), (cparse, "_factory")):
+            def noted(*args, original=getattr(owner, name), name=name):
+                called.append(name)
+                return original(*args)
+            monkeypatch.setattr(owner, name, noted)
+        a, b = parse_precondition(a), parse_precondition(b)
+        return brute_equivalence(a, b, variables), set(called)
+
+    def test_threshold_pair_generates_no_code(self, monkeypatch):
+        variables = {"x": INT, "y": UCHAR}
+        a = "x >= -5 && !(y == 3) || 020000000000 > x"
+        b = "!(x < -5 || y == 3) || x < 2147483648"
+        result, called = self.generated(monkeypatch, a, b, variables)
+        assert called == set()
+        assert result == old_brute_equivalence(
+            parse_precondition(a), parse_precondition(b), variables)
+        # 020000000000 is an unsigned int, and as one a negative int is at
+        # least 2**31; 2147483648 is a long
+        assert result == Inequivalent({"x": INT.min, "y": 0})
+
+    def test_other_pair_keeps_the_scan(self, monkeypatch):
+        result, called = self.generated(
+            monkeypatch, "x + 1 > 5", "x > 4", {"x": INT})
+        assert called == {"compile_scan", "_factory"}
+        assert result == Inequivalent({"x": INT.max})
 
 
 class TestJudgeOnce:

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from termeval import witness
 from termeval.lasso import NoLasso, extract_lasso
 from termeval.witness import (
     FormatError, Prediction, Verdict, WitnessAutomaton,
@@ -115,6 +116,33 @@ class TestParsePrediction:
         assert pred.witness is not None
         assert [str(v) for v in validate_schema(pred.witness)] == [
             f"MissingField: edge {data['edges'][0]['id']}: line"]
+
+    def test_oversized_integer_keeps_the_verdict(self):
+        # int() refuses more than 4,300 digits; such a number reads as null
+        pred = parse_prediction('{"verdict": true, "note": ' + "9" * 5000 + "}")
+        assert pred == Prediction(Verdict.T, None, None)
+
+    def test_oversized_integer_line_keeps_the_witness(self):
+        data = load_witness_json("even_spin.json")["witness"]
+        data["edges"][0]["line"] = "LINE"
+        text = json.dumps({"verdict": False, "witness": data})
+        pred = parse_prediction(text.replace('"LINE"', "9" * 5000))
+        assert pred.verdict is Verdict.NT and pred.witness is not None
+        assert [str(v) for v in validate_schema(pred.witness)] == [
+            f"MissingField: edge {data['edges'][0]['id']}: line"]
+
+    @pytest.mark.parametrize("text", [
+        load_witness_text("even_spin.json"),
+        'say {"a": 1} then {"verdict": false, "n": [-3, 0, 12, 4300]} end',
+        '{"verdict": tru} {"verdict": true, "n": 1e999}',
+    ], ids=["witness", "two objects", "malformed first"])
+    def test_ordinary_integers_skip_the_lenient_decoder(self, monkeypatch,
+                                                        text):
+        # the retry decoder is there only for a candidate int() refused
+        expected = parse_prediction(text)
+        monkeypatch.setattr(witness, "_LENIENT_DECODER", None)
+        assert parse_prediction(text) == expected
+        assert isinstance(expected, Prediction)
 
     @given(st.text(max_size=300))
     def test_total_over_arbitrary_text(self, text):

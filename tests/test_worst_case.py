@@ -6,8 +6,9 @@ and asserts two things: the entry point gives its documented outcome (a
 value, a :class:`CParseError` or a :class:`PrecondParseError`, a list of
 schema violations or an ``Unknown``, never a ``RecursionError`` or another
 exception), and 4n takes under 8 times as long as n, so the time is near
-linear.  Each timing repeats the call for at least 5 ms and keeps the best
-of three, with the garbage collector off.  An entry point whose input is
+linear.  The n and 4n timings take turns, three rounds of each; a round
+repeats the call for at least 5 ms, the best round of each size is kept,
+and the garbage collector is off.  An entry point whose input is
 bounded, such as ``compile_expr`` on the deepest tree the parser accepts,
 scales its input so that 4n is at the bound.
 """
@@ -20,7 +21,7 @@ import pytest
 
 from termeval.cli import extract_precondition_answer
 from termeval.cparse import (
-    CHAR, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, MAX_STMT_NESTING, SHORT, Binary,
+    CHAR, INT, MAX_EXPR_DEPTH, MAX_EXPR_NESTING, MAX_STMT_NESTING, SHORT, Binary,
     CParseError, EvalUndefined, Program, compile_expr, parse_expression,
     parse_program, tokenize,
 )
@@ -30,7 +31,8 @@ from termeval.lasso import (
 )
 from termeval.oracle import replay_records
 from termeval.precond import (
-    PrecondParseError, judge_generation, parse_precondition,
+    Equivalent, PrecondParseError, brute_equivalence, judge_generation,
+    parse_precondition,
 )
 from termeval.witness import (
     FormatError, WitnessAutomaton, WitnessEdge, WitnessNode, validate_schema,
@@ -107,6 +109,32 @@ def judge_texts(texts: list[str]) -> tuple[str, ...]:
     return tuple(sorted({judge_generation(t, TRUTH, {"x": CHAR},
                                           judged=judged).value
                          for t in texts}))
+
+
+_THRESHOLD_OPS = ["!=", "<", ">=", "==", ">", "<="]
+
+
+def threshold_pair(names: str):
+    """Generator of a conjunction of comparisons, each of one of ``names``
+    with a fresh literal, and its De Morgan dual, over ``int``; 4N
+    comparisons make the dual as deep as the parser accepts."""
+    def make(n: int):
+        comparisons = [f"{names[i % len(names)]} {_THRESHOLD_OPS[i % 6]} {i}"
+                       for i in range(deepest(n, MAX_EXPR_DEPTH - 4))]
+        dual = " || ".join(f"!({c})" for c in comparisons)
+        return (parse_precondition(" && ".join(comparisons)),
+                parse_precondition(f"!({dual})"), dict.fromkeys(names, INT))
+    return make
+
+
+THRESHOLD_GENERATORS = {
+    "one variable": threshold_pair("x"),
+    "two variables": threshold_pair("xy"),
+}
+
+
+def compare_pair(case) -> object:
+    return brute_equivalence(*case)
 
 
 ANSWER_GENERATORS = {
@@ -234,6 +262,8 @@ ROWS = [
      ProvenInfinite),
     ("judge_generation", "distinct texts", judge_texts, JUDGE_GENERATORS,
      ("inequivalent",)),
+    *[("brute_equivalence", name, compare_pair, THRESHOLD_GENERATORS,
+       Equivalent) for name in THRESHOLD_GENERATORS],
     *[(f"compile_expr{kind}", name, compile_and_run(types), EXPR_GENERATORS,
        int) for name in EXPR_GENERATORS
       for kind, types in (("", {}), (" typed", {"x": SHORT}))],
@@ -251,25 +281,35 @@ def outcome(fn, arg):
     return result if isinstance(result, tuple) else type(result)
 
 
-def seconds(fn, arg) -> float:
+def seconds(fn, small, large) -> tuple[float, float]:
+    """The best time of one call of ``fn`` on ``small`` and on ``large``.
+    The two are timed in turn, three times over, so that a spell of load on
+    the host falls on both sizes alike instead of on one of them."""
     # a call that keeps many objects alive can set off the collector's full
     # passes over every object the test session holds, a cost of the
     # session's heap, not of the call; timeit turns it off alike
-    best = math.inf
+    best = [math.inf, math.inf]
     gc.disable()
     try:
         for _ in range(3):
-            calls, start = 0, time.perf_counter()
-            while (elapsed := time.perf_counter() - start) < 0.005:
-                try:
-                    fn(arg)
-                except (CParseError, PrecondParseError):
-                    pass
-                calls += 1
-            best = min(best, elapsed / calls)
+            for k, arg in enumerate((small, large)):
+                calls, start = 0, time.perf_counter()
+                while (elapsed := time.perf_counter() - start) < 0.005:
+                    try:
+                        fn(arg)
+                    except (CParseError, PrecondParseError):
+                        pass
+                    calls += 1
+                best[k] = min(best[k], elapsed / calls)
     finally:
         gc.enable()
-    return best
+    return best[0], best[1]
+
+
+def growth(fn, small, large) -> float:
+    """How many times as long ``fn`` takes on ``large`` as on ``small``."""
+    at_small, at_large = seconds(fn, small, large)
+    return at_large / at_small
 
 
 @pytest.mark.parametrize(
@@ -280,7 +320,7 @@ def test_worst_case(fn, make, expected):
     small, large = make(N), make(4 * N)
     assert outcome(fn, small) == expected
     assert outcome(fn, large) == expected
-    assert seconds(fn, large) / seconds(fn, small) < 8
+    assert growth(fn, small, large) < 8
 
 
 def hostile_cache(task_dir, n: int):
@@ -302,7 +342,7 @@ def test_replay_records_on_a_hostile_cache(tmp_path):
     large = hostile_cache(tmp_path / "large" / "m" / "t", 4 * n)
     assert replay(small) == (n, {FormatError})
     assert replay(large) == (4 * n, {FormatError})
-    assert seconds(replay, large) / seconds(replay, small) < 8
+    assert growth(replay, small, large) < 8
 
 
 def nested_loops(levels: int) -> str:
