@@ -217,7 +217,7 @@ def record_path(run_dir: Path, model_name: str, task_id: str,
 
 _RECORD_NAME = re.compile(r"[0-9]+\.json")  # the name record_path gives
 # errnos of a lookup that finds no directory; a path with a NUL byte has none
-_NO_DIRECTORY = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP, None}
+_NO_DIRECTORY = {errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP, None}
 
 
 def _persist_raw(path: Path, payload: dict) -> None:

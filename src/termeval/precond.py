@@ -343,11 +343,11 @@ def _mask_equivalence(fa: tuple, fb: tuple, names: list[str],
     if not diff:
         return Equivalent()
     index = (diff & -diff).bit_length() - 1
-    point = {}
+    point = []
     for k in reversed(range(len(names))):
         index, i = divmod(index, sizes[k])
-        point[names[k]] = reps[k][i]
-    return Inequivalent({name: point[name] for name in names})
+        point.append(reps[k][i])
+    return Inequivalent(dict(zip(names, reversed(point))))
 
 
 def brute_equivalence(a: Expr, b: Expr, variables: dict[str, CType],

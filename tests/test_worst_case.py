@@ -281,10 +281,11 @@ def outcome(fn, arg):
     return result if isinstance(result, tuple) else type(result)
 
 
-def seconds(fn, small, large) -> tuple[float, float]:
-    """The best time of one call of ``fn`` on ``small`` and on ``large``.
-    The two are timed in turn, three times over, so that a spell of load on
-    the host falls on both sizes alike instead of on one of them."""
+def growth(fn, small, large) -> float:
+    """How many times as long ``fn`` takes on ``large`` as on ``small``, by
+    the best time of one call on each.  The two are timed in turn, three
+    times over, so that a spell of load on the host falls on both sizes
+    alike instead of on one of them."""
     # a call that keeps many objects alive can set off the collector's full
     # passes over every object the test session holds, a cost of the
     # session's heap, not of the call; timeit turns it off alike
@@ -303,13 +304,7 @@ def seconds(fn, small, large) -> tuple[float, float]:
                 best[k] = min(best[k], elapsed / calls)
     finally:
         gc.enable()
-    return best[0], best[1]
-
-
-def growth(fn, small, large) -> float:
-    """How many times as long ``fn`` takes on ``large`` as on ``small``."""
-    at_small, at_large = seconds(fn, small, large)
-    return at_large / at_small
+    return best[1] / best[0]
 
 
 @pytest.mark.parametrize(
