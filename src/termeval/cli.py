@@ -15,7 +15,7 @@ import sys
 import tomllib
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 import click
@@ -88,16 +88,39 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"{path}: {exc}")
 
 
+# each key of [eval], [checker], [validator] and [[models]]: the dataclass
+# field it sets and the function that reads its value
+_EVAL_KEYS = {"pool_size": ("pool_size", int),
+              "n_bootstrap": ("n_bootstrap", int),
+              "tts_n": ("tts_n", int), "seed": ("rng_seed", int)}
+_CHECKER_KEYS = {
+    "domain": ("nondet_domain", lambda pair: (int(pair[0]), int(pair[1]))),
+    "max_assignments": ("max_assignments", int),
+    "max_steps": ("max_steps", int),
+    "bounded_cycle_target": ("bounded_cycle_target", int),
+    "stall_steps": ("stall_steps", int),
+}
+_VALIDATOR_KEYS = {"root": ("validator_root", Path),
+                   "timeout": ("timeout", float)}
+_MODEL_KEYS = {
+    "name": ("name", str), "endpoint_url": ("endpoint_url", str),
+    "api_key_env": ("api_key_env", str),
+    "max_output_tokens": ("max_output_tokens", int),
+    "timeout": ("request_timeout", float),
+    "mode": ("replay", lambda mode: mode == "replay"),
+}
+# applied after the model's preset, which they override
+_SAMPLING_KEYS = {"top_p": ("top_p", float),
+                  "temperature": ("temperature", float),
+                  "reasoning_effort": ("reasoning_effort", str)}
+
 # each table's keys ([[models]] is an array of tables), and each choice's values
 _CONFIG_KEYS = {
     "corpus": {"root", "manifest", "categories", "exclusions", "sidecar"},
-    "eval": {"pool_size", "n_bootstrap", "tts_n", "seed"},
-    "checker": {"domain", "max_assignments", "max_steps",
-                "bounded_cycle_target", "stall_steps"},
-    "validator": {"root", "timeout"},
-    "models": {"name", "endpoint_url", "api_key_env", "max_output_tokens",
-               "timeout", "mode", "preset", "top_p", "temperature",
-               "reasoning_effort"},
+    "eval": _EVAL_KEYS.keys(),
+    "checker": _CHECKER_KEYS.keys(),
+    "validator": _VALIDATOR_KEYS.keys(),
+    "models": {*_MODEL_KEYS, "preset", *_SAMPLING_KEYS},
     "output": {"dir"},
     "run": {"prompt"},
 }
@@ -121,6 +144,20 @@ def _check_keys(data: dict) -> None:
                         f"{', '.join(_CONFIG_CHOICES[key])}, not {setting!r}")
 
 
+def _fields(cls, keys: dict, table: dict, rel: Callable[[Path], Path]) -> dict:
+    """The fields of the dataclass ``cls`` that ``table`` sets, each read by
+    its key's function and a path resolved by ``rel``; a field left out
+    keeps its default, and one without a default must be set."""
+    fields = {}
+    for key, (field, read) in keys.items():
+        if key in table:
+            value = read(table[key])
+            fields[field] = rel(value) if read is Path else value
+        elif cls.__dataclass_fields__[field].default is MISSING:
+            raise KeyError(key)
+    return fields
+
+
 def _config_from(data: dict, base: Path) -> RunConfig:
     _check_keys(data)
 
@@ -133,53 +170,26 @@ def _config_from(data: dict, base: Path) -> RunConfig:
     if "categories" in corpus_cfg:
         categories = {Category(c) for c in corpus_cfg["categories"]}
 
-    eval_cfg = data.get("eval", {})
-    pool_size = int(eval_cfg.get("pool_size", 20))
-    config_eval = EvalConfig(
-        pool_size=pool_size,
-        n_bootstrap=int(eval_cfg.get("n_bootstrap", 100)),
-        tts_n=int(eval_cfg.get("tts_n", min(10, pool_size))),
-        rng_seed=int(eval_cfg.get("seed", 0)),
-    )
-
-    checker_cfg = data.get("checker", {})
-    domain = checker_cfg.get("domain", [-64, 64])
-    config_checker = CheckerConfig(
-        nondet_domain=(int(domain[0]), int(domain[1])),
-        max_assignments=int(checker_cfg.get("max_assignments", 4096)),
-        max_steps=int(checker_cfg.get("max_steps", 200_000)),
-        bounded_cycle_target=int(checker_cfg.get("bounded_cycle_target", 1000)),
-        stall_steps=int(checker_cfg.get("stall_steps", 2000)),
-    )
+    eval_fields = _fields(EvalConfig, _EVAL_KEYS, data.get("eval", {}), rel)
+    eval_fields.setdefault("tts_n", min(
+        EvalConfig.tts_n, eval_fields.get("pool_size", EvalConfig.pool_size)))
+    config_eval = EvalConfig(**eval_fields)
+    config_checker = CheckerConfig(**_fields(
+        CheckerConfig, _CHECKER_KEYS, data.get("checker", {}), rel))
 
     validator = None
     if "validator" in data:
-        v = data["validator"]
-        validator = ValidatorConfig(
-            validator_root=rel(v["root"]),
-            timeout=float(v.get("timeout", 60.0)),
-        )
+        validator = ValidatorConfig(**_fields(
+            ValidatorConfig, _VALIDATOR_KEYS, data["validator"], rel))
 
     models = []
     for m in data.get("models", []):
-        config = oracle.ModelConfig(
-            name=str(m["name"]),
-            endpoint_url=str(m.get("endpoint_url", "")),
-            api_key_env=str(m.get("api_key_env", "")),
-            max_output_tokens=int(m.get("max_output_tokens", 16384)),
-            request_timeout=float(m.get("timeout", 300.0)),
-            replay=str(m.get("mode", "live")) == "replay",
-        )
+        config = oracle.ModelConfig(**_fields(
+            oracle.ModelConfig, _MODEL_KEYS, m, rel))
         if "preset" in m:
             config = oracle.apply_preset(config, str(m["preset"]))
-        updates = {}
-        if "top_p" in m:
-            updates["top_p"] = float(m["top_p"])
-        if "temperature" in m:
-            updates["temperature"] = float(m["temperature"])
-        if "reasoning_effort" in m:
-            updates["reasoning_effort"] = str(m["reasoning_effort"])
-        config = replace(config, **updates)
+        config = replace(config, **_fields(
+            oracle.ModelConfig, _SAMPLING_KEYS, m, rel))
         if not config.replay and not config.endpoint_url:
             raise ConfigError(
                 f"model {config.name}: live mode needs endpoint_url")
@@ -465,23 +475,19 @@ def witness_status_for(prediction: Prediction | FormatError,
     if not isinstance(lasso_path, LassoPath):
         return WitnessStatus.INVALID
 
-    if validator_cfg is not None:
-        key = (task.task_id, _digest(witness))
-        if key not in statuses:
-            result = run_external_validator(witness, task.source_path,
-                                            task.architecture.value,
-                                            task.property_path, validator_cfg)
-            statuses[key] = (WitnessStatus.VALID
-                             if result.status is ValidationStatus.VALIDATED
-                             else WitnessStatus.INVALID)
-        return statuses[key]
-
-    key = (task.task_id, _digest(checker_view(lasso_path)))
+    key = (task.task_id, _digest(
+        witness if validator_cfg is not None else checker_view(lasso_path)))
     if key not in statuses:
-        program = program_of()
-        valid = isinstance(program, Program) and isinstance(
-            check_feasibility(program, lasso_path, checker_cfg),
-            (ProvenInfinite, BoundedEvidence))
+        if validator_cfg is not None:
+            valid = run_external_validator(
+                witness, task.source_path, task.architecture.value,
+                task.property_path, validator_cfg,
+            ).status is ValidationStatus.VALIDATED
+        else:
+            program = program_of()
+            valid = isinstance(program, Program) and isinstance(
+                check_feasibility(program, lasso_path, checker_cfg),
+                (ProvenInfinite, BoundedEvidence))
         statuses[key] = WitnessStatus.VALID if valid else WitnessStatus.INVALID
     return statuses[key]
 

@@ -1146,10 +1146,3 @@ def _walk(stmts: list[Stmt]):
             yield from _walk(s.else_body)
         elif isinstance(s, (While, Block)):
             yield from _walk(s.body if isinstance(s, While) else s.stmts)
-
-
-def iter_statements(program: Program):
-    """Yield every statement in the program, depth first."""
-    yield from _walk(program.globals)
-    for fn in program.functions.values():
-        yield from _walk(fn.body)

@@ -281,6 +281,10 @@ def _f1(correct: int, predicted: int, expected: int) -> float:
 # Witness metrics
 
 
+# each outcome's counter in ConfusionCounts
+_OUTCOME_FIELDS = {outcome: outcome.name.lower() for outcome in SampleOutcome}
+
+
 @dataclass
 class ConfusionCounts:
     tn: int = 0
@@ -292,11 +296,7 @@ class ConfusionCounts:
     expected_nt: int = 0
 
     def add(self, expected: Verdict, outcome: SampleOutcome):
-        field_name = {
-            SampleOutcome.TN: "tn", SampleOutcome.TP_VALID: "tp_valid",
-            SampleOutcome.TP_INVALID: "tp_invalid", SampleOutcome.FP: "fp",
-            SampleOutcome.FN: "fn", SampleOutcome.UNK: "unk",
-        }[outcome]
+        field_name = _OUTCOME_FIELDS[outcome]
         setattr(self, field_name, getattr(self, field_name) + 1)
         if expected is Verdict.NT:
             self.expected_nt += 1

@@ -6,9 +6,10 @@ concrete values for the program's nondeterministic variables and simulates
 the program while tracking the lasso.  The automaton is an observer: a
 program step either matches the pending edge (line and control agree, the
 assumption holds afterward) and advances it, or the automaton stutters.
-Edges whose line holds no executable statement (declarations, braces, blank
-lines) are dropped once per check, before any run; a cycle with no edge left
-proves nothing, however often it is passed.
+Edges on a line where ``main``'s lowered code takes no step (declarations,
+braces, blank lines, global initialisers, functions ``main`` never runs) are
+dropped once per check, before any run; a cycle with no edge left proves
+nothing, however often it is passed.
 
 Each check compiles once: ``main`` is lowered to a flat instruction list
 whose expressions, and the witness's assumptions, are functions generated by
@@ -269,6 +270,7 @@ FeasibilityResult = ProvenInfinite | BoundedEvidence | Infeasible | Unknown
 # Opcodes.  COND, ASSIGN, NONDET and RETURN are steps, which witness edges
 # match; the others run silently between steps.
 COND, ASSIGN, JUMP, NONDET, RETURN, SET, DECL, END = range(8)
+_STEPS = (COND, ASSIGN, NONDET, RETURN)
 
 
 def _site_key(name: str, line: int) -> str:
@@ -352,18 +354,6 @@ def _lower(program: Program) -> list[tuple]:
 
 # ---------------------------------------------------------------------------
 # Edge matching
-
-
-_EXECUTABLE = (Assign, NondetAssign, If, While, Return)
-
-
-def _executable_lines(program: Program) -> set[str | int]:
-    lines = set()
-    for stmt in cparse.iter_statements(program):
-        if isinstance(stmt, _EXECUTABLE) or (
-                isinstance(stmt, Decl) and stmt.init is not None):
-            lines.add(stmt.line)
-    return lines
 
 
 def _compile_assumption(text: str | None, types: dict[str, CType]):
@@ -517,14 +507,14 @@ def check_feasibility(p: Program | UnsupportedConstruct, lasso: LassoPath,
     if not lasso.cycle:
         return Unknown("lasso has no cycle")
 
-    # an edge whose line holds no executable statement matches no step
-    executable_lines = _executable_lines(p)
-    stem, cycle = ([e for e in part if e.line in executable_lines]
+    # an edge on a line where main's lowered code takes no step matches none
+    code = _lower(p)
+    step_lines = {line for op, line, _, _ in code if op in _STEPS}
+    stem, cycle = ([e for e in part if e.line in step_lines]
                    for part in (lasso.stem, lasso.cycle))
     if not stem and not cycle:
         return Unknown(_NO_CYCLE_STEP)
     edges = _expectations(stem + cycle, p.types)
-    code = _lower(p)
 
     sites = p.nondet_vars
     domains = [_clamp_domain(site.ctype, cfg.nondet_domain) for site in sites]

@@ -10,7 +10,7 @@ brute-force loop over them, the brute-force scan that generated both
 formulas of a pair each time, the feasibility checker's pending-edge
 tracker, the C tokenizer and expression parser before one regex and
 precedence climbing, and precond's own formula parser before it moved onto
-cparse), or a tool that only tests need (a C
+cparse), or a tool that only tests need (a walk over every statement, a C
 pretty-printer for round trips, a GraphML reader for the emitter's round
 trip, the prompt templates' hashes).
 """
@@ -33,15 +33,15 @@ from termeval.cparse import (
     MAX_EXPR_DEPTH, MAX_EXPR_NESTING, NONDET_TYPES, Assign, Binary, Block,
     CParseError, CType, Decl, EvalUndefined, Expr, If, IntLit,
     NondetAssign, Program, Return, Stmt, Unary, UnsupportedConstruct, Var,
-    While, _Gen, _Parser, _SCAN, _Unsupported, compile_expr, expr_depth,
-    int_constant, iter_statements, promote, usual_arithmetic_type, wrap,
+    While, _Gen, _Parser, _SCAN, _Unsupported, _walk, compile_expr,
+    expr_depth, int_constant, promote, usual_arithmetic_type, wrap,
 )
 from termeval.evalcore import CategoryAggregate, SampleOutcome, _f1, score_sample
 from termeval.lasso import (
     ASSIGN, COND, DECL, JUMP, NONDET, RETURN, SET, BoundedEvidence,
     CheckerConfig, FeasibilityResult, Infeasible, LassoPath, MachineState,
     NoLasso, ProvenInfinite, Unknown, _clamp_domain, _compile_assumption,
-    _executable_lines, _lex_path, _lower, _site_key,
+    _lex_path, _lower, _site_key,
 )
 from termeval import precond
 from termeval.oracle import _read_template
@@ -192,6 +192,13 @@ def pretty_print(program: Program) -> str:
             _format_stmt(s, 1, out)
         out.append("}")
     return "\n".join(out) + "\n"
+
+
+def iter_statements(program: Program):
+    """Yield every statement in the program, depth first."""
+    yield from _walk(program.globals)
+    for fn in program.functions.values():
+        yield from _walk(fn.body)
 
 
 def resolve_line(program: Program, line: int) -> list[Stmt]:
@@ -763,6 +770,19 @@ def old_extract_lasso(w: WitnessAutomaton) -> LassoPath | NoLasso:
 
 # ---------------------------------------------------------------------------
 # Feasibility checking: the pending-edge tracker
+
+
+_EXECUTABLE = (Assign, NondetAssign, If, While, Return)
+
+
+def _executable_lines(program: Program) -> set[int]:
+    """The lines of ``main``'s statements that run as a step: an assignment,
+    a nondet call, a condition, a return, or a declaration that initialises.
+    A global's initialiser runs before ``main`` and matches no edge, and no
+    function but ``main`` runs."""
+    return {stmt.line for stmt in _walk(program.functions["main"].body)
+            if isinstance(stmt, _EXECUTABLE)
+            or (isinstance(stmt, Decl) and stmt.init is not None)}
 
 
 def _edge_matchable(edge: WitnessEdge, executable_lines: set) -> bool:

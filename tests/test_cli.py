@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -1014,6 +1015,81 @@ class TestScoreCommand:
         assert by_model["oracle-a"]["svcomp_single"]["mean"] > \
             by_model["oracle-b"]["svcomp_single"]["mean"]
         assert by_model["oracle-a"]["witness"]["validity"] > 0
+
+
+WITNESS_REPLIES = [p.read_text(encoding="utf-8") for p in
+                   sorted((FIXTURES / "witnesses").glob("*.json"))]
+
+
+@st.composite
+def edited_witness_reply(draw) -> str:
+    """A fixture witness reply with edges moved to other lines, given other
+    assumptions, or sent to nodes the witness does not have."""
+    data = json.loads(draw(st.sampled_from(WITNESS_REPLIES)))
+    for edge in data["witness"]["edges"]:
+        if draw(st.booleans()):
+            edge["line"] = draw(st.integers(-1, 30))
+        if draw(st.booleans()):
+            edge["assumption"] = draw(st.sampled_from(
+                ["x > 0", "x / 0 == 1", "((", "", "x == 1" + "0" * 20]))
+        if draw(st.booleans()):
+            edge["target"] = draw(st.sampled_from(["N0", "N1", "N9"]))
+    return json.dumps(data)
+
+
+# prose, JSON fragments, bare verdicts, and witnesses valid and not
+REPLIES = st.one_of(
+    st.text(max_size=60),
+    st.sampled_from(WITNESS_REPLIES).flatmap(
+        lambda text: st.integers(0, len(text)).map(lambda n: text[:n])),
+    st.sampled_from(['{"verdict": true}', '{"verdict": false}',
+                     '{"verdict": null}', '{"verdict": "yes"}',
+                     'It halts.\n{"verdict": true}', '{"verdict": false, '
+                     '"witness": {"nodes": [], "edges": []}}']),
+    st.sampled_from(WITNESS_REPLIES),
+    edited_witness_reply(),
+)
+
+
+def finite_numbers(value) -> bool:
+    if isinstance(value, dict):
+        return all(map(finite_numbers, value.values()))
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+class TestScoreOnDrawnReplies:
+    TASKS = [t.task_id for t in
+             corpus_mod.load_manifest(FIXTURES / "corpus").manifest.tasks]
+    MODEL_KEYS = set(json.loads((FIXTURES / "golden" / "score" / "report.json")
+                                .read_text())["models"][0])
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.lists(REPLIES, min_size=2 * 3 * len(TASKS),
+                    max_size=2 * 3 * len(TASKS)))
+    def test_score_reports_every_model(self, replies):
+        # score exits 0 on any cached replies and reports finite numbers
+        # under every key for each model
+        with tempfile.TemporaryDirectory() as tmp:
+            workspace = Path(tmp)
+            shutil.copytree(FIXTURES / "corpus", workspace / "corpus")
+            shutil.copy(FIXTURES / "score_config.toml", workspace)
+            run_dir = workspace / "runs" / "drawn"
+            pools = iter(replies[i:i + 3] for i in range(0, len(replies), 3))
+            for model in ("m1", "m2"):
+                for task_id in self.TASKS:
+                    _write_replies(run_dir, model, task_id, next(pools))
+            result = CliRunner().invoke(main, [
+                "score", str(run_dir),
+                "-c", str(workspace / "score_config.toml"),
+                "-o", str(workspace / "report")])
+            assert result.exit_code == 0, result.output
+            report = json.loads(
+                (workspace / "report" / "report.json").read_text())
+        assert [m["model"] for m in report["models"]] == ["m1", "m2"]
+        for entry in report["models"]:
+            assert set(entry) == self.MODEL_KEYS
+            assert finite_numbers({k: v for k, v in entry.items()
+                                   if k != "model"})
 
 
 class TestBenchmarkHooks:

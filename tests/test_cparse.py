@@ -20,13 +20,13 @@ from conftest import (
     C_TYPES, c_chains, c_expressions, int_values, load_program,
 )
 from reference import (
-    brute_loop, closure_compile, eval_expr, pretty_print, resolve_line,
-    strip_alpha,
+    brute_loop, closure_compile, eval_expr, iter_statements, pretty_print,
+    resolve_line, strip_alpha,
 )
 
 
 def collect(program, kind):
-    return [s for s in cparse.iter_statements(program) if isinstance(s, kind)]
+    return [s for s in iter_statements(program) if isinstance(s, kind)]
 
 
 class TestParsePrograms:
@@ -273,8 +273,8 @@ class TestRoundTrip:
         program = parse_program(load_program("even_spin.c"))
         reparsed = parse_program(pretty_print(program))
         # same statement kinds in the same order, lines renumbered
-        kinds = [type(s).__name__ for s in cparse.iter_statements(program)]
-        rekinds = [type(s).__name__ for s in cparse.iter_statements(reparsed)]
+        kinds = [type(s).__name__ for s in iter_statements(program)]
+        rekinds = [type(s).__name__ for s in iter_statements(reparsed)]
         assert kinds == rekinds
 
 

@@ -7,6 +7,7 @@ import stat
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from termeval.cli import witness_status_for
@@ -15,9 +16,9 @@ from termeval.cparse import parse_program
 from termeval.evalcore import WitnessStatus
 from termeval.lasso import (
     BoundedEvidence, CheckerConfig, Infeasible, LassoPath, NoLasso,
-    ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig,
-    _executable_lines, _lex_path, check_feasibility, checker_view,
-    extract_lasso, run_external_validator, run_program,
+    ProvenInfinite, Unknown, ValidationStatus, ValidatorConfig, _lex_path,
+    check_feasibility, checker_view, extract_lasso, run_external_validator,
+    run_program,
 )
 from termeval.witness import (
     Prediction, Verdict, WitnessAutomaton, WitnessEdge, WitnessNode, _as_flag,
@@ -28,9 +29,24 @@ from conftest import (
     FIXTURES, load_program, load_witness_json, two_head_witness,
 )
 from reference import (
-    lex_dfs_path, old_extract_lasso, old_validate_schema,
+    _executable_lines, lex_dfs_path, old_extract_lasso, old_validate_schema,
     tracker_check_feasibility,
 )
+
+# a global initialised on line 1, and a function main never calls
+GLOBAL_AND_DEAD_CODE = parse_program("""int g = 1;
+void f() {
+   g = 2;
+}
+int main() {
+   int x;
+   x = __VERIFIER_nondet_int();
+   while (x > 0) {
+      x = x + g;
+   }
+   return 0;
+}
+""")
 
 FAST_CFG = CheckerConfig(nondet_domain=(-16, 16), bounded_cycle_target=200,
                          stall_steps=500, max_steps=50_000)
@@ -538,6 +554,26 @@ int main() {
             prog, lasso, CheckerConfig(bounded_cycle_target=1)) == \
             BoundedEvidence(1, {})
 
+    @pytest.mark.parametrize("line", [1, 3], ids=["global", "uncalled"])
+    def test_edge_main_never_steps_on_is_dropped(self, line):
+        # a global's initialiser runs before main, and f never runs: an edge
+        # on either line matches no step, as one on a brace does
+        lasso = LassoPath(
+            (WitnessEdge("E0", "N0", "N1", line, ""),
+             WitnessEdge("E1", "N1", "N2", 7, "x = __VERIFIER_nondet_int();")),
+            (WitnessEdge("E2", "N2", "N3", 8, "x > 0",
+                         control="condition-true"),
+             WitnessEdge("E3", "N3", "N2", 9, "x = x + g;")), "N2")
+        cfg = CheckerConfig(nondet_domain=(-4, 4), max_assignments=64,
+                            max_steps=2000, bounded_cycle_target=20,
+                            stall_steps=50)
+        prog = GLOBAL_AND_DEAD_CODE
+        result = check_feasibility(prog, lasso, cfg)
+        assert isinstance(result, BoundedEvidence)
+        without = dataclasses.replace(lasso, stem=lasso.stem[1:])
+        assert check_feasibility(prog, without, cfg) == result
+        assert tracker_check_feasibility(prog, lasso, cfg) == result
+
     def test_deterministic_result(self):
         prog = program("even_spin.c")
         lasso = extract_lasso(automaton("even_spin.json"))
@@ -703,6 +739,7 @@ int main() {
 """)
 CHECKED_PROGRAMS = {name: program(name) for name in PROGRAMS}
 CHECKED_PROGRAMS["nondet loop"] = NONDET_LOOP
+CHECKED_PROGRAMS["global and dead code"] = GLOBAL_AND_DEAD_CODE
 
 
 class TestAgainstTrackerChecker:

@@ -7,7 +7,7 @@ import pytest
 import requests
 
 from termeval.corpus import Architecture, Category, TaskSpec
-from termeval.cparse import While, iter_statements, parse_program
+from termeval.cparse import While, parse_program
 from termeval.oracle import (
     AuthError, ModelConfig, SAMPLING_PRESETS, apply_preset,
     build_precondition_prompt, build_termination_prompt, generate,
@@ -15,7 +15,7 @@ from termeval.oracle import (
 )
 from termeval.witness import FormatError, Prediction, Verdict
 
-from reference import prompt_template_hashes
+from reference import iter_statements, prompt_template_hashes
 
 # accidental prompt edits change evaluation behaviour: fail loudly
 PINNED_TEMPLATE_HASHES = {
